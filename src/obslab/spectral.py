@@ -15,6 +15,14 @@ smallest number with ||u||^2 <= M ||(A - lam) u||^2 + m <a u, u> on the
 sampled lattice, A the Fourier multiplier |xi|^gamma; exact kernel modes
 of A - lam are deflated through a Schur complement and the value is
 infinite when the form I - m M_a is positive on some kernel vector.
+
+The resolvent works in the real Fourier basis of the full lattice: e_k
+for each self-conjugate k (k = -k mod N on every axis) and, for each
+pair {k, -k}, the cosine (e_k + e_-k)/sqrt2 and sine i(e_k - e_-k)/sqrt2
+vectors. The field is real and |xi|^gamma is even, so M_a is a real
+symmetric matrix there, A - lam stays diagonal and its kernel stays a
+coordinate subset: the complex Hermitian problem is solved as a real
+symmetric one of the same order.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import scipy.sparse.linalg
 from .fields import ObservationField
 
 DENSE_RANK_LIMIT = 2000
+DENSE_LATTICE_LIMIT = 8192
 RESIDUAL_FLOOR = 1e-10
 
 
@@ -248,9 +257,14 @@ def _smallest_eig(field, mask, weight):
             return x
 
         opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
+        # a fixed Gaussian start makes reruns bit-identical; a structured
+        # start such as ones would be orthogonal to odd eigenvectors
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                op, k=4, sigma=sigma, which="LM", OPinv=opinv, tol=1e-9, maxiter=1000)
+                op, k=4, sigma=sigma, which="LM", OPinv=opinv, tol=1e-9, maxiter=1000,
+                v0=v0, rng=np.random.default_rng(0))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             vals, vecs = exc.eigenvalues, exc.eigenvectors
             if vals is None or not len(vals):
@@ -315,71 +329,126 @@ def annulus_containment(gamma: float, beta: float, delta: float, lam: float,
     return eps
 
 
-def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: float,
-                       C_a: np.ndarray | None = None, kernel_tol: float = 1e-9) -> SpectralReport:
-    """Smallest M with ||u||^2 <= M ||(A - lam) u||^2 + m <a u, u>.
+def _real_fourier_basis(grid: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points k (n, dim) and coefficients alpha (n,) of the real
+    Fourier basis: vector r is alpha_r e_k + conj(alpha_r) e_-k, k = pts[r].
 
-    A = |xi|^gamma on the full frequency lattice. Exact kernel modes of
-    A - lam are deflated: the value is inf if the form I - m M_a is
-    positive semidefinite with coupling on the kernel, and otherwise the
-    kernel is eliminated by a Schur complement before the generalized
-    eigenvalue computation. Pass C_a (the full-lattice compression of the
-    field) to reuse it across a lam sweep.
+    alpha is 1/2 at a self-conjugate k (the vector is e_k itself), 1/sqrt2
+    for the cosine and i/sqrt2 for the sine vector of a pair {k, -k}. The
+    cosine and self-conjugate vectors come first, then the sines, each in
+    flat lattice order.
     """
+    shape = (grid,) * dim
+    pts = np.indices(shape).reshape(dim, -1).T
+    flat = np.arange(pts.shape[0])
+    neg = np.ravel_multi_index(tuple(np.mod(-pts, grid).T), shape)
+    cos, sin = flat <= neg, flat < neg
+    alpha = np.concatenate([np.where(flat[cos] == neg[cos], 0.5, math.sqrt(0.5)),
+                            np.full(int(sin.sum()), 1j * math.sqrt(0.5))])
+    return np.concatenate([pts[cos], pts[sin]]), alpha
+
+
+def _real_compression(field: ObservationField) -> tuple[np.ndarray, np.ndarray]:
+    """Full-lattice Pi M_a Pi in the real Fourier basis, and the basis points.
+
+    Entry (r, s) is 2 Re[conj(alpha_r) alpha_s a^(k_r - k_s)
+    + conj(alpha_r alpha_s) a^(k_r + k_s)] with a^ the Fourier coefficients
+    of the field, the same exact lattice compression as compression_matrix.
+    Rows are filled in blocks so the index temporaries stay small.
+    """
+    w = field.values
+    grid, dim = field.grid, field.dim
+    # the coefficients tiled twice per axis, so k_r - k_s + grid and
+    # k_r + k_s index the table without a modulo, at flat positions that
+    # are linear in k_r and k_s
+    table = np.tile(np.fft.fftn(w) / w.size, (2,) * dim).ravel()
+    pts, alpha = _real_fourier_basis(grid, dim)
+    key = pts @ (2 * grid) ** np.arange(dim - 1, -1, -1)
+    shift = grid * int(np.sum((2 * grid) ** np.arange(dim)))
+    n = pts.shape[0]
+    out = np.empty((n, n))
+    step = max(1, (1 << 20) // n)
+    for r0 in range(0, n, step):
+        blk = slice(r0, r0 + step)
+        a = np.conj(alpha[blk])[:, None]
+        diff = table[key[blk, None] - key[None, :] + shift]
+        summ = table[key[blk, None] + key[None, :]]
+        out[blk] = 2.0 * (a * alpha * diff + a * np.conj(alpha) * summ).real
+    return out, pts
+
+
+def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """I - m M_a in the real Fourier basis, and |xi| at the basis points."""
     if m <= 0:
         raise ValueError("m must be positive")
-    t0 = time.perf_counter()
-    full = FrequencyMask(field.grid, field.dim, field.period, "ball", {"radius": float("inf")},
-                         np.ones((field.grid,) * field.dim, dtype=bool))
-    if C_a is None:
-        C_a = compression_matrix(field, full, "sqrt")
-    n = C_a.shape[0]
-    absxi = _abs_xi(field.grid, field.dim, field.period).ravel()
-    dvec = absxi ** gamma - lam
-    Q = -m * C_a
+    n = field.grid ** field.dim
+    if n > DENSE_LATTICE_LIMIT:
+        raise ValueError(
+            f"the dense resolvent on n = {n} lattice points needs about {3 * 8 * n * n / 1e9:.1f} GB"
+            f" for three n x n float64 matrices; the limit is {DENSE_LATTICE_LIMIT} points")
+    Q, pts = _real_compression(field)
+    Q *= -m
     Q[np.diag_indices(n)] += 1.0
+    return Q, _abs_xi(field.grid, field.dim, field.period)[tuple(pts.T)]
+
+
+def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gamma: float,
+                  lam: float, m: float, t0: float, kernel_tol: float = 1e-9) -> SpectralReport:
+    """M at one lam from the form Q = I - m M_a of _resolvent_form."""
+    n = Q.shape[0]
+    dvec = absxi ** gamma - lam
     ker = np.abs(dvec) <= kernel_tol * max(1.0, abs(lam))
     extra = {"kernel_dim": int(ker.sum()), "lam": lam, "gamma": gamma, "m": m}
-    if ker.any():
-        k_idx = np.where(ker)[0]
-        p_idx = np.where(~ker)[0]
-        Q00 = Q[np.ix_(k_idx, k_idx)]
+    full = FrequencyMask(field.grid, field.dim, field.period, "ball", {"radius": float("inf")},
+                         np.ones((field.grid,) * field.dim, dtype=bool))
+
+    def report(value, c, residual=0.0):
+        return SpectralReport(
+            kind="resolvent-M", value=value, c=c, residual=residual, rank=n,
+            mask=full.describe(), field=field.describe(),
+            wall_time=time.perf_counter() - t0, extra=extra,
+        )
+
+    k_idx, p_idx = np.flatnonzero(ker), np.flatnonzero(~ker)
+    W = Q[np.ix_(p_idx, p_idx)]
+    if k_idx.size:
         Q01 = Q[np.ix_(k_idx, p_idx)]
-        e, V = scipy.linalg.eigh(Q00)
+        e, V = scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)])
         if e[-1] > 1e-12:
-            return SpectralReport(
-                kind="resolvent-M", value=float("inf"), c=float(e[-1]), residual=0.0,
-                rank=n, mask=full.describe(), field=field.describe(),
-                wall_time=time.perf_counter() - t0, extra=extra,
-            )
+            return report(float("inf"), float(e[-1]))
         null = np.abs(e) <= 1e-12
-        if null.any():
-            coupling = np.linalg.norm(V[:, null].conj().T @ Q01, axis=1)
-            if np.any(coupling > 1e-10):
-                return SpectralReport(
-                    kind="resolvent-M", value=float("inf"), c=0.0, residual=0.0,
-                    rank=n, mask=full.describe(), field=field.describe(),
-                    wall_time=time.perf_counter() - t0, extra=extra,
-                )
+        if null.any() and np.any(np.linalg.norm(V[:, null].T @ Q01, axis=1) > 1e-10):
+            return report(float("inf"), 0.0)
         neg = e < -1e-12
-        Vn = V[:, neg]
-        S = Q[np.ix_(p_idx, p_idx)] - (Q01.conj().T @ Vn) @ np.diag(1.0 / e[neg]) @ (Vn.conj().T @ Q01)
-        d1 = dvec[p_idx]
-    else:
-        S = Q
-        d1 = dvec
-    scale = 1.0 / np.abs(d1)
-    W = S * scale[:, None] * scale[None, :]
-    vals, vecs = scipy.linalg.eigh(W, subset_by_index=[W.shape[0] - 1, W.shape[0] - 1])
-    M = float(vals[0])
-    v = vecs[:, 0]
+        X = V[:, neg].T @ Q01
+        W -= (X.T / e[neg]) @ X
+    scale = 1.0 / np.abs(dvec[p_idx])
+    W *= scale[:, None]
+    W *= scale[None, :]
+    top = W.shape[0] - 1
+    vals, vecs = scipy.linalg.eigh(W, subset_by_index=[top, top], driver="evx")
+    M, v = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(W @ v - M * v))
     M = max(M, 0.0)
-    return SpectralReport(
-        kind="resolvent-M", value=M, c=M, residual=residual, rank=n,
-        mask=full.describe(), field=field.describe(),
-        wall_time=time.perf_counter() - t0, extra=extra,
-    )
+    return report(M, M, residual)
+
+
+def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: float,
+                       kernel_tol: float = 1e-9) -> SpectralReport:
+    """Smallest M with ||u||^2 <= M ||(A - lam) u||^2 + m <a u, u>.
+
+    A = |xi|^gamma on the full frequency lattice. The form I - m M_a is
+    assembled in the real Fourier basis of the module docstring, where it
+    is real symmetric and A - lam is diagonal. Exact kernel modes of
+    A - lam are deflated: the value is inf if the form is positive, or
+    null with coupling, on the kernel; otherwise the kernel is eliminated
+    by a Schur complement S and M is the top eigenvalue of D^-1 S D^-1,
+    D = |A - lam| off the kernel. The lattice may have at most
+    DENSE_LATTICE_LIMIT points; larger ones raise ValueError.
+    """
+    t0 = time.perf_counter()
+    Q, absxi = _resolvent_form(field, m)
+    return _resolvent_at(field, Q, absxi, gamma, lam, m, t0, kernel_tol)
 
 
 def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
@@ -398,11 +467,10 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
 
 
 def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) -> list[SpectralReport]:
-    """resolvent_constant across a lam list, reusing the field compression."""
-    full = FrequencyMask(field.grid, field.dim, field.period, "ball", {"radius": float("inf")},
-                         np.ones((field.grid,) * field.dim, dtype=bool))
-    C_a = compression_matrix(field, full, "sqrt")
-    return [resolvent_constant(field, gamma, float(lam), m, C_a=C_a) for lam in lambdas]
+    """resolvent_constant across a lam list, assembling the form once."""
+    Q, absxi = _resolvent_form(field, m)
+    return [_resolvent_at(field, Q, absxi, gamma, float(lam), m, time.perf_counter())
+            for lam in lambdas]
 
 
 def low_freq_extension_check(field: ObservationField, gamma: float, lam_lo: float, lam_hi: float,

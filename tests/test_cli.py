@@ -183,3 +183,26 @@ def test_construct_demo(tmp_path):
     assert payload["report"]["passed"] is True
     assert all(payload["report"]["checks"].values())
     assert (tmp_path / "construct_profile.csv").exists()
+
+
+def test_resolvent_reports_are_reproducible(tmp_path):
+    args = ["--field-family", "periodic-square", "--field-dim", "1",
+            "--field-grid", "64", "--field-period", str(2 * math.pi),
+            "--field-delta", "0.3", "--field-mollify", "0.05",
+            "--gamma", "1.5", "--lam0", "16", "--lambdas", "8 27 64", "--fit"]
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run(["resolvent", "--out", str(d1)] + args) == 0
+    assert run(["resolvent", "--out", str(d2)] + args) == 0
+    for name in ("resolvent_report.json", "resolvent_sweep.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    payload = json.loads((d1 / "resolvent_report.json").read_text())
+    assert [r["kernel_dim"] for r in payload["report"]["reports"]] == [2, 2, 2]
+
+
+def test_resolvent_size_guard_exit_code(tmp_path, capsys):
+    code = run(["resolvent", "--out", str(tmp_path),
+                "--field-family", "constant", "--field-dim", "2",
+                "--field-grid", "128", "--field-period", "1.0",
+                "--gamma", "1.5", "--lambdas", "64", "--m", "0.5"])
+    assert code == 2
+    assert "n = 16384" in capsys.readouterr().err

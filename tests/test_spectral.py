@@ -204,3 +204,125 @@ def test_spectral_report_to_dict():
     d = rep.to_dict()
     assert d["kind"].startswith("uncertainty")
     assert "c" in d and "value" in d and "mask" in d
+
+
+def _random_field(dim, grid, seed=3):
+    vals = np.random.default_rng(seed).uniform(0.2, 1.0, size=(grid,) * dim)
+    return fields.make_field("custom-grid", dim=dim, period=2.0 * math.pi, grid=grid,
+                             values=vals)
+
+
+def _ps_2d(grid=24):
+    f = fields.make_field("periodic-square", dim=2, period=2.0 * math.pi, grid=grid, delta=0.8)
+    return fields.mollify(f, 0.05)
+
+
+def _full_mask(field):
+    return spectral.FrequencyMask(field.grid, field.dim, field.period, "ball",
+                                  {"radius": math.inf},
+                                  np.ones((field.grid,) * field.dim, dtype=bool))
+
+
+def _basis_matrix(grid, dim):
+    """Columns alpha e_k + conj(alpha) e_-k of the real Fourier basis, in
+    the flat lattice order of compression_matrix on the full lattice."""
+    pts, alpha = spectral._real_fourier_basis(grid, dim)
+    shape = (grid,) * dim
+    flat = np.ravel_multi_index(tuple(pts.T), shape)
+    neg = np.ravel_multi_index(tuple(np.mod(-pts, grid).T), shape)
+    cols = np.arange(len(pts))
+    T = np.zeros((grid ** dim, grid ** dim), dtype=complex)
+    np.add.at(T, (flat, cols), alpha)
+    np.add.at(T, (neg, cols), np.conj(alpha))
+    return T
+
+
+@pytest.mark.parametrize("grid, dim", [(16, 1), (15, 1), (8, 2)])
+def test_real_compression_is_the_complex_one_in_the_real_basis(grid, dim):
+    f = _random_field(dim, grid)
+    T = _basis_matrix(grid, dim)
+    assert np.allclose(T.conj().T @ T, np.eye(grid ** dim), atol=1e-14)
+    complex_form = T.conj().T @ spectral.compression_matrix(f, _full_mask(f)) @ T
+    real_form, _ = spectral._real_compression(f)
+    assert real_form.dtype == np.float64
+    assert np.allclose(real_form, complex_form.real, atol=1e-14)
+    assert np.abs(complex_form.imag).max() < 1e-14
+    # an odd grid has k = 0 as its only self-conjugate point
+    n_self = np.count_nonzero(spectral._real_fourier_basis(grid, dim)[1] == 0.5)
+    assert n_self == (1 if grid % 2 else 2 ** dim)
+
+
+def _complex_resolvent_reference(field, gamma, lam, m, kernel_tol=1e-9):
+    """The resolvent constant on the complex full-lattice compression:
+    kernel test, null-coupling test, Schur complement, D^-1 scaling, top
+    eigenvalue. Returns (M, kernel dimension)."""
+    C_a = spectral.compression_matrix(field, _full_mask(field), "sqrt")
+    n = C_a.shape[0]
+    dvec = spectral._abs_xi(field.grid, field.dim, field.period).ravel() ** gamma - lam
+    Q = np.eye(n) - m * C_a
+    ker = np.abs(dvec) <= kernel_tol * max(1.0, abs(lam))
+    if ker.any():
+        k_idx, p_idx = np.where(ker)[0], np.where(~ker)[0]
+        Q01 = Q[np.ix_(k_idx, p_idx)]
+        e, V = scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)])
+        if e[-1] > 1e-12:
+            return math.inf, int(ker.sum())
+        null = np.abs(e) <= 1e-12
+        if null.any() and np.any(np.linalg.norm(V[:, null].conj().T @ Q01, axis=1) > 1e-10):
+            return math.inf, int(ker.sum())
+        Vn = V[:, e < -1e-12]
+        S = Q[np.ix_(p_idx, p_idx)] - (Q01.conj().T @ Vn) @ np.diag(1.0 / e[e < -1e-12]) \
+            @ (Vn.conj().T @ Q01)
+        d1 = dvec[p_idx]
+    else:
+        S, d1 = Q, dvec
+    W = S / np.abs(d1)[:, None] / np.abs(d1)[None, :]
+    return max(float(scipy.linalg.eigvalsh(W)[-1]), 0.0), int(ker.sum())
+
+
+@pytest.mark.parametrize("make, gamma, lam, m, kdim", [
+    (_ps_mollified, 2.0, 16.0, None, 2),
+    (_ps_mollified, 2.0, 64.0, None, 2),
+    (_ps_2d, 2.0, 25.0, None, 12),
+    (_ps_2d, 2.0, 50.0, None, 12),
+    (_const, 1.5, 16.0, 2.0, 0),   # M = 0
+    (_const, 1.5, -2.0, 0.5, 0),   # M = 1/8
+    (_const, 2.0, 16.0, 0.5, 2),   # M = inf
+    (_const, 2.0, 16.0, 2.0, 2),   # M = 0 after deflation
+])
+def test_resolvent_constant_matches_complex_reference(make, gamma, lam, m, kdim):
+    f = make()
+    calibrated = m is None
+    if calibrated:
+        m = spectral.calibrate_m(f, gamma, 64.0)
+    want, want_kdim = _complex_resolvent_reference(f, gamma, lam, m)
+    rep = spectral.resolvent_constant(f, gamma, lam, m)
+    assert rep.extra["kernel_dim"] == want_kdim == kdim
+    if math.isinf(want) or want == 0.0:
+        assert rep.value == want
+    else:
+        assert rep.value == pytest.approx(want, rel=1e-10)
+        assert rep.residual < 1e-10
+    if calibrated:
+        assert math.isfinite(rep.value) and rep.value > 0.0
+
+
+def test_dense_resolvent_size_guard(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized form was assembled")
+    monkeypatch.setattr(spectral, "_real_compression", never)
+    f = _const(dim=2, grid=128, period=1.0)
+    with pytest.raises(ValueError, match=r"n = 16384 .* GB"):
+        spectral.resolvent_constant(f, 1.5, 64.0, 0.5)
+    with pytest.raises(ValueError, match="16384"):
+        spectral.resolvent_sweep(f, 1.5, [64.0, 128.0], 0.5)
+
+
+def test_iterative_uncertainty_is_deterministic(monkeypatch):
+    f = _ps_mollified()
+    mask = spectral.build_mask(128, 1, 2.0 * math.pi, "ball", radius=16.0)
+    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", 4)
+    first = spectral.uncertainty_constant(f, mask)
+    second = spectral.uncertainty_constant(f, mask)
+    assert first.c == second.c
+    assert first.residual == second.residual
