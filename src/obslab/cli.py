@@ -7,6 +7,11 @@ variable, else the working directory). Options may come from an INI
 config file; explicit flags win over config values. Exit codes: 0
 success, 1 a mathematical check failed, 2 usage or config error, 3
 numerical failure in an eigensolver.
+
+Every subcommand option is declared once, as a (dest, type, default,
+help) entry of its command's table. The entry registers the flag
+--<dest with hyphens> and reads the key <dest> of the config file's
+[<command>] section through the same type; other keys there are errors.
 """
 
 from __future__ import annotations
@@ -20,55 +25,91 @@ from pathlib import Path
 
 import numpy as np
 
-from . import construct, covering, evolution, fields, geometry, reports, spectral
+from . import construct, covering, evolution, fields, reports, spectral
 
 
-def _parse_floats(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _merged(args, section: configparser.SectionProxy | None, key: str, cast, default):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if section is not None and key in section:
-        raw = section[key]
-        return cast(raw)
-    return default
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _load_sections(args):
-    if not getattr(args, "config", None):
-        return None, None
+def _one_of(*names):
+    def choice(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return choice
+
+
+# flag, [field] config key, type, help
+FIELD_FLAGS = (
+    ("--field-family", "family", str, "built-in family name (default constant)"),
+    ("--field-dim", "dim", int, "1 or 2"),
+    ("--field-grid", "grid", int, "samples per axis"),
+    ("--field-period", "period", float, "box side (default 1.0)"),
+    ("--field-origin", "origin", str, "box corner, or 'centered'"),
+    ("--field-mollify", "mollify", float, "box-average radius"),
+    ("--field-value", "value", float, "constant family value"),
+    ("--field-delta", "delta", float, "periodic-square side"),
+    ("--field-beta", "beta", float, "e-beta exponent"),
+    ("--intervals-x", "intervals_x", str, "product family x intervals 'lo:hi, ...'"),
+    ("--intervals-y", "intervals_y", str, "product family y intervals 'lo:hi, ...'"),
+    ("--grid-file", "grid_file", str, "custom-grid sample file"),
+)
+
+
+def _load_sections(args, options) -> tuple[dict, dict]:
+    """[field] and [<command>] sections of the --config file, the latter
+    keyed by option dest."""
+    if not args.config:
+        return {}, {}
     path = Path(args.config)
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
-    cp.read(path)
-    cmd_section = cp[args.command] if cp.has_section(args.command) else None
-    return cp, cmd_section
+    try:
+        cp.read(path)
+        field = dict(cp["field"]) if cp.has_section("field") else {}
+        section = dict(cp[args.command]) if cp.has_section(args.command) else {}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from None
+    dests = {cp.optionxform(dest): dest for dest, *_ in options}
+    unknown = sorted(set(section) - set(dests))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in [{args.command}]; "
+                         f"known: {', '.join(dests.values())}")
+    return field, {dests[key]: raw for key, raw in section.items()}
 
 
-def _build_field(args, cp, *, default_dim: int, default_grid: int):
-    """Field from config [field] section with flag overrides on top."""
-    opts: dict[str, str] = {}
-    if cp is not None and cp.has_section("field"):
-        opts.update(dict(cp["field"]))
-    for key in ("family", "dim", "grid", "period", "origin", "mollify", "value",
-                "delta", "beta", "intervals_x", "intervals_y", "grid_file"):
-        flag = getattr(args, f"field_{key}", None)
+def _resolve(args, options, section: dict) -> None:
+    """Set each option on args: flag if given, else config value, else default."""
+    for dest, type_, default, _ in options:
+        if getattr(args, dest) is None:
+            setattr(args, dest, type_(section[dest]) if dest in section else default)
+
+
+def _values(args, options) -> dict:
+    return {dest: getattr(args, dest) for dest, *_ in options}
+
+
+def _build_field(args, section: dict, dim: int, grid: int):
+    """Field from the config [field] section with flag overrides on top."""
+    opts = {"family": "constant", "dim": str(dim), "grid": str(grid), "period": "1.0", **section}
+    for _, key, _, _ in FIELD_FLAGS:
+        flag = getattr(args, f"field_{key}")
         if flag is not None:
             opts[key] = str(flag)
-    opts.setdefault("family", "constant")
-    opts.setdefault("dim", str(default_dim))
-    opts.setdefault("grid", str(default_grid))
-    opts.setdefault("period", "1.0")
     if "grid_file" in opts and args.config:
         p = Path(opts["grid_file"])
         if not p.is_absolute():
             opts["grid_file"] = str(Path(args.config).parent / p)
-    merged = configparser.ConfigParser()
+    merged = configparser.ConfigParser(interpolation=None)  # values are final, '%' included
     merged["field"] = opts
     return fields.field_from_config(merged)
 
@@ -80,113 +121,24 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _add_field_flags(p: argparse.ArgumentParser):
-    p.add_argument("--field-family", dest="field_family", help="built-in family name")
-    p.add_argument("--field-dim", dest="field_dim", type=int)
-    p.add_argument("--field-grid", dest="field_grid", type=int)
-    p.add_argument("--field-period", dest="field_period", type=float)
-    p.add_argument("--field-origin", dest="field_origin")
-    p.add_argument("--field-mollify", dest="field_mollify", type=float)
-    p.add_argument("--field-value", dest="field_value", type=float)
-    p.add_argument("--field-delta", dest="field_delta", type=float)
-    p.add_argument("--field-beta", dest="field_beta", type=float)
-    p.add_argument("--intervals-x", dest="field_intervals_x")
-    p.add_argument("--intervals-y", dest="field_intervals_y")
-    p.add_argument("--grid-file", dest="field_grid_file")
+CERTIFY_OPTIONS = (
+    ("rho", float, 0.5, "observation scale"),
+    ("lambdas", _floats, [2560000.0], "frequency scales, space or comma separated"),
+    ("gamma", float, 0.25, "covering exponent in (0, 1/2)"),
+    ("fail_fast", _boolean, False, "stop at the first failing entry"),
+    ("n_offsets", int, 32, "transverse offsets per comb profile"),
+    ("samples_per_unit", float, 64.0, "line samples per unit length"),
+)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--out", help="output directory (default $OBSLAB_OUT or .)")
-    p.add_argument("--seed", type=int, default=None)
-    _add_field_flags(p)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="obslab",
-        description="Numerical laboratory for geometric control, uncertainty "
-                    "principles, and Schrödinger observability on the torus.",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("certify", help="measure every entry of an effective covering")
-    _add_common(p)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lambdas")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--fail-fast", action="store_true", default=None)
-    p.add_argument("--n-offsets", type=int)
-    p.add_argument("--samples-per-unit", type=float)
-
-    p = sub.add_parser("cover", help="build and verify an effective covering")
-    _add_common(p)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-
-    p = sub.add_parser("uncertainty", help="uncertainty constants on frequency masks")
-    _add_common(p)
-    p.add_argument("--mask", choices=["ball", "annulus", "sector", "annulus_sector", "rectangle"])
-    p.add_argument("--weight", choices=["sqrt", "full"])
-    p.add_argument("--lambdas", help="annulus center sweep")
-    p.add_argument("--zetas", help="rectangle corner sweep")
-    p.add_argument("--mask-delta", dest="mask_delta", type=float)
-    p.add_argument("--mask-beta", dest="mask_beta", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--angle", type=float)
-    p.add_argument("--eps0", type=float)
-
-    p = sub.add_parser("resolvent", help="resolvent constant sweep M(lambda)")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambdas")
-    p.add_argument("--m", type=float)
-    p.add_argument("--lam0", type=float, help="calibration scale when --m is absent")
-    p.add_argument("--fit", action="store_true", default=None, help="add log-log slope")
-
-    p = sub.add_parser("observe", help="observability Gramian cost sweep")
-    _add_common(p)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--T-list", dest="T_list")
-    p.add_argument("--n-nodes", type=int)
-    p.add_argument("--miller", help="M,m,eps for a predicted-cost comparison")
-    p.add_argument("--envelope-eps", dest="envelope_eps", type=float,
-                   help="fit log kappa against T^(2-4/eps)")
-
-    p = sub.add_parser("construct-demo", help="smooth minorant of a random ball system")
-    _add_common(p)
-    p.add_argument("--W", type=float, help="circle circumference")
-    p.add_argument("--M", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n-balls", dest="n_balls", type=int)
-
-    p = sub.add_parser("list-families", help="catalog of built-in field families")
-    p.add_argument("--config", help=argparse.SUPPRESS)
-    return parser
-
-
-def cmd_certify(args) -> int:
-    cp, sec = _load_sections(args)
-    field = _build_field(args, cp, default_dim=2, default_grid=256)
-    rho = _merged(args, sec, "rho", float, 0.5)
-    lambdas = _merged(args, sec, "lambdas", _parse_floats, [2560000.0])
-    if isinstance(lambdas, str):
-        lambdas = _parse_floats(lambdas)
-    gamma = _merged(args, sec, "gamma", float, 0.25)
-    fail_fast = bool(_merged(args, sec, "fail-fast", lambda s: s.lower() == "true", False))
-    n_offsets = int(_merged(args, sec, "n-offsets", int, 32))
-    spu = float(_merged(args, sec, "samples-per-unit", float, 64.0))
-    report = covering.comb_gcc_certify(field, rho, lambdas, gamma=gamma, fail_fast=fail_fast,
-                                       n_offsets=n_offsets, samples_per_unit=spu)
+def cmd_certify(args, field) -> int:
+    report = covering.comb_gcc_certify(field, args.rho, args.lambdas, gamma=args.gamma,
+                                       fail_fast=args.fail_fast, n_offsets=args.n_offsets,
+                                       samples_per_unit=args.samples_per_unit)
     for rec in report.per_lambda:
         print(f"[certify] lam={rec['lam']:g} entries={rec['n_entries']} "
               f"measured={rec['n_measured']} pass={rec['all_pass']}")
-    config = {"rho": rho, "lambdas": lambdas, "gamma": gamma, "fail_fast": fail_fast,
-              "n_offsets": n_offsets, "samples_per_unit": spu, "field": field.describe()}
+    config = {**_values(args, CERTIFY_OPTIONS), "field": field.describe()}
     out = _out_dir(args)
     payload = {"passed": report.passed, "per_lambda": report.per_lambda}
     reports.write_json(out / "certify_report.json", reports.report_envelope("certify", config, payload))
@@ -201,18 +153,19 @@ def cmd_certify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_cover(args) -> int:
-    cp, sec = _load_sections(args)
-    field = _build_field(args, cp, default_dim=2, default_grid=256)
-    rho = _merged(args, sec, "rho", float, 1.0)
-    lam = _merged(args, sec, "lam", float, 160000.0)
-    gamma = _merged(args, sec, "gamma", float, 0.25)
-    builder = covering.default_covering_builder(field, rho, gamma)
-    cov = builder(lam)
+COVER_OPTIONS = (
+    ("rho", float, 1.0, "observation scale"),
+    ("lam", float, 160000.0, "frequency scale"),
+    ("gamma", float, 0.25, "covering exponent in (0, 1/2)"),
+)
+
+
+def cmd_cover(args, field) -> int:
+    cov = covering.default_covering_builder(field, args.rho, args.gamma)(args.lam)
     ver = covering.verify_covering(cov)
-    print(f"[cover] lam={lam:g} entries={ver.n_entries} covers={ver.covers} "
+    print(f"[cover] lam={args.lam:g} entries={ver.n_entries} covers={ver.covers} "
           f"budget_ok={ver.budget_ok} worst_margin={ver.worst_margin:.6g}")
-    config = {"rho": rho, "lam": lam, "gamma": gamma, "field": field.describe()}
+    config = {**_values(args, COVER_OPTIONS), "field": field.describe()}
     payload = {
         "covering": covering.covering_to_dict(cov),
         "verification": {"covers": ver.covers, "budget_ok": ver.budget_ok,
@@ -224,23 +177,23 @@ def cmd_cover(args) -> int:
     return 0 if ver.ok else 1
 
 
-def cmd_uncertainty(args) -> int:
-    cp, sec = _load_sections(args)
-    field = _build_field(args, cp, default_dim=1, default_grid=512)
-    kind = _merged(args, sec, "mask", str, "annulus")
-    weight = _merged(args, sec, "weight", str, "sqrt")
-    mask_delta = float(_merged(args, sec, "mask-delta", float, 2.0))
-    mask_beta = float(_merged(args, sec, "mask-beta", float, 0.0))
-    sigma = _merged(args, sec, "sigma", float, None)
-    radius = _merged(args, sec, "radius", float, None)
-    angle = _merged(args, sec, "angle", float, 0.0)
-    eps0 = _merged(args, sec, "eps0", float, 0.25)
-    lambdas = _merged(args, sec, "lambdas", _parse_floats, None)
-    if isinstance(lambdas, str):
-        lambdas = _parse_floats(lambdas)
-    zetas = _merged(args, sec, "zetas", _parse_floats, None)
-    if isinstance(zetas, str):
-        zetas = _parse_floats(zetas)
+UNCERTAINTY_OPTIONS = (
+    ("mask", _one_of("ball", "annulus", "sector", "annulus_sector", "rectangle"), "annulus",
+     "ball, annulus, sector, annulus_sector or rectangle"),
+    ("weight", _one_of("sqrt", "full"), "sqrt", "sqrt or full"),
+    ("mask_delta", float, 2.0, "annulus half-width factor"),
+    ("mask_beta", float, 0.0, "annulus width exponent"),
+    ("sigma", float, None, "rectangle side"),
+    ("radius", float, None, "ball radius"),
+    ("angle", float, 0.0, "sector direction"),
+    ("eps0", float, 0.25, "sector aperture"),
+    ("lambdas", _floats, None, "annulus center sweep"),
+    ("zetas", _floats, None, "rectangle corner sweep"),
+)
+
+
+def cmd_uncertainty(args, field) -> int:
+    kind, sigma, radius, lambdas, zetas = args.mask, args.sigma, args.radius, args.lambdas, args.zetas
 
     def one_mask(**params):
         return spectral.build_mask(field.grid, field.dim, field.period, kind, **params)
@@ -258,21 +211,19 @@ def cmd_uncertainty(args) -> int:
     else:
         base = {}
         if kind in ("sector", "annulus_sector"):
-            base.update(angle=angle, eps0=eps0)
+            base.update(angle=args.angle, eps0=args.eps0)
         if kind in ("annulus", "annulus_sector"):
             for lam in (lambdas if lambdas is not None else [32.0]):
-                runs.append(one_mask(lam=lam, delta=mask_delta, beta=mask_beta, **base))
+                runs.append(one_mask(lam=lam, delta=args.mask_delta, beta=args.mask_beta, **base))
         else:
             runs.append(one_mask(**base))
     reps = []
     for mask in runs:
-        rep = spectral.uncertainty_constant(field, mask, weight=weight)
+        rep = spectral.uncertainty_constant(field, mask, weight=args.weight)
         reps.append(rep)
         label = mask.params.get("lam", mask.params.get("zeta", mask.params.get("radius", "")))
         print(f"[uncertainty] {kind}={label} rank={rep.rank} c={rep.c:.6g} C={rep.value:.6g}")
-    config = {"mask": kind, "weight": weight, "mask_delta": mask_delta, "mask_beta": mask_beta,
-              "sigma": sigma, "radius": radius, "angle": angle, "eps0": eps0,
-              "lambdas": lambdas, "zetas": zetas, "field": field.describe()}
+    config = {**_values(args, UNCERTAINTY_OPTIONS), "field": field.describe()}
     out = _out_dir(args)
     payload = {"reports": [r.to_dict() for r in reps]}
     reports.write_json(out / "uncertainty_report.json",
@@ -282,26 +233,27 @@ def cmd_uncertainty(args) -> int:
     return 0
 
 
-def cmd_resolvent(args) -> int:
-    cp, sec = _load_sections(args)
-    field = _build_field(args, cp, default_dim=1, default_grid=512)
-    gamma = float(_merged(args, sec, "gamma", float, 1.5))
-    lambdas = _merged(args, sec, "lambdas", _parse_floats, [64.0, 125.0, 253.0, 512.0])
-    if isinstance(lambdas, str):
-        lambdas = _parse_floats(lambdas)
-    m = _merged(args, sec, "m", float, None)
-    lam0 = float(_merged(args, sec, "lam0", float, 16.0))
-    if m is None:
-        m = spectral.calibrate_m(field, gamma, lam0)
-    fit = bool(_merged(args, sec, "fit", lambda s: s.lower() == "true", False))
-    reps = spectral.resolvent_sweep(field, gamma, lambdas, m)
+RESOLVENT_OPTIONS = (
+    ("gamma", float, 1.5, "dispersion exponent"),
+    ("lambdas", _floats, [64.0, 125.0, 253.0, 512.0], "spectral parameter sweep"),
+    ("m", float, None, "damping strength"),
+    ("lam0", float, 16.0, "calibration scale when --m is absent"),
+    ("fit", _boolean, False, "add log-log slope"),
+)
+
+
+def cmd_resolvent(args, field) -> int:
+    lambdas = args.lambdas
+    if args.m is None:
+        args.m = spectral.calibrate_m(field, args.gamma, args.lam0)
+    reps = spectral.resolvent_sweep(field, args.gamma, lambdas, args.m)
     for rep in reps:
         print(f"[resolvent] lam={rep.extra['lam']:g} M={rep.value:.6g} "
               f"kernel_dim={rep.extra['kernel_dim']}")
-    config = {"gamma": gamma, "lambdas": lambdas, "m": m, "lam0": lam0,
+    config = {"gamma": args.gamma, "lambdas": lambdas, "m": args.m, "lam0": args.lam0,
               "field": field.describe()}
     payload = {"reports": [r.to_dict() for r in reps]}
-    if fit:
+    if args.fit:
         vals = [r.value for r in reps]
         if any(lam <= 0 for lam in lambdas):
             payload["fit"] = {"slope": None,
@@ -319,18 +271,19 @@ def cmd_resolvent(args) -> int:
     return 0
 
 
-def cmd_observe(args) -> int:
-    cp, sec = _load_sections(args)
-    field = _build_field(args, cp, default_dim=1, default_grid=512)
-    beta = float(_merged(args, sec, "beta", float, 1.0))
-    K = float(_merged(args, sec, "cutoff", float, 16.0))
-    T_list = _merged(args, sec, "T-list", _parse_floats, [0.1, 0.2, 0.4, 0.8])
-    if isinstance(T_list, str):
-        T_list = _parse_floats(T_list)
-    n_nodes = _merged(args, sec, "n-nodes", int, None)
-    miller = _merged(args, sec, "miller", str, None)
-    envelope_eps = _merged(args, sec, "envelope-eps", float, None)
-    reps = evolution.cost_curve(field, beta, T_list, K, n_nodes=n_nodes)
+OBSERVE_OPTIONS = (
+    ("beta", float, 1.0, "dispersion exponent in [0, 1]"),
+    ("cutoff", float, 16.0, "frequency cutoff K"),
+    ("T_list", _floats, [0.1, 0.2, 0.4, 0.8], "observation times"),
+    ("n_nodes", int, None, "time quadrature nodes (default: Nyquist)"),
+    ("miller", str, None, "M,m,eps for a predicted-cost comparison"),
+    ("envelope_eps", float, None, "fit log kappa against T^(2-4/eps)"),
+)
+
+
+def cmd_observe(args, field) -> int:
+    beta, K, T_list, miller = args.beta, args.cutoff, args.T_list, args.miller
+    reps = evolution.cost_curve(field, beta, T_list, K, n_nodes=args.n_nodes)
     rows = []
     for rep in reps:
         print(f"[observe] T={rep.T:g} lam_min={rep.lam_min:.6g} kappa={rep.kappa:.6g} "
@@ -339,7 +292,7 @@ def cmd_observe(args) -> int:
     payload = {"reports": [r.to_dict() for r in reps]}
     status = 0
     if miller is not None:
-        M_res, m_res, eps = _parse_floats(miller)
+        M_res, m_res, eps = _floats(miller)
         comparison = []
         for rep in reps:
             pred = evolution.miller_cost(M_res, m_res, rep.T, eps)
@@ -349,13 +302,12 @@ def cmd_observe(args) -> int:
         payload["miller"] = {"M": M_res, "m": m_res, "eps": eps, "label": "shape",
                              "C_eps": 1.0, "comparison": comparison,
                              "fitted_c": max(ratios) if ratios else None}
-    if envelope_eps is not None:
-        fit = evolution.arb_time_shape_check(field, envelope_eps, T_list, K, beta=beta)
+    if args.envelope_eps is not None:
+        fit = evolution.arb_time_shape_check(field, args.envelope_eps, T_list, K, beta=beta)
         payload["envelope"] = fit
         if not fit["passed"]:
             status = 1
-    config = {"beta": beta, "cutoff": K, "T_list": T_list, "n_nodes": n_nodes,
-              "miller": miller, "envelope_eps": envelope_eps, "field": field.describe()}
+    config = {**_values(args, OBSERVE_OPTIONS), "field": field.describe()}
     out = _out_dir(args)
     reports.write_json(out / "observe_report.json",
                        reports.report_envelope("observe", config, payload))
@@ -374,19 +326,23 @@ def random_ball_system(rng: np.random.Generator, W: float, delta: float, n_balls
     return construct.BallSystem(centers, delta, W)
 
 
-def cmd_construct_demo(args) -> int:
-    cp, sec = _load_sections(args)
-    W = float(_merged(args, sec, "W", float, 40.0))
-    M = float(_merged(args, sec, "M", float, 1.0))
-    rho = _merged(args, sec, "rho", float, None)
-    delta = float(_merged(args, sec, "delta", float, 0.01))
-    n_balls = int(_merged(args, sec, "n-balls", int, 400))
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
-    Y = random_ball_system(rng, W, delta, n_balls)
+CONSTRUCT_DEMO_OPTIONS = (
+    ("W", float, 40.0, "circle circumference"),
+    ("M", float, 1.0, "window length"),
+    ("rho", float, None, "target density (default 0.8 x the least window density of the balls)"),
+    ("delta", float, 0.01, "ball radius"),
+    ("n_balls", int, 400, "number of balls"),
+    ("seed", int, 0, "random seed of the ball centers"),
+)
+
+
+def cmd_construct_demo(args, field) -> int:
+    M, n_balls = args.M, args.n_balls
+    Y = random_ball_system(np.random.default_rng(args.seed), args.W, args.delta, n_balls)
     wmin, wat = Y.window_min_measure(M)
-    if rho is None:
-        rho = 0.8 * wmin / M
+    if args.rho is None:
+        args.rho = 0.8 * wmin / M
+    rho = args.rho
     sm = construct.smooth_minorant(Y, M, rho)
     member = Y.contains(sm.x)
     outside = float(np.max(sm.values[~member])) if np.any(~member) else 0.0
@@ -401,7 +357,7 @@ def cmd_construct_demo(args) -> int:
     passed = all(checks.values())
     print(f"[construct-demo] balls={n_balls} cells={len(sm.t_scales)} eta={sm.eta:.6g} "
           f"density={density:.6g} passed={passed}")
-    config = {"W": W, "M": M, "rho": rho, "delta": delta, "n_balls": n_balls, "seed": seed}
+    config = _values(args, CONSTRUCT_DEMO_OPTIONS)
     payload = {
         "checks": checks, "passed": passed, "eta": sm.eta, "rho": rho,
         "window_min_measure": wmin, "window_argmin": wat,
@@ -420,7 +376,7 @@ def cmd_construct_demo(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_list_families(args) -> int:
+def cmd_list_families(args, field) -> int:
     catalog = fields.family_catalog()
     for name, info in sorted(catalog.items()):
         params = ", ".join(info["params"]) if info["params"] else "none"
@@ -431,15 +387,44 @@ def cmd_list_families(args) -> int:
     return 0
 
 
+# name: (function, help, option table, (default dim, default grid) of its field)
 COMMANDS = {
-    "certify": cmd_certify,
-    "cover": cmd_cover,
-    "uncertainty": cmd_uncertainty,
-    "resolvent": cmd_resolvent,
-    "observe": cmd_observe,
-    "construct-demo": cmd_construct_demo,
-    "list-families": cmd_list_families,
+    "certify": (cmd_certify, "measure every entry of an effective covering",
+                CERTIFY_OPTIONS, (2, 256)),
+    "cover": (cmd_cover, "build and verify an effective covering", COVER_OPTIONS, (2, 256)),
+    "uncertainty": (cmd_uncertainty, "uncertainty constants on frequency masks",
+                    UNCERTAINTY_OPTIONS, (1, 512)),
+    "resolvent": (cmd_resolvent, "resolvent constant sweep M(lambda)", RESOLVENT_OPTIONS, (1, 512)),
+    "observe": (cmd_observe, "observability Gramian cost sweep", OBSERVE_OPTIONS, (1, 512)),
+    "construct-demo": (cmd_construct_demo, "smooth minorant of a random ball system",
+                       CONSTRUCT_DEMO_OPTIONS, None),
+    "list-families": (cmd_list_families, "catalog of built-in field families", None, None),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="obslab",
+        description="Numerical laboratory for geometric control, uncertainty "
+                    "principles, and Schrödinger observability on the torus.",
+    )
+    sub = parser.add_subparsers(dest="command")
+    for name, (_, help_, options, box) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if options is None:
+            continue
+        p.add_argument("--config", help="INI config file; flags override its values")
+        p.add_argument("--out", help="output directory (default $OBSLAB_OUT or .)")
+        if box is not None:
+            for flag, key, type_, help_ in FIELD_FLAGS:
+                p.add_argument(flag, dest=f"field_{key}", type=type_, help=help_)
+        for dest, type_, _, help_ in options:
+            flag = "--" + dest.replace("_", "-")
+            if type_ is _boolean:
+                p.add_argument(flag, dest=dest, action="store_true", default=None, help=help_)
+            else:
+                p.add_argument(flag, dest=dest, type=type_, help=help_)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -448,15 +433,23 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    func, _, options, box = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](args)
+        field = None
+        if options is not None:
+            field_section, section = _load_sections(args, options)
+            _resolve(args, options, section)
+            if box is not None:
+                field = _build_field(args, field_section, *box)
+        return func(args, field)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         where = f" (config: {args.config})" if getattr(args, "config", None) else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import ObservationField
+from .geometry import _window_min
 
 # Plateau-bump template constants. The template is 1 on |u| <= 1/2 and
 # falls to 0 at |u| = 1 through a quintic smoothstep. Its mean over [-1, 1]
@@ -405,12 +406,7 @@ def smooth_minorant(
 
 def sliding_window_min(values: np.ndarray, spacing: float, L: float) -> float:
     """Minimal length-L window average of samples, windows fully inside."""
-    n_w = int(max(1, round(L / spacing)))
-    if n_w > len(values):
-        raise ValueError("window longer than the sampled range")
-    c = np.concatenate([[0.0], np.cumsum(values)])
-    win = (c[n_w:] - c[:-n_w]) / n_w
-    return float(win.min())
+    return float(_window_min(values, int(max(1, round(L / spacing))), periodic=False))
 
 
 def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .fields import ObservationField
-from .spectral import build_mask, compression_matrix
+from .spectral import _abs_xi, build_mask, compression_matrix
 
 KAPPA_FLOOR = 1e-14
 
@@ -43,15 +43,7 @@ class PropagatorSpec:
             raise ValueError("beta must lie in [0, 1]")
 
     def phases(self) -> np.ndarray:
-        from .spectral import frequency_axes
-
-        axes = frequency_axes(self.grid, self.dim, self.period)
-        if self.dim == 1:
-            absxi = np.abs(axes[0])
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            absxi = np.hypot(gx, gy)
-        return absxi ** (self.beta + 1.0)
+        return _abs_xi(self.grid, self.dim, self.period) ** (self.beta + 1.0)
 
 
 def propagate(u_hat: np.ndarray, beta: float, t: float, period: float = 2.0 * math.pi) -> np.ndarray:

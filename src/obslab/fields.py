@@ -62,6 +62,8 @@ def _check_shape(dim: int, grid: int, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"values shape {values.shape} does not match dim={dim}, grid={grid}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
     if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
         raise ValueError("field values must lie in [0, 1]")
     return np.clip(values, 0.0, 1.0)
@@ -74,7 +76,7 @@ def _grid_points(dim: int, period: float, grid: int, origin: float):
     return np.meshgrid(ax, ax, indexing="ij")
 
 
-def _member_constant(pts, value=1.0):
+def _member_constant(pts, value):
     base = pts[0]
     return np.full(np.shape(base), float(value))
 
@@ -118,7 +120,7 @@ def _member_product(pts, intervals_x, intervals_y):
     return inside.astype(np.float64)
 
 
-def _member_e_beta(pts, beta=0.5):
+def _member_e_beta(pts, beta):
     """Region above inverse-power profiles of the |x| coordinate.
 
     Outside the unit slab the floor is |x|^(-beta); inside it steepens to
@@ -207,9 +209,10 @@ def make_field(
 ) -> ObservationField:
     """Sample a built-in family on a uniform grid.
 
-    origin may be a float, the string "centered" (box centered at 0), or
-    None, which picks "centered" for the truncated families (e-beta,
-    half-strip-comb) and 0.0 otherwise.
+    Omitted family parameters take their catalog defaults, and the family
+    record names every parameter used. origin may be a float, the string
+    "centered" (box centered at 0), or None, which picks "centered" for
+    the truncated families (e-beta, half-strip-comb) and 0.0 otherwise.
     """
     if family not in _FAMILIES:
         raise ValueError(
@@ -231,6 +234,10 @@ def make_field(
             raise ValueError("custom-grid needs explicit values")
         vals = _check_shape(dim, grid, values)
     else:
+        unknown = sorted(set(params) - set(info["params"]))
+        if unknown:
+            raise ValueError(f"family {family!r} takes no parameter {', '.join(unknown)}")
+        params = {**info["params"], **params}
         pts = _grid_points(dim, period, grid, origin)
         vals = np.asarray(info["member"](pts, **params), dtype=np.float64)
         vals = _check_shape(dim, grid, vals)
@@ -322,13 +329,18 @@ def load_grid(path) -> ObservationField:
     """Read a raw grid file written by save_grid."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:4] != _GRID_MAGIC:
-        raise ValueError(f"{path}: not a grid file (bad magic)")
+    if raw[:4] != _GRID_MAGIC or len(raw) < 4 + 28:
+        raise ValueError(f"{path}: not a grid file (bad magic or short header)")
     version, dim, grid, period, origin = struct.unpack("<IIIdd", raw[4 : 4 + 28])
     if version != _GRID_VERSION:
         raise ValueError(f"{path}: unsupported grid file version {version}")
+    if dim not in (1, 2) or grid < 2:
+        raise ValueError(f"{path}: need dim in (1, 2) and grid >= 2, got dim={dim}, grid={grid}")
     count = grid ** dim
-    body = np.frombuffer(raw[4 + 28 :], dtype="<f8", count=count)
+    if len(raw) != 4 + 28 + 8 * count:
+        raise ValueError(f"{path}: expected {count} float64 samples after the header, "
+                         f"found {len(raw) - 4 - 28} bytes")
+    body = np.frombuffer(raw[4 + 28 :], dtype="<f8")
     values = body.reshape((grid,) * dim).astype(np.float64)
     fam = {"name": "custom-grid", "source": str(path)}
     return ObservationField(dim, period, grid, _check_shape(dim, grid, values), origin, fam)
@@ -351,18 +363,17 @@ def field_from_config(source) -> ObservationField:
     custom-grid, grid_file points at a raw grid file and the box keys are
     taken from the file. origin accepts a number or "centered".
     """
-    if isinstance(source, configparser.ConfigParser):
-        cfg = source
-        where = "<config>"
-    else:
-        cfg = configparser.ConfigParser()
-        read = cfg.read(str(source))
-        if not read:
-            raise ValueError(f"cannot read config file {source}")
-        where = str(source)
-    if "field" not in cfg:
+    cfg, where = source, "<config>"
+    try:
+        if not isinstance(source, configparser.ConfigParser):
+            cfg, where = configparser.ConfigParser(), str(source)
+            if not cfg.read(where):
+                raise ValueError(f"cannot read config file {source}")
+        sec = dict(cfg["field"]) if cfg.has_section("field") else None
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {where}: {exc}") from None
+    if sec is None:
         raise ValueError(f"{where}: missing [field] section")
-    sec = cfg["field"]
     family = sec.get("family")
     if not family:
         raise ValueError(f"{where}: [field] needs a family key")
@@ -392,13 +403,13 @@ def field_from_config(source) -> ObservationField:
             origin = float(origin)
         fld = make_field(
             family,
-            dim=sec.getint("dim", 2),
-            period=sec.getfloat("period", 1.0),
-            grid=sec.getint("grid", 256),
+            dim=int(sec.get("dim", 2)),
+            period=float(sec.get("period", 1.0)),
+            grid=int(sec.get("grid", 256)),
             origin=origin,
             **params,
         )
-    r = sec.getfloat("mollify", 0.0)
+    r = float(sec.get("mollify", 0.0))
     if r > 0:
         fld = mollify(fld, r)
     return fld

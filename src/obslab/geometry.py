@@ -225,26 +225,35 @@ def gcc_constant(
             z = np.clip(z, lo, hi)
         return _segment_means(field, z[None, :], dvec, L, n_samples)[0]
 
-    ang_step = math.pi / max(len(angle_list), 8)
-    z_step = np.full(field.dim, field.period / (2.0 * anchor_grid_size))
-    z = np.asarray(anchor, dtype=np.float64)
-    move_angle = field.dim == 2 and angles is None
+    value, _, _ = _descend(probe, value, ang, anchor, math.pi / max(len(angle_list), 8),
+                           field.period / (2.0 * anchor_grid_size),
+                           move_angle=field.dim == 2 and angles is None)
+    return value
+
+
+def _descend(probe, value, ang, z, ang_step, z_step, move_angle):
+    """Coordinate-descent polish of a grid minimizer of probe(angle, anchor).
+
+    Each of eight rounds tries ang -+ ang_step (when move_angle), then
+    z -+ z_step along each anchor axis in turn, keeping any strict
+    improvement, and halves both steps. Returns (value, angle, anchor).
+    """
     for _ in range(8):
         if move_angle:
             for cand in (ang - ang_step, ang + ang_step):
                 v = probe(cand, z)
                 if v < value:
                     value, ang = v, cand
-        for axis in range(field.dim):
+        for axis in range(len(z)):
             for sgn in (-1.0, 1.0):
                 zc = z.copy()
-                zc[axis] += sgn * z_step[axis]
+                zc[axis] += sgn * z_step
                 v = probe(ang, zc)
                 if v < value:
                     value, z = v, zc
         ang_step *= 0.5
         z_step *= 0.5
-    return value
+    return value, ang, z
 
 
 def _rect_sample_offsets(side_s, side_t, n_samples, dim):
@@ -356,11 +365,7 @@ def rectangle_density_inf(
     if not refine:
         return best_val, best
 
-    lam, L_, beta_ = best.lam, best.L, best.beta
-    ang = best.theta.angle
-    z = np.asarray(best.anchor, dtype=np.float64)
-    spec = RectangleSpec(Direction(ang), tuple(z), L_, lam, beta_)
-    s, t = spec.side_s, spec.side_t
+    s, t = best.side_s, best.side_t
     off = _rect_sample_offsets(s, t, n_samples, field.dim)
 
     def probe(ang_, z_):
@@ -371,27 +376,13 @@ def rectangle_density_inf(
             pts = z_ + np.outer(off[:, 0] * s, th.perp) + np.outer(off[:, 1] * t, th.vector)
         return float(np.mean(evaluate(field, pts)))
 
-    ang_step = math.pi / max(len(angle_list), 8) / 2.0
-    z_step = np.full(field.dim, field.period / (2.0 * anchor_grid_size))
-    val = best_val
-    for _ in range(8):
-        if field.dim == 2:
-            for cand in (ang - ang_step, ang + ang_step):
-                v = probe(cand, z)
-                if v < val:
-                    val, ang = v, cand
-        for axis in range(field.dim):
-            for sgn in (-1.0, 1.0):
-                zc = z.copy()
-                zc[axis] += sgn * z_step[axis]
-                v = probe(ang, zc)
-                if v < val:
-                    val, z = v, zc
-        ang_step *= 0.5
-        z_step *= 0.5
+    val, ang, z = _descend(probe, best_val, best.theta.angle,
+                           np.asarray(best.anchor, dtype=np.float64),
+                           math.pi / max(len(angle_list), 8) / 2.0,
+                           field.period / (2.0 * anchor_grid_size), move_angle=field.dim == 2)
     if val < best_val:
         best_val = val
-        best = RectangleSpec(Direction(ang), tuple(z), L_, lam, beta_)
+        best = RectangleSpec(Direction(ang), tuple(z), best.L, best.lam, best.beta)
     return best_val, best
 
 
@@ -437,32 +428,14 @@ def comb_profile(
     xs = (np.arange(n_x) + 0.5) * (x_extent / n_x)
     ts = (np.arange(n_t) + 0.5) * h_t
     pts = xs[:, None, None] * theta.perp[None, None, :] + ts[None, :, None] * theta.vector[None, None, :]
-    g = evaluate(field, pts)  # (n_x, n_t)
-
-    if periodic_t:
-        if n_w > 1:
-            reps, tail = divmod(n_w - 1, n_t)
-            parts = [g] * (1 + reps)
-            if tail:
-                parts.append(g[:, :tail])
-            g_ext = np.concatenate(parts, axis=1)
-        else:
-            g_ext = g
-    else:
-        if n_w > n_t:
-            raise ValueError("window longer than the search extent")
-        g_ext = g
-    c = np.cumsum(g_ext, axis=1)
-    c = np.concatenate([np.zeros((n_x, 1)), c], axis=1)
-    win = (c[:, n_w:] - c[:, :-n_w]) / n_w
-    values = win.min(axis=1)
+    values = _window_min(evaluate(field, pts), n_w, periodic_t)
     return CombProfile(
         theta=theta,
         M=M,
         values=values,
         spacing=x_extent / n_x,
         x0=xs[0],
-        periodic=True,
+        periodic=periodic_t,
         meta={
             "x_extent": x_extent,
             "t_extent": t_extent,
@@ -488,19 +461,26 @@ def relative_density_1d(profile, L: float) -> float:
         vals, spacing, periodic = profile.values, profile.h, True
     else:
         vals, spacing = profile
-        vals = np.asarray(vals, dtype=np.float64)
         periodic = True
-    n = len(vals)
-    n_w = int(max(1, round(L / spacing)))
+    return float(_window_min(vals, int(max(1, round(L / spacing))), periodic))
+
+
+def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
+    """Minimum over the last axis of the length-n_w running means.
+
+    Periodic samples wrap: they are tiled so that every start in one period
+    has n_w samples ahead of it, even when n_w exceeds the extent. Other
+    samples admit only windows that fit inside them.
+    """
+    values = np.asarray(values, dtype=np.float64)
     if periodic:
-        ext = np.concatenate([vals, vals[: n_w - 1]]) if n_w > 1 else vals
-    else:
-        if n_w > n:
-            raise ValueError("window longer than the profile")
-        ext = vals
-    c = np.concatenate([[0.0], np.cumsum(ext)])
-    win = (c[n_w:] - c[:-n_w]) / n_w
-    return float(win.min())
+        reps, tail = divmod(n_w - 1, values.shape[-1])
+        values = np.concatenate([values] * (1 + reps) + [values[..., :tail]], axis=-1)
+    elif n_w > values.shape[-1]:
+        raise ValueError("window longer than the sampled range")
+    c = np.cumsum(values, axis=-1)
+    c = np.concatenate([np.zeros(c.shape[:-1] + (1,)), c], axis=-1)
+    return ((c[..., n_w:] - c[..., :-n_w]) / n_w).min(axis=-1)
 
 
 def comb_gcc_check(

@@ -214,7 +214,7 @@ def compression_matrix(field: ObservationField, mask: FrequencyMask, weight: str
     return what[diff[..., 0], diff[..., 1]]
 
 
-def _sandwich_operator(field: ObservationField, mask: FrequencyMask, weight: str):
+def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
     """Matrix-free Pi M_w Pi as restrict -> ifft -> multiply -> fft -> restrict."""
     w = _weight_values(field, weight)
     sel = mask.mask
@@ -226,12 +226,11 @@ def _sandwich_operator(field: ObservationField, mask: FrequencyMask, weight: str
         spec2 = np.fft.fftn(w * u, norm="ortho")
         return spec2[sel]
 
-    r = mask.rank
-    return scipy.sparse.linalg.LinearOperator((r, r), matvec=matvec, dtype=complex), matvec
+    return matvec
 
 
 def _smallest_eig(field, mask, weight):
-    """Smallest eigenpair of the compression.
+    """Smallest eigenpair of the compression, with its matrix-free residual.
 
     Dense below the rank limit; above it, shift-invert Lanczos at a small
     negative shift, so the inner conjugate-gradient solves stay well
@@ -239,13 +238,14 @@ def _smallest_eig(field, mask, weight):
     Ritz pairs is requested because the smallest eigenvalues of
     concentration operators cluster.
     """
-    op, matvec = _sandwich_operator(field, mask, weight)
+    matvec = _sandwich_matvec(field, mask, weight)
     r = mask.rank
     if r <= DENSE_RANK_LIMIT:
         mat = compression_matrix(field, mask, weight)
         vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
         c, v = float(vals[0]), vecs[:, 0]
     else:
+        op = scipy.sparse.linalg.LinearOperator((r, r), matvec=matvec, dtype=complex)
         sigma = -1e-2
         shifted = scipy.sparse.linalg.LinearOperator(
             (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
@@ -271,10 +271,9 @@ def _smallest_eig(field, mask, weight):
                 raise RuntimeError("eigensolver did not converge and returned no Ritz pairs") from exc
         i = int(np.argmin(vals))
         c, v = float(vals[i]), vecs[:, i]
-        residual = float(np.linalg.norm(matvec(v) - c * v))
-        if residual > 1e-8:
-            raise RuntimeError(f"eigensolver did not converge; residual {residual}")
     residual = float(np.linalg.norm(matvec(v) - c * v))
+    if residual > 1e-8:
+        raise RuntimeError(f"eigensolver did not converge; residual {residual}")
     return c, v, residual
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from obslab import cli, reports
+from obslab import cli, fields, reports
 
 
 def run(argv):
@@ -206,3 +207,95 @@ def test_resolvent_size_guard_exit_code(tmp_path, capsys):
                 "--gamma", "1.5", "--lambdas", "64", "--m", "0.5"])
     assert code == 2
     assert "n = 16384" in capsys.readouterr().err
+
+
+def _half_strip_config(tmp_path, certify_lines):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[field]\n"
+        "family = half-strip-comb\n"
+        "dim = 2\n"
+        "grid = 256\n"
+        "period = 16\n"
+        "\n"
+        "[certify]\n"
+        "rho = 0.5\n"
+        "lambdas = 2560000\n" + "".join(line + "\n" for line in certify_lines)
+    )
+    return cfg
+
+
+def test_config_keys_are_flag_dests(tmp_path):
+    cfg = _half_strip_config(tmp_path, ["n_offsets = 16", "samples_per_unit = 16",
+                                        "fail_fast = yes"])
+    assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    config = json.loads((tmp_path / "certify_report.json").read_text())["config"]
+    assert config["n_offsets"] == 16
+    assert config["samples_per_unit"] == 16.0
+    assert config["fail_fast"] is True
+
+
+@pytest.mark.parametrize("line", ["fail_fast = maybe", "samples-per-unit = 16", "seed = 1"])
+def test_bad_config_key_or_value_exit_code(tmp_path, capsys, line):
+    cfg = _half_strip_config(tmp_path, [line])
+    assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config" in capsys.readouterr().err
+    assert not (tmp_path / "certify_report.json").exists()
+
+
+def test_config_keys_match_mixed_case_dests(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[construct-demo]\nW = 10\nM = 1.0\ndelta = 0.01\nn_balls = 100\nseed = 1\n\n"
+        "[field]\nfamily = constant\ndim = 1\ngrid = 32\nperiod = 6.283185307179586\n\n"
+        "[observe]\nbeta = 0.0\ncutoff = 2\nT_list = 0.5 1.0\n"
+    )
+    assert run(["construct-demo", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "construct_report.json").read_text())["config"]
+    assert (config["W"], config["M"], config["n_balls"], config["seed"]) == (10.0, 1.0, 100, 1)
+    assert run(["observe", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "observe_report.json").read_text())["config"]
+    assert config["T_list"] == [0.5, 1.0]
+
+
+def test_malformed_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("rho = 0.5\n")
+    assert run(["cover", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_linalg_error_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+    monkeypatch.setattr(scipy.linalg, "eigh", boom)
+    code = run(["resolvent", "--out", str(tmp_path),
+                "--field-family", "constant", "--field-dim", "1",
+                "--field-grid", "64", "--field-period", str(2 * math.pi),
+                "--gamma", "1.5", "--lambdas", "20 40", "--m", "0.5"])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, key, value", [("periodic-square", "delta", 0.5),
+                                                ("product", "intervals_x", "0:0.6")])
+def test_cover_uses_family_defaults(tmp_path, family, key, value):
+    assert run(["cover", "--out", str(tmp_path), "--field-family", family]) == 0
+    payload = json.loads((tmp_path / "cover_report.json").read_text())
+    assert payload["config"]["field"]["family"][key] == value
+
+
+@pytest.mark.parametrize("argv", [["cover", "--seed", "1"], ["list-families", "--config", "x.ini"]])
+def test_options_exist_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_grid_file_path_with_percent_sign(tmp_path):
+    f = fields.make_field("periodic-square", dim=1, period=2 * math.pi, grid=64, delta=0.3)
+    path = tmp_path / "50%.ogrd"
+    fields.save_grid(f, path)
+    code = run(["uncertainty", "--out", str(tmp_path), "--field-family", "custom-grid",
+                "--grid-file", str(path), "--mask", "ball", "--radius", "3"])
+    assert code == 0

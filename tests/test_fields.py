@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -175,3 +176,65 @@ def test_describe_is_json_friendly():
     assert d["dim"] == 2
     assert d["family"]["name"] == "product"
     assert isinstance(d["period"], float)
+
+
+def test_make_field_fills_catalog_defaults():
+    for name, info in fields.family_catalog().items():
+        if name == "custom-grid":
+            continue
+        dim = info["dims"][-1]
+        f = fields.make_field(name, dim=dim, period=4.0, grid=16)
+        assert f.family == {"name": name, **info["params"]}
+        g = fields.make_field(name, dim=dim, period=4.0, grid=16, **info["params"])
+        assert np.array_equal(f.values, g.values)
+
+
+def test_make_field_rejects_unknown_parameter():
+    with pytest.raises(ValueError, match="delta"):
+        fields.make_field("constant", dim=1, period=1.0, grid=16, delta=0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_grid_rejects_non_finite_values(bad):
+    vals = np.full(8, 0.5)
+    vals[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fields.make_field("custom-grid", dim=1, period=1.0, grid=8, values=vals)
+
+
+def _grid_bytes(dim, grid, samples):
+    return b"OGRD" + struct.pack("<IIIdd", 1, dim, grid, 1.0, 0.0) + \
+        np.full(samples, 0.5).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("dim, grid, samples", [
+    (1, 8, 10),   # 16 trailing bytes
+    (1, 8, 7),    # one sample short
+    (3, 4, 64),   # no such dimension
+    (2, 1, 1),    # a one-point grid
+])
+def test_load_grid_rejects_malformed_files(tmp_path, dim, grid, samples):
+    path = tmp_path / "field.ogrd"
+    path.write_bytes(_grid_bytes(dim, grid, samples))
+    with pytest.raises(ValueError):
+        fields.load_grid(path)
+
+
+def test_load_grid_reads_exact_files(tmp_path):
+    path = tmp_path / "field.ogrd"
+    path.write_bytes(_grid_bytes(1, 8, 8))
+    assert np.array_equal(fields.load_grid(path).values, np.full(8, 0.5))
+
+
+def test_field_from_config_rejects_malformed_ini(tmp_path):
+    cfg = tmp_path / "field.ini"
+    cfg.write_text("family = constant\n")
+    with pytest.raises(ValueError, match="config"):
+        fields.field_from_config(cfg)
+
+
+def test_field_from_config_rejects_bad_interpolation(tmp_path):
+    cfg = tmp_path / "field.ini"
+    cfg.write_text("[field]\nfamily = constant\ndim = 1\ngrid = 16\nvalue = 50%\n")
+    with pytest.raises(ValueError, match="config"):
+        fields.field_from_config(cfg)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from obslab import fields, geometry
 
@@ -150,3 +152,37 @@ def test_profile_lipschitz_finite():
                                  samples_per_unit=100.0)
     lip = geometry.profile_lipschitz(prof)
     assert np.isfinite(lip) and lip >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_min_matches_brute_force(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    rows = data.draw(st.integers(1, 3), label="rows")
+    vals = data.draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)), label="vals")
+    periodic = data.draw(st.booleans(), label="periodic")
+    n_w = data.draw(st.integers(1, 3 * n), label="n_w")
+    if not periodic and n_w > n:
+        with pytest.raises(ValueError):
+            geometry._window_min(vals, n_w, periodic)
+        return
+    starts = range(n) if periodic else range(n - n_w + 1)
+    want = [min(sum(row[(s + k) % n] for k in range(n_w)) / n_w for s in starts) for row in vals]
+    np.testing.assert_allclose(geometry._window_min(vals, n_w, periodic), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(geometry._window_min(vals[0], n_w, periodic), want[0],
+                               rtol=0, atol=1e-12)
+
+
+def test_relative_density_window_longer_than_periodic_profile():
+    assert geometry.relative_density_1d((np.ones(4), 0.25), 3.0) == 1.0
+    vals = np.array([1.0, 0.0, 0.0, 0.0])
+    # 6 samples from any start cover one full period plus two samples
+    assert geometry.relative_density_1d((vals, 0.25), 1.5) == pytest.approx(1.0 / 6.0)
+
+
+def test_comb_profile_periodic_follows_periodic_t():
+    f = fields.make_field("e-beta", dim=2, period=24.0, grid=128, beta=0.5)
+    kwargs = dict(n_x=8, samples_per_unit=4.0)
+    assert not geometry.comb_profile(f, geometry.Direction(0.3), 2.0, **kwargs).periodic
+    assert geometry.comb_profile(f, geometry.Direction(0.3), 2.0, periodic_t=True,
+                                 **kwargs).periodic
