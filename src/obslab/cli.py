@@ -250,8 +250,7 @@ def cmd_resolvent(args, field) -> int:
     for rep in reps:
         print(f"[resolvent] lam={rep.extra['lam']:g} M={rep.value:.6g} "
               f"kernel_dim={rep.extra['kernel_dim']}")
-    config = {"gamma": args.gamma, "lambdas": lambdas, "m": args.m, "lam0": args.lam0,
-              "field": field.describe()}
+    config = {**_values(args, RESOLVENT_OPTIONS), "field": field.describe()}
     payload = {"reports": [r.to_dict() for r in reps]}
     if args.fit:
         vals = [r.value for r in reps]
@@ -303,7 +302,7 @@ def cmd_observe(args, field) -> int:
                              "C_eps": 1.0, "comparison": comparison,
                              "fitted_c": max(ratios) if ratios else None}
     if args.envelope_eps is not None:
-        fit = evolution.arb_time_shape_check(field, args.envelope_eps, T_list, K, beta=beta)
+        fit = evolution._envelope_fit(args.envelope_eps, T_list, [r.kappa for r in reps], beta)
         payload["envelope"] = fit
         if not fit["passed"]:
             status = 1
@@ -379,7 +378,7 @@ def cmd_construct_demo(args, field) -> int:
 def cmd_list_families(args, field) -> int:
     catalog = fields.family_catalog()
     for name, info in sorted(catalog.items()):
-        params = ", ".join(info["params"]) if info["params"] else "none"
+        params = ", ".join(f"{k}={v}" for k, v in info["params"].items()) or "none"
         print(f"{name}: {info['doc']} (dims: {info['dims']}; parameters: {params})")
     print("custom-grid: raw grid file, binary header "
           "(magic OGRD, version, dim, grid, period, origin as little-endian "

@@ -134,12 +134,6 @@ class AlmostPeriodicPartition:
     def gaps(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    @property
-    def interior_gaps(self) -> np.ndarray:
-        """Gaps excluding the flagged closing cell, if any."""
-        g = self.gaps
-        return g[:-1] if self.closing_cell and len(g) else g
-
 
 def _first_exterior(Y: BallSystem, y: float) -> float:
     """inf{z >= y : z outside the open ball union}."""
@@ -195,7 +189,7 @@ def build_partition(
     rho = math.nan
     if b is not None:
         x, vals = np.asarray(b[0], dtype=np.float64), np.asarray(b[1], dtype=np.float64)
-        cell_avgs = np.array([_cell_average(x, vals, bp[i], bp[i + 1]) for i in range(len(bp) - 1)])
+        cell_avgs = _cell_averages(x, vals, _cumint_linear(x, vals), bp)
         rho = float(np.mean(cell_avgs))
     interior = gaps[:-1] if closing and len(gaps) > 1 else gaps
     return AlmostPeriodicPartition(
@@ -226,9 +220,10 @@ def _H_eval(x: np.ndarray, v: np.ndarray, H: np.ndarray, y) -> np.ndarray:
     return H[i] + v[i] * dx + 0.5 * slope * dx * dx
 
 
-def _cell_average(x, v, a, b):
-    H = _cumint_linear(x, v)
-    return float((_H_eval(x, v, H, b) - _H_eval(x, v, H, a)) / (b - a))
+def _cell_averages(x: np.ndarray, v: np.ndarray, H: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    """Exact averages of the piecewise-linear interpolant over the cells
+    [bp[i], bp[i + 1]], from its cumulative integral H."""
+    return np.diff(_H_eval(x, v, H, bp)) / np.diff(bp)
 
 
 @dataclass
@@ -259,12 +254,13 @@ def transfer_function(b, rho: float, partition: AlmostPeriodicPartition, tol: fl
     if bp[0] < x[0] - 1e-9 or bp[-1] > x[-1] + 1e-9:
         raise ValueError("partition breakpoints fall outside the sampled range of b")
     H = _cumint_linear(x, vals)
-    for i in range(len(bp) - 1):
-        avg = (_H_eval(x, vals, H, bp[i + 1]) - _H_eval(x, vals, H, bp[i])) / (bp[i + 1] - bp[i])
-        if abs(avg - rho) > tol:
-            raise ValueError(
-                f"cell {i} average {avg} deviates from rho = {rho} by more than {tol}"
-            )
+    avgs = _cell_averages(x, vals, H, bp)
+    bad = np.flatnonzero(np.abs(avgs - rho) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"cell {i} average {avgs[i]} deviates from rho = {rho} by more than {tol}"
+        )
     B = (H - rho * (x - x[0])) - (_H_eval(x, vals, H, bp[0]) - rho * (bp[0] - x[0]))
     Bk = _H_eval(x, vals, H, bp) - rho * (bp - x[0])
     Bk -= Bk[0]
@@ -339,26 +335,17 @@ def _bump_sum(xs: np.ndarray, Y: BallSystem, partition: AlmostPeriodicPartition,
     return out
 
 
-def smooth_minorant(
-    Y: BallSystem,
-    M: float,
-    rho: float,
-    delta: float | None = None,
-    grid_step: float | None = None,
-    n_periods: int = 1,
-) -> SmoothMinorant:
+def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
     """Smooth a <= 1_Y with constant cell averages eta = (3/8) * rho.
 
     Requires Y to be (M, rho) relatively dense (checked exactly; the error
     names the violating window) and delta < M/2. Each cell of the partition
     scales its balls by t_k = (rho/2) * |cell| / |Y cap cell| in [rho/2, 1]
     and puts the plateau-bump template on the scaled balls, which makes the
-    cell average of a exactly c1 * rho / 2 in closed form.
+    cell average of a exactly c1 * rho / 2 in closed form. The sample step
+    is (rho/2) * delta / 16, a sixteenth of the smallest scaled ball radius.
     """
-    if delta is None:
-        delta = Y.delta
-    if abs(delta - Y.delta) > 1e-12:
-        raise ValueError("delta disagrees with the ball system's radius")
+    delta = Y.delta
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     if not delta < M / 2.0:
@@ -369,7 +356,7 @@ def smooth_minorant(
             f"Y is not (M, rho) relatively dense: window [{wat}, {wat + M}] carries "
             f"measure {wmin} < rho*M = {rho * M}"
         )
-    part = build_partition(None, Y, M, n_periods=n_periods, wrap=False)
+    part = build_partition(None, Y, M, wrap=False)
     bp = part.breakpoints
     t_scales = np.empty(len(bp) - 1)
     exact_avgs = np.empty(len(bp) - 1)
@@ -384,9 +371,7 @@ def smooth_minorant(
             raise ValueError(f"cell {k} scale t = {t} exceeds 1; density precondition violated")
         t_scales[k] = min(t, 1.0)
         exact_avgs[k] = BUMP_C1 * t_scales[k] * mass / gap  # = c1 * rho / 2
-    if grid_step is None:
-        grid_step = (rho / 2.0) * delta / 16.0
-    n = int(math.ceil((bp[-1] - bp[0]) / grid_step)) + 1
+    n = int(math.ceil((bp[-1] - bp[0]) / ((rho / 2.0) * delta / 16.0))) + 1
     xs = np.linspace(bp[0], bp[-1], n)
     vals = _bump_sum(xs, Y, part, t_scales)
     eta = BUMP_C1 * rho / 2.0

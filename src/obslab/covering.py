@@ -30,10 +30,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ObservationField
+from .fields import ObservationField, _parse_intervals
 from .geometry import Direction, comb_profile, gcc_constant, relative_density_1d
-
-from .fields import _parse_intervals  # shared interval-spec parser
 
 
 @dataclass(frozen=True)
@@ -385,9 +383,17 @@ def covering_from_dict(d: dict) -> EffectiveCovering:
     return EffectiveCovering(entries, d["rho"], d["lam"], dict(d.get("meta", {})))
 
 
+def _family_param(field: ObservationField, key: str):
+    """A parameter the field's family record must carry (make_field records
+    every one, defaults included)."""
+    if key not in field.family:
+        raise ValueError(f"field family {field.family.get('name')!r} records no {key!r} parameter")
+    return field.family[key]
+
+
 def _product_family_plan(field: ObservationField, rho: float) -> dict:
-    ex = _parse_intervals(field.family.get("intervals_x", "0:0.6"))
-    fy = _parse_intervals(field.family.get("intervals_y", "0:0.6"))
+    ex = _parse_intervals(_family_param(field, "intervals_x"))
+    fy = _parse_intervals(_family_param(field, "intervals_y"))
     d1 = sum(hi - lo for lo, hi in ex)
     d2 = sum(hi - lo for lo, hi in fy)
     if d1 + d2 <= 1.0:
@@ -412,8 +418,8 @@ def _product_family_plan(field: ObservationField, rho: float) -> dict:
 
 
 def default_covering_builder(field: ObservationField, rho: float, gamma: float = 0.25):
-    """Family-appropriate covering builder, or an error naming the escape
-    hatch (pass covering_builder explicitly) for unsupported families."""
+    """Family-appropriate covering builder lam -> EffectiveCovering; other
+    families raise ValueError."""
     name = field.family.get("name")
     if name in ("constant", "periodic-square", "half-strip-comb"):
         if name != "constant" and abs(field.period - round(field.period)) > 1e-9:
@@ -423,7 +429,7 @@ def default_covering_builder(field: ObservationField, rho: float, gamma: float =
                 f"integer; got period = {field.period}"
             )
         if name == "periodic-square":
-            delta = float(field.family.get("delta", 0.5))
+            delta = float(_family_param(field, "delta"))
         elif name == "half-strip-comb":
             delta = 0.5
         else:
@@ -445,9 +451,7 @@ def default_covering_builder(field: ObservationField, rho: float, gamma: float =
             return cov
 
         return build
-    raise ValueError(
-        f"no built-in covering for family {name!r}; pass covering_builder explicitly"
-    )
+    raise ValueError(f"no built-in covering for family {name!r}")
 
 
 @dataclass
@@ -504,8 +508,6 @@ def _measure_entry(
         angles=np.array([entry.angle]),
         anchor_grid_size=8,
         n_samples=int(max(256, 16 * cert.M)),
-        inside_box=False,
-        refine=True,
     )
 
 
@@ -513,13 +515,13 @@ def comb_gcc_certify(
     field: ObservationField,
     rho: float,
     lambda_list,
-    covering_builder=None,
     gamma: float = 0.25,
     fail_fast: bool = False,
     n_offsets: int = 32,
     samples_per_unit: float = 64.0,
 ) -> CertifyReport:
-    """Build a covering for each lam and measure every entry's certificate.
+    """Build the family's default covering for each lam and measure every
+    entry's certificate.
 
     An entry passes when its measured constant exceeds its declared floor.
     Measurements depend only on (direction mod pi, certificate), not on lam,
@@ -527,13 +529,12 @@ def comb_gcc_certify(
     entries are scanned in (T, angle) order and the scan stops at the first
     failure for that lam.
     """
-    if covering_builder is None:
-        covering_builder = default_covering_builder(field, rho, gamma)
+    build = default_covering_builder(field, rho, gamma)
     cache: dict = {}
     per_lambda = []
     all_pass = True
     for lam in lambda_list:
-        cov = covering_builder(lam)
+        cov = build(lam)
         ver = verify_covering(cov)
         order = sorted(
             range(len(cov.entries)),

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .fields import ObservationField
-from .spectral import _abs_xi, build_mask, compression_matrix
+from .spectral import DENSE_LATTICE_LIMIT, _abs_xi, build_mask, compression_matrix
 
 KAPPA_FLOOR = 1e-14
 
@@ -95,7 +95,9 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
 
     Composite trapezoid in time with weights summing to T, so a field
     identically 1 gives lam_min = T exactly. Node counts below the phase
-    Nyquist guard are rejected with the required count in the message.
+    Nyquist guard are rejected with the required count in the message, and
+    so are masks of rank above DENSE_LATTICE_LIMIT, before any rank x rank
+    allocation.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
@@ -110,6 +112,11 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
             f"n_nodes = {n_nodes} undersamples the fastest phase: need at least {required}"
         )
     mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
+    r = mask.rank
+    if r > DENSE_LATTICE_LIMIT:
+        raise ValueError(
+            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about {4 * 16 * r * r / 1e9:.1f} GB"
+            f" for four rank x rank complex128 matrices; the limit is rank {DENSE_LATTICE_LIMIT}")
     C = compression_matrix(field, mask, weight="sqrt")
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
     nodes = np.linspace(0.0, T, n_nodes)
@@ -185,12 +192,17 @@ def arb_time_shape_check(field: ObservationField, eps_decay: float, T_list, cuto
         raise ValueError("eps_decay must lie in (0, 1]")
     if beta is None:
         beta = 2.0 / (2.0 / eps_decay - 1.0) - 1.0
-    exponent = 2.0 - 4.0 / eps_decay
     reports = cost_curve(field, beta, T_list, cutoff_K)
-    kappas = [r.kappa for r in reports]
+    return _envelope_fit(eps_decay, T_list, [r.kappa for r in reports], beta, alt_exponents)
+
+
+def _envelope_fit(eps_decay: float, T_list, kappas, beta: float, alt_exponents=()) -> dict:
+    """The arb_time_shape_check fit of one measured (T, kappa) sweep."""
+    if not 0.0 < eps_decay <= 1.0:
+        raise ValueError("eps_decay must lie in (0, 1]")
     if any(not math.isfinite(k) for k in kappas):
         raise ValueError("cost is infinite at some T; the envelope fit needs finite costs")
-    fit = fit_log_cost(T_list, kappas, exponent)
+    fit = fit_log_cost(T_list, kappas, 2.0 - 4.0 / eps_decay)
     fit["eps_decay"] = eps_decay
     fit["beta"] = beta
     fit["T"] = [float(t) for t in T_list]

@@ -25,6 +25,8 @@ from scipy import ndimage
 
 _GRID_MAGIC = b"OGRD"
 _GRID_VERSION = 1
+# families that sample a non-periodic set on a finite box centered at 0
+TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
 
 
 @dataclass
@@ -212,7 +214,7 @@ def make_field(
     Omitted family parameters take their catalog defaults, and the family
     record names every parameter used. origin may be a float, the string
     "centered" (box centered at 0), or None, which picks "centered" for
-    the truncated families (e-beta, half-strip-comb) and 0.0 otherwise.
+    the TRUNCATED_FAMILIES and 0.0 otherwise.
     """
     if family not in _FAMILIES:
         raise ValueError(
@@ -224,7 +226,7 @@ def make_field(
     if period <= 0 or grid < 2:
         raise ValueError("need period > 0 and grid >= 2")
     if origin is None:
-        origin = "centered" if family in ("e-beta", "half-strip-comb") else 0.0
+        origin = "centered" if family in TRUNCATED_FAMILIES else 0.0
     if origin == "centered":
         origin = -period / 2.0
     origin = float(origin)

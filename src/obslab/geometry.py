@@ -12,8 +12,8 @@ Conventions: a Direction wraps an angle on the circle; the transverse unit
 vector used by comb profiles is perp(theta) = (sin, -cos) rotated so that
 the map (x, t) -> x*perp + t*theta is the rotation taking (0, 1) to theta.
 Searches run over the field's fundamental domain; for fields that represent
-a truncated (non-periodic) set, probes are kept inside the box minus a
-margin instead of wrapping.
+a truncated (non-periodic) set, probes are kept inside the box instead of
+wrapping.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ObservationField, evaluate
-
-TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
+from .fields import TRUNCATED_FAMILIES, ObservationField, evaluate
 
 
 def is_truncated(field: ObservationField) -> bool:
@@ -131,12 +129,12 @@ def line_average(field: ObservationField, segment: LineSegment, n_samples: int |
     return float(np.mean(evaluate(field, pts)))
 
 
-def _anchor_box(field, extent_lo, extent_hi, margin):
+def _anchor_box(field, extent_lo, extent_hi):
     """Anchor bounds so [z + extent_lo, z + extent_hi] stays in the box."""
-    lo = field.origin + margin - extent_lo
-    hi = field.origin + field.period - margin - extent_hi
+    lo = field.origin - extent_lo
+    hi = field.origin + field.period - extent_hi
     if np.any(hi <= lo):
-        raise ValueError("probe does not fit inside the box with this margin")
+        raise ValueError("probe does not fit inside the box")
     return lo, hi
 
 
@@ -164,9 +162,6 @@ def gcc_constant(
     anchor_grid_size: int = 12,
     n_samples: int | None = None,
     angles: np.ndarray | None = None,
-    inside_box: bool | None = None,
-    margin: float = 0.0,
-    refine: bool = True,
 ) -> float:
     """Estimated infimum of length-L segment averages.
 
@@ -183,8 +178,7 @@ def gcc_constant(
         raise ValueError("L must be positive")
     if angles is None and (direction_grid_size < 8 or anchor_grid_size < 8):
         raise ValueError("direction and anchor grids need at least 8 points")
-    if inside_box is None:
-        inside_box = is_truncated(field)
+    inside_box = is_truncated(field)
     if n_samples is None:
         n_samples = _auto_samples(field, L)
 
@@ -200,7 +194,7 @@ def gcc_constant(
         dvec = np.array([math.cos(ang), math.sin(ang)]) if field.dim == 2 else np.array([1.0])
         if inside_box:
             ext = dvec * L
-            lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext), margin)
+            lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext))
         else:
             lo = np.full(field.dim, field.origin)
             hi = np.full(field.dim, field.origin + field.period)
@@ -211,7 +205,7 @@ def gcc_constant(
             best = (float(means[i]), k, float(ang), anchors[i].copy())
 
     value, _, ang, anchor = best
-    if not refine or anchor is None:
+    if anchor is None:
         return value
 
     def probe(ang_, z):
@@ -219,7 +213,7 @@ def gcc_constant(
         if inside_box:
             ext = dvec * L
             try:
-                lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext), margin)
+                lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext))
             except ValueError:
                 return np.inf
             z = np.clip(z, lo, hi)
@@ -270,23 +264,10 @@ def _rect_sample_offsets(side_s, side_t, n_samples, dim):
     return np.stack([uu.ravel(), vv.ravel()], axis=-1)
 
 
-def rectangle_density(
-    field: ObservationField,
-    rect: RectangleSpec,
-    n_samples: int = 1024,
-    method: str = "grid",
-    seed: int = 0,
-) -> float:
-    """Average of the field over one rectangle, by midpoint grid or
-    seeded Monte Carlo."""
+def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
+    """Average of the field over one rectangle, by midpoint grid."""
     s, t = rect.side_s, rect.side_t
-    if method == "grid":
-        off = _rect_sample_offsets(s, t, n_samples, field.dim)
-    elif method == "mc":
-        rng = np.random.default_rng(seed)
-        off = rng.random((n_samples, field.dim))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    off = _rect_sample_offsets(s, t, n_samples, field.dim)
     z = np.asarray(rect.anchor, dtype=np.float64)
     if field.dim == 1:
         pts = z[0] + off[:, 0] * t
@@ -303,13 +284,10 @@ def rectangle_density_inf(
     direction_grid_size: int = 24,
     anchor_grid_size: int = 10,
     n_samples: int = 1024,
-    angles: np.ndarray | None = None,
-    inside_box: bool | None = None,
-    margin: float = 0.0,
-    refine: bool = True,
 ) -> tuple[float, RectangleSpec]:
     """Sweep of rectangle_density over lam in lambda_list, rotations, and
-    anchors; returns the minimum and its argmin rectangle.
+    anchors, polished by coordinate descent; returns the minimum and its
+    argmin rectangle.
 
     Ties break to the first grid point visited, i.e. the lexicographically
     smallest (lam index, direction index, anchor index).
@@ -317,12 +295,9 @@ def rectangle_density_inf(
     lambda_list = [float(l) for l in lambda_list]
     if not lambda_list:
         raise ValueError("lambda_list must be non-empty")
-    if inside_box is None:
-        inside_box = is_truncated(field)
+    inside_box = is_truncated(field)
     if field.dim == 1:
         angle_list = np.array([0.0])
-    elif angles is not None:
-        angle_list = np.atleast_1d(np.asarray(angles, dtype=np.float64))
     else:
         angle_list = math.pi * np.arange(direction_grid_size) / direction_grid_size
 
@@ -341,7 +316,7 @@ def rectangle_density_inf(
                 ext_lo, ext_hi = np.array([min(0.0, t)]), np.array([max(0.0, t)])
             if inside_box:
                 try:
-                    lo, hi = _anchor_box(field, ext_lo, ext_hi, margin)
+                    lo, hi = _anchor_box(field, ext_lo, ext_hi)
                 except ValueError:
                     continue
             else:
@@ -362,8 +337,6 @@ def rectangle_density_inf(
 
     if best is None:
         raise ValueError("no rectangle fits inside the box at the requested sizes")
-    if not refine:
-        return best_val, best
 
     s, t = best.side_s, best.side_t
     off = _rect_sample_offsets(s, t, n_samples, field.dim)

@@ -40,6 +40,7 @@ from .fields import ObservationField
 DENSE_RANK_LIMIT = 2000
 DENSE_LATTICE_LIMIT = 8192
 RESIDUAL_FLOOR = 1e-10
+KERNEL_TOL = 1e-9
 
 
 def frequency_axes(grid: int, dim: int, period: float) -> list[np.ndarray]:
@@ -392,11 +393,11 @@ def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.n
 
 
 def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gamma: float,
-                  lam: float, m: float, t0: float, kernel_tol: float = 1e-9) -> SpectralReport:
+                  lam: float, m: float, t0: float) -> SpectralReport:
     """M at one lam from the form Q = I - m M_a of _resolvent_form."""
     n = Q.shape[0]
     dvec = absxi ** gamma - lam
-    ker = np.abs(dvec) <= kernel_tol * max(1.0, abs(lam))
+    ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
     extra = {"kernel_dim": int(ker.sum()), "lam": lam, "gamma": gamma, "m": m}
     full = FrequencyMask(field.grid, field.dim, field.period, "ball", {"radius": float("inf")},
                          np.ones((field.grid,) * field.dim, dtype=bool))
@@ -432,22 +433,22 @@ def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gam
     return report(M, M, residual)
 
 
-def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: float,
-                       kernel_tol: float = 1e-9) -> SpectralReport:
+def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: float) -> SpectralReport:
     """Smallest M with ||u||^2 <= M ||(A - lam) u||^2 + m <a u, u>.
 
     A = |xi|^gamma on the full frequency lattice. The form I - m M_a is
     assembled in the real Fourier basis of the module docstring, where it
-    is real symmetric and A - lam is diagonal. Exact kernel modes of
-    A - lam are deflated: the value is inf if the form is positive, or
-    null with coupling, on the kernel; otherwise the kernel is eliminated
-    by a Schur complement S and M is the top eigenvalue of D^-1 S D^-1,
-    D = |A - lam| off the kernel. The lattice may have at most
-    DENSE_LATTICE_LIMIT points; larger ones raise ValueError.
+    is real symmetric and A - lam is diagonal. Kernel modes of A - lam,
+    |A - lam| <= KERNEL_TOL * max(1, |lam|), are deflated: the value is
+    inf if the form is positive, or null with coupling, on the kernel;
+    otherwise the kernel is eliminated by a Schur complement S and M is
+    the top eigenvalue of D^-1 S D^-1, D = |A - lam| off the kernel. The
+    lattice may have at most DENSE_LATTICE_LIMIT points; larger ones
+    raise ValueError.
     """
     t0 = time.perf_counter()
     Q, absxi = _resolvent_form(field, m)
-    return _resolvent_at(field, Q, absxi, gamma, lam, m, t0, kernel_tol)
+    return _resolvent_at(field, Q, absxi, gamma, lam, m, t0)
 
 
 def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
@@ -473,13 +474,12 @@ def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) ->
 
 
 def low_freq_extension_check(field: ObservationField, gamma: float, lam_lo: float, lam_hi: float,
-                             m: float, n_points: int = 12, ceiling: float | None = None,
-                             density_scale: float | None = None) -> dict:
+                             m: float, n_points: int = 12) -> dict:
     """Sweep M(lam) over [lam_lo, lam_hi] at fixed m and flag the maximum.
 
-    Also measures the field's relative density at density_scale (default an
-    eighth of the period) so reports show whether the boundedness premise
-    holds; an unbounded or above-ceiling curve is reported, not raised.
+    Also measures the field's relative density at an eighth of the period
+    so reports show whether the boundedness premise holds; an unbounded
+    curve is reported, not raised.
     """
     from .geometry import relative_density_1d
 
@@ -488,13 +488,12 @@ def low_freq_extension_check(field: ObservationField, gamma: float, lam_lo: floa
     Ms = [r.value for r in reports]
     finite = [v for v in Ms if math.isfinite(v)]
     M_max = max(Ms) if Ms else float("nan")
-    if density_scale is None:
-        density_scale = field.period / 8.0
+    density_scale = field.period / 8.0
     if field.dim == 1:
         density = relative_density_1d((field.values, field.h), density_scale)
     else:
         density = float(field.values.mean())
-    out = {
+    return {
         "gamma": gamma,
         "m": m,
         "lambdas": [float(x) for x in lams],
@@ -504,7 +503,3 @@ def low_freq_extension_check(field: ObservationField, gamma: float, lam_lo: floa
         "density_scale": density_scale,
         "density_measured": density,
     }
-    if ceiling is not None:
-        out["ceiling"] = ceiling
-        out["bounded"] = bool(math.isfinite(M_max) and M_max <= ceiling)
-    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from obslab import cli, fields, reports
+from obslab import cli, evolution, fields, reports
 
 
 def run(argv):
@@ -299,3 +299,49 @@ def test_grid_file_path_with_percent_sign(tmp_path):
     code = run(["uncertainty", "--out", str(tmp_path), "--field-family", "custom-grid",
                 "--grid-file", str(path), "--mask", "ball", "--radius", "3"])
     assert code == 0
+
+
+def test_list_families_prints_defaults(capsys):
+    assert run(["list-families"]) == 0
+    out = capsys.readouterr().out
+    assert "parameters: delta=0.5)" in out
+    assert "parameters: intervals_x=0:0.6, intervals_y=0:0.6)" in out
+
+
+def test_resolvent_config_records_fit(tmp_path):
+    args = ["resolvent", "--field-family", "constant", "--field-dim", "1",
+            "--field-grid", "64", "--field-period", str(2 * math.pi),
+            "--gamma", "1.5", "--lambdas", "20 40", "--m", "0.5"]
+    for fit in (False, True):
+        out = tmp_path / str(fit)
+        assert run(args + ["--out", str(out)] + (["--fit"] if fit else [])) == 0
+        config = json.loads((out / "resolvent_report.json").read_text())["config"]
+        assert config["fit"] is fit
+        assert config["m"] == 0.5 and config["lambdas"] == [20.0, 40.0]
+
+
+def test_observe_envelope_fits_the_reported_sweep(tmp_path):
+    T = [0.05 * 1.5 ** (k / 5) for k in range(6)]
+    code = run(["observe", "--out", str(tmp_path),
+                "--field-family", "periodic-square", "--field-dim", "1",
+                "--field-grid", "256", "--field-period", str(2 * math.pi),
+                "--field-delta", "0.3", "--field-mollify", "0.05",
+                "--beta", "0.5", "--cutoff", "24", "--n-nodes", "400",
+                "--T-list", " ".join(map(repr, T)), "--envelope-eps", repr(2.0 / 3.0)])
+    assert code == 0
+    report = json.loads((tmp_path / "observe_report.json").read_text())["report"]
+    assert [r["n_nodes"] for r in report["reports"]] == [400] * 6
+    assert report["envelope"]["kappa"] == [r["kappa"] for r in report["reports"]]
+
+
+def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(evolution, "compression_matrix", lambda *a, **k: calls.append(a))
+    code = run(["observe", "--out", str(tmp_path),
+                "--field-family", "constant", "--field-dim", "2",
+                "--field-grid", "128", "--field-period", str(2 * math.pi),
+                "--cutoff", "60", "--T-list", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rank 11289" in err and "GB" in err
+    assert calls == []

@@ -140,6 +140,17 @@ def test_transfer_function_rejects_drifting_density():
         construct.transfer_function((x, vals), part.rho, part, tol=1e-4)
 
 
+def test_transfer_function_names_first_failing_cell():
+    Y = construct.BallSystem([0.0, 2.0, 4.0], 0.25, 6.0)
+    x = np.linspace(0.0, 12.0, 2401)
+    part = construct.build_partition((x, np.full_like(x, 0.5)), Y, 1.5)
+    vals = np.where(x < 5.0, 0.5, 0.9)  # the interpolant leaves 0.5 after x = 4.995
+    first = int(np.argmax(part.breakpoints[1:] > 4.995))
+    assert first > 0
+    with pytest.raises(ValueError, match=f"^cell {first} average "):
+        construct.transfer_function((x, vals), 0.5, part, tol=1e-9)
+
+
 def test_transfer_function_random_bound_loop():
     rng = np.random.default_rng(21)
     for _ in range(25):

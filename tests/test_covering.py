@@ -214,8 +214,19 @@ def test_default_builder_requires_integer_period():
 
 def test_default_builder_escape_hatch_message():
     f = fields.make_field("e-beta", dim=2, period=24.0, grid=64, beta=0.5)
-    with pytest.raises(ValueError, match="covering_builder"):
+    with pytest.raises(ValueError, match="no built-in covering for family 'e-beta'"):
         covering.default_covering_builder(f, 1.0)
+
+
+@pytest.mark.parametrize("family, key, params", [
+    ("product", "intervals_y", {"intervals_x": "0:0.6", "intervals_y": "0:0.6"}),
+    ("periodic-square", "delta", {"delta": 0.3}),
+])
+def test_default_builder_reads_family_record_without_fallback(family, key, params):
+    f = fields.make_field(family, dim=2, period=1.0, grid=64, **params)
+    del f.family[key]
+    with pytest.raises(ValueError, match=f"no '{key}' parameter"):
+        covering.default_covering_builder(f, 0.5)
 
 
 def test_certify_constant_field_all_pass():
