@@ -378,11 +378,9 @@ def cmd_construct_demo(args, field) -> int:
 def cmd_list_families(args, field) -> int:
     catalog = fields.family_catalog()
     for name, info in sorted(catalog.items()):
-        params = ", ".join(f"{k}={v}" for k, v in info["params"].items()) or "none"
+        params = ", ".join(f"{k} (required)" if v is None else f"{k}={v}"
+                           for k, v in info["params"].items()) or "none"
         print(f"{name}: {info['doc']} (dims: {info['dims']}; parameters: {params})")
-    print("custom-grid: raw grid file, binary header "
-          "(magic OGRD, version, dim, grid, period, origin as little-endian "
-          "uint32/double) followed by row-major little-endian float64 values.")
     return 0
 
 

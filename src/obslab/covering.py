@@ -372,17 +372,6 @@ def covering_to_dict(cov: EffectiveCovering) -> dict:
     return {"rho": cov.rho, "lam": cov.lam, "meta": dict(cov.meta), "entries": entries}
 
 
-def covering_from_dict(d: dict) -> EffectiveCovering:
-    entries = []
-    for rec in d["entries"]:
-        cert = Certificate(rec["kind"], rec["M"], rec["eta_floor"], rec.get("L"))
-        rat = None
-        if "p" in rec and "q" in rec:
-            rat = RationalDirection(int(rec["p"]), int(rec["q"]))
-        entries.append(CoveringEntry(rec["angle"], rec["eps"], cert, rat))
-    return EffectiveCovering(entries, d["rho"], d["lam"], dict(d.get("meta", {})))
-
-
 def _family_param(field: ObservationField, key: str):
     """A parameter the field's family record must carry (make_field records
     every one, defaults included)."""

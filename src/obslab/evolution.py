@@ -1,8 +1,8 @@
-"""Fractional Schrödinger propagation and observability costs.
+"""Observability costs of fractional Schrödinger flows.
 
 The group S_beta(t) acts on Fourier coefficients by the unimodular phase
-exp(-i |xi|^(beta+1) t), so propagation is exact and exactly unitary on
-the lattice. The observability Gramian over a time window [0, T],
+exp(-i |xi|^(beta+1) t), so its action is exact on the lattice. The
+observability Gramian over a time window [0, T],
 
     G_T = sum_i w_i S(t_i)* M_a S(t_i),
 
@@ -26,30 +26,9 @@ import numpy as np
 import scipy.linalg
 
 from .fields import ObservationField
-from .spectral import DENSE_LATTICE_LIMIT, _abs_xi, build_mask, compression_matrix
+from .spectral import DENSE_LATTICE_LIMIT, build_mask, compression_matrix
 
 KAPPA_FLOOR = 1e-14
-
-
-@dataclass
-class PropagatorSpec:
-    grid: int
-    dim: int
-    period: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-
-    def phases(self) -> np.ndarray:
-        return _abs_xi(self.grid, self.dim, self.period) ** (self.beta + 1.0)
-
-
-def propagate(u_hat: np.ndarray, beta: float, t: float, period: float = 2.0 * math.pi) -> np.ndarray:
-    """Apply exp(-i |xi|^(beta+1) t) entrywise to Fourier coefficients."""
-    spec = PropagatorSpec(u_hat.shape[0], u_hat.ndim, period, beta)
-    return u_hat * np.exp(-1j * spec.phases() * t)
 
 
 def nyquist_nodes(beta: float, T: float, K: float) -> int:

@@ -185,14 +185,16 @@ _FAMILIES = {
     "custom-grid": {
         "member": None,
         "dims": (1, 2),
-        "params": {"grid_file": "<path>"},
-        "doc": "samples loaded from a raw grid file (see save_grid / load_grid)",
+        "params": {"grid_file": None},
+        "doc": "samples from a raw grid file (save_grid / load_grid): magic OGRD, little-endian "
+               "uint32 version, dim, grid and float64 period, origin, then row-major float64 values",
     },
 }
 
 
 def family_catalog() -> dict:
-    """Name -> {dims, params, doc} for every built-in family."""
+    """Name -> {dims, params, doc} for every built-in family; a parameter
+    whose value is None has no default and must be given."""
     return {
         name: {"dims": info["dims"], "params": dict(info["params"]), "doc": info["doc"]}
         for name, info in _FAMILIES.items()

@@ -260,8 +260,7 @@ def _rect_sample_offsets(side_s, side_t, n_samples, dim):
     n2 = int(max(2, math.ceil(n_samples / n1)))
     u = (np.arange(n1) + 0.5) / n1
     v = (np.arange(n2) + 0.5) / n2
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    return np.stack([uu.ravel(), vv.ravel()], axis=-1)
+    return np.column_stack([np.repeat(u, n2), np.tile(v, n1)])
 
 
 def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
@@ -338,16 +337,9 @@ def rectangle_density_inf(
     if best is None:
         raise ValueError("no rectangle fits inside the box at the requested sizes")
 
-    s, t = best.side_s, best.side_t
-    off = _rect_sample_offsets(s, t, n_samples, field.dim)
-
     def probe(ang_, z_):
-        th = Direction(ang_)
-        if field.dim == 1:
-            pts = z_[0] + off[:, 0] * t
-        else:
-            pts = z_ + np.outer(off[:, 0] * s, th.perp) + np.outer(off[:, 1] * t, th.vector)
-        return float(np.mean(evaluate(field, pts)))
+        rect = RectangleSpec(Direction(ang_), tuple(z_), best.L, best.lam, best.beta)
+        return rectangle_density(field, rect, n_samples)
 
     val, ang, z = _descend(probe, best_val, best.theta.angle,
                            np.asarray(best.anchor, dtype=np.float64),
@@ -419,23 +411,15 @@ def comb_profile(
     )
 
 
-def relative_density_1d(profile, L: float) -> float:
-    """Infimal length-L window average of a 1d profile or 1d field.
+def relative_density_1d(profile: CombProfile, L: float) -> float:
+    """Infimal length-L window average of a comb profile.
 
     Windows slide at the sample resolution; periodic profiles wrap.
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    if isinstance(profile, CombProfile):
-        vals, spacing, periodic = profile.values, profile.spacing, profile.periodic
-    elif isinstance(profile, ObservationField):
-        if profile.dim != 1:
-            raise ValueError("relative_density_1d needs a 1d field")
-        vals, spacing, periodic = profile.values, profile.h, True
-    else:
-        vals, spacing = profile
-        periodic = True
-    return float(_window_min(vals, int(max(1, round(L / spacing))), periodic))
+    n_w = int(max(1, round(L / profile.spacing)))
+    return float(_window_min(profile.values, n_w, profile.periodic))
 
 
 def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
@@ -454,48 +438,3 @@ def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
     c = np.cumsum(values, axis=-1)
     c = np.concatenate([np.zeros(c.shape[:-1] + (1,)), c], axis=-1)
     return ((c[..., n_w:] - c[..., :-n_w]) / n_w).min(axis=-1)
-
-
-def comb_gcc_check(
-    field: ObservationField,
-    theta: Direction,
-    M: float,
-    L: float,
-    floor: float = 1e-3,
-    **profile_kwargs,
-) -> tuple[float, bool]:
-    """eta = relative density of the comb profile at window L; passes when
-    eta clears the declared floor."""
-    prof = comb_profile(field, theta, M, **profile_kwargs)
-    eta = relative_density_1d(prof, L)
-    return eta, eta > floor
-
-
-def threshold_field(field: ObservationField, eps: float) -> ObservationField:
-    """Indicator of the super-level set {a >= eps} as a new field.
-
-    Pointwise a <= 1_{a >= eps} + eps, so any window average of the field
-    that reaches eta forces the thresholded average to reach eta - eps.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    vals = (field.values >= eps).astype(np.float64)
-    fam = dict(field.family)
-    fam["level"] = eps
-    return ObservationField(field.dim, field.period, field.grid, vals, field.origin, fam, 0.0)
-
-
-def field_lipschitz(field: ObservationField) -> float:
-    """Euclidean gradient bound of the interpolant: hypot of the per-axis
-    maximal difference quotients (periodic wrap)."""
-    per_axis = []
-    for axis in range(field.dim):
-        d = np.abs(np.diff(field.values, axis=axis, append=np.take(field.values, [0], axis=axis)))
-        per_axis.append(d.max() / field.h)
-    return float(np.hypot(*per_axis)) if field.dim == 2 else float(per_axis[0])
-
-
-def profile_lipschitz(profile: CombProfile) -> float:
-    v = profile.values
-    d = np.abs(np.diff(v, append=v[0])) if profile.periodic else np.abs(np.diff(v))
-    return float(d.max() / profile.spacing)

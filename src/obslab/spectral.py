@@ -199,20 +199,36 @@ def _weight_values(field: ObservationField, weight: str) -> np.ndarray:
     raise ValueError("weight must be 'sqrt' or 'full'")
 
 
+def _coefficient_table(w: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Fourier coefficients of w tiled twice per axis and flattened, with
+    the radix and shift that index them.
+
+    For lattice points k, l with flat keys key = k @ radix^(dim-1, ..., 0),
+    table[key_k - key_l + shift] is the (k - l) and table[key_k + key_l]
+    the (k + l) coefficient of w: no modulo is needed, because every
+    per-axis index stays inside the doubled table.
+    """
+    grid, dim = w.shape[0], w.ndim
+    radix = 2 * grid
+    table = np.tile(np.fft.fftn(w) / w.size, (2,) * dim).ravel()
+    return table, radix, grid * int(np.sum(radix ** np.arange(dim)))
+
+
 def compression_matrix(field: ObservationField, mask: FrequencyMask, weight: str = "sqrt") -> np.ndarray:
     """Hermitian matrix of Pi M_w Pi in the orthonormal Fourier basis.
 
     Entry (j, k) is the (xi_j - xi_k) Fourier coefficient of w, read off a
     single FFT of the weight, so the compression is exact on the lattice.
+    Rows are gathered in blocks of at most 8192 entries, so no rank x rank
+    index array is allocated.
     """
-    w = _weight_values(field, weight)
-    what = np.fft.fftn(w) / w.size
-    ks = mask.indices()
-    n = mask.grid
-    diff = np.mod(ks[:, None, :] - ks[None, :, :], n)
-    if mask.dim == 1:
-        return what[diff[..., 0]]
-    return what[diff[..., 0], diff[..., 1]]
+    table, radix, shift = _coefficient_table(_weight_values(field, weight))
+    key = mask.indices() @ radix ** np.arange(mask.dim - 1, -1, -1)
+    out = np.empty((key.size, key.size), dtype=table.dtype)
+    step = max(1, (1 << 13) // key.size)
+    for r0 in range(0, key.size, step):
+        np.take(table, key[r0:r0 + step, None] - (key - shift), out=out[r0:r0 + step])
+    return out
 
 
 def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
@@ -302,33 +318,6 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
     )
 
 
-def annulus_containment(gamma: float, beta: float, delta: float, lam: float,
-                        grid: int | None = None, dim: int = 1, period: float = 2.0 * math.pi) -> float:
-    """Largest eps <= 1/4 with eps * 2^(|1-gamma|/gamma) / gamma <= delta.
-
-    Frequencies with |xi|^gamma within eps * lam^(gamma-beta-1) of lam^gamma
-    then lie in the (lam, delta, beta) annulus. When a grid is given the
-    containment is verified on the lattice and a failure raises.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if lam < 1:
-        raise ValueError("lam must be at least 1")
-    eps = min(0.25, gamma * delta / 2.0 ** (abs(1.0 - gamma) / gamma))
-    if grid is not None:
-        absxi = _abs_xi(grid, dim, period).ravel()
-        half_g = eps * lam ** (gamma - beta - 1.0)
-        inner = np.abs(absxi ** gamma - lam ** gamma) <= half_g
-        half = delta * lam ** (-beta)
-        annulus = (absxi >= lam - half) & (absxi <= lam + half)
-        bad = inner & ~annulus
-        if bad.any():
-            raise ValueError(
-                f"containment fails at |xi| = {absxi[bad][0]} for eps = {eps}"
-            )
-    return eps
-
-
 def _real_fourier_basis(grid: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points k (n, dim) and coefficients alpha (n,) of the real
     Fourier basis: vector r is alpha_r e_k + conj(alpha_r) e_-k, k = pts[r].
@@ -356,15 +345,9 @@ def _real_compression(field: ObservationField) -> tuple[np.ndarray, np.ndarray]:
     of the field, the same exact lattice compression as compression_matrix.
     Rows are filled in blocks so the index temporaries stay small.
     """
-    w = field.values
-    grid, dim = field.grid, field.dim
-    # the coefficients tiled twice per axis, so k_r - k_s + grid and
-    # k_r + k_s index the table without a modulo, at flat positions that
-    # are linear in k_r and k_s
-    table = np.tile(np.fft.fftn(w) / w.size, (2,) * dim).ravel()
-    pts, alpha = _real_fourier_basis(grid, dim)
-    key = pts @ (2 * grid) ** np.arange(dim - 1, -1, -1)
-    shift = grid * int(np.sum((2 * grid) ** np.arange(dim)))
+    table, radix, shift = _coefficient_table(field.values)
+    pts, alpha = _real_fourier_basis(field.grid, field.dim)
+    key = pts @ radix ** np.arange(field.dim - 1, -1, -1)
     n = pts.shape[0]
     out = np.empty((n, n))
     step = max(1, (1 << 20) // n)
@@ -471,35 +454,3 @@ def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) ->
     Q, absxi = _resolvent_form(field, m)
     return [_resolvent_at(field, Q, absxi, gamma, float(lam), m, time.perf_counter())
             for lam in lambdas]
-
-
-def low_freq_extension_check(field: ObservationField, gamma: float, lam_lo: float, lam_hi: float,
-                             m: float, n_points: int = 12) -> dict:
-    """Sweep M(lam) over [lam_lo, lam_hi] at fixed m and flag the maximum.
-
-    Also measures the field's relative density at an eighth of the period
-    so reports show whether the boundedness premise holds; an unbounded
-    curve is reported, not raised.
-    """
-    from .geometry import relative_density_1d
-
-    lams = np.linspace(lam_lo, lam_hi, n_points)
-    reports = resolvent_sweep(field, gamma, lams, m)
-    Ms = [r.value for r in reports]
-    finite = [v for v in Ms if math.isfinite(v)]
-    M_max = max(Ms) if Ms else float("nan")
-    density_scale = field.period / 8.0
-    if field.dim == 1:
-        density = relative_density_1d((field.values, field.h), density_scale)
-    else:
-        density = float(field.values.mean())
-    return {
-        "gamma": gamma,
-        "m": m,
-        "lambdas": [float(x) for x in lams],
-        "M": Ms,
-        "M_max": M_max,
-        "all_finite": len(finite) == len(Ms),
-        "density_scale": density_scale,
-        "density_measured": density,
-    }

@@ -25,6 +25,7 @@ def test_list_families(capsys):
                  "half-strip-comb", "custom-grid"):
         assert name in out
     assert "OGRD" in out
+    assert out.count("custom-grid:") == 1
 
 
 def test_cover_writes_envelope(tmp_path):

@@ -11,25 +11,6 @@ def _const(value=1.0, grid=64):
                              grid=grid, value=value)
 
 
-def test_propagator_spec_validates_beta():
-    with pytest.raises(ValueError):
-        evolution.PropagatorSpec(16, 1, 2.0 * math.pi, 1.5)
-    spec = evolution.PropagatorSpec(16, 2, 2.0 * math.pi, 0.5)
-    assert spec.phases().shape == (16, 16)
-
-
-def test_propagate_unitary_group():
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=64) + 1j * rng.normal(size=64)
-    split = evolution.propagate(evolution.propagate(u, 0.5, 0.3), 0.5, 0.4)
-    whole = evolution.propagate(u, 0.5, 0.7)
-    assert np.max(np.abs(split - whole)) < 1e-12
-    assert np.linalg.norm(whole) == pytest.approx(np.linalg.norm(u), rel=1e-14)
-    u2 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    w = evolution.propagate(u2, 1.0, 0.2, period=1.0)
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(u2), rel=1e-14)
-
-
 def test_nyquist_nodes_formula():
     assert evolution.nyquist_nodes(0.5, 0.7, 8.0) == \
         math.ceil(4.0 * 8.0 ** 1.5 * 0.7 / (2.0 * math.pi)) + 1

@@ -104,52 +104,14 @@ def test_comb_profile_periodic_square_axis():
     assert geometry.relative_density_1d(prof, 1.0) == pytest.approx(0.25, abs=1e-12)
 
 
+def _hand_profile(vals):
+    return geometry.CombProfile(geometry.Direction(0.0), 1.0, vals, 0.25)
+
+
 def test_relative_density_hand_profiles():
     vals = np.array([1.0, 0.0, 0.0, 0.0])
-    assert geometry.relative_density_1d((vals, 0.25), 0.5) == 0.0
-    assert geometry.relative_density_1d((vals, 0.25), 1.0) == pytest.approx(0.25)
-
-
-def test_relative_density_of_1d_field():
-    f = fields.make_field("periodic-square", dim=1, period=1.0, grid=200, delta=0.3)
-    assert geometry.relative_density_1d(f, 1.0) == pytest.approx(0.3, abs=1e-12)
-    # a window of length 0.35 fits inside the empty stretch of length 0.7
-    assert geometry.relative_density_1d(f, 0.35) == 0.0
-
-
-def test_comb_gcc_check_threshold():
-    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=100, delta=0.5)
-    kwargs = dict(x_extent=1.0, t_extent=1.0, n_x=8, samples_per_unit=200.0)
-    eta, ok = geometry.comb_gcc_check(f, geometry.Direction(0.0), 3, 1.0,
-                                      floor=0.2, **kwargs)
-    assert eta == pytest.approx(0.25, abs=1e-12)
-    assert ok
-    eta, ok = geometry.comb_gcc_check(f, geometry.Direction(0.0), 3, 1.0,
-                                      floor=0.3, **kwargs)
-    assert not ok
-
-
-def test_threshold_field_is_binary():
-    f = fields.make_field("product", dim=2, period=1.0, grid=64,
-                          intervals_x="0:0.6", intervals_y="0:0.6")
-    g = fields.mollify(f, 0.05)
-    t = geometry.threshold_field(g, 0.5)
-    assert set(np.unique(t.values)) <= {0.0, 1.0}
-
-
-def test_field_lipschitz_indicator_scale():
-    """A unit jump across one grid cell gives slope 1/h per axis."""
-    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=100, delta=0.5)
-    assert geometry.field_lipschitz(f) == pytest.approx(100.0 * math.sqrt(2.0), rel=1e-12)
-
-
-def test_profile_lipschitz_finite():
-    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=100, delta=0.5)
-    prof = geometry.comb_profile(f, geometry.Direction(0.0), 3,
-                                 x_extent=1.0, t_extent=1.0, n_x=16,
-                                 samples_per_unit=100.0)
-    lip = geometry.profile_lipschitz(prof)
-    assert np.isfinite(lip) and lip >= 0.0
+    assert geometry.relative_density_1d(_hand_profile(vals), 0.5) == 0.0
+    assert geometry.relative_density_1d(_hand_profile(vals), 1.0) == pytest.approx(0.25)
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,10 +134,10 @@ def test_window_min_matches_brute_force(data):
 
 
 def test_relative_density_window_longer_than_periodic_profile():
-    assert geometry.relative_density_1d((np.ones(4), 0.25), 3.0) == 1.0
+    assert geometry.relative_density_1d(_hand_profile(np.ones(4)), 3.0) == 1.0
     vals = np.array([1.0, 0.0, 0.0, 0.0])
     # 6 samples from any start cover one full period plus two samples
-    assert geometry.relative_density_1d((vals, 0.25), 1.5) == pytest.approx(1.0 / 6.0)
+    assert geometry.relative_density_1d(_hand_profile(vals), 1.5) == pytest.approx(1.0 / 6.0)
 
 
 def test_comb_profile_periodic_follows_periodic_t():

@@ -124,22 +124,6 @@ def test_sparse_path_matches_dense(monkeypatch):
     assert sparse.residual < 1e-8
 
 
-def test_annulus_containment_values():
-    assert spectral.annulus_containment(1.0, 0.0, 0.5, 16.0) == pytest.approx(0.25)
-    assert spectral.annulus_containment(0.5, 0.0, 0.3, 16.0) == pytest.approx(0.075)
-    # lattice verification agrees with the closed form
-    eps = spectral.annulus_containment(1.5, 0.0, 2.0, 16.0, grid=256, dim=1,
-                                       period=2.0 * math.pi)
-    assert eps == pytest.approx(0.25)
-
-
-def test_annulus_containment_validation():
-    with pytest.raises(ValueError):
-        spectral.annulus_containment(0.0, 0.0, 0.5, 16.0)
-    with pytest.raises(ValueError):
-        spectral.annulus_containment(1.0, 0.0, 0.5, 0.5)
-
-
 def test_resolvent_constant_trivial_cases():
     f = _const()
     # m = 2 makes I - m a strictly negative, so no M is needed at all
@@ -186,16 +170,6 @@ def test_calibrate_m_validation():
         spectral.calibrate_m(f, 1.5, 1e9)  # calibration ball would alias
     with pytest.raises(ValueError):
         spectral.calibrate_m(_const(value=0.0), 1.5, 16.0)
-
-
-def test_low_freq_extension_check_reports():
-    f = _ps_mollified()
-    m = spectral.calibrate_m(f, 1.5, 16.0)
-    out = spectral.low_freq_extension_check(f, 1.5, 16.0, 64.0, m, n_points=4)
-    for key in ("gamma", "m", "lambdas", "M", "all_finite"):
-        assert key in out
-    assert len(out["lambdas"]) == 4
-    assert isinstance(out["all_finite"], bool)
 
 
 def test_spectral_report_to_dict():
