@@ -22,7 +22,7 @@ def main():
     print(f"ball system: {n} balls of radius {delta} on a period-{W:g} circle")
     print(f"  leanest length-{M:g} window starts at {wat:.3f} with measure {wmin:.4f}")
 
-    part = construct.build_partition(None, Y, M, wrap=False)
+    part = construct.build_partition(Y, M)
     gaps = part.gaps
     print(f"  partition: {len(part.breakpoints) - 1} cells, "
           f"gaps in [{gaps.min():.3f}, {gaps.max():.3f}] "

@@ -29,7 +29,10 @@ from . import construct, covering, evolution, fields, reports, spectral
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    values = [float(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
 
 
 def _boolean(text: str) -> bool:
@@ -317,6 +320,8 @@ def cmd_observe(args, field) -> int:
 
 def random_ball_system(rng: np.random.Generator, W: float, delta: float, n_balls: int) -> construct.BallSystem:
     """Jittered-lattice centers with spacing at least 2*delta."""
+    if n_balls < 1:
+        raise ValueError(f"need at least one ball, got n_balls = {n_balls}")
     pitch = W / n_balls
     if pitch < 2.0 * delta:
         raise ValueError(f"{n_balls} balls of radius {delta} cannot be disjoint on circumference {W}")

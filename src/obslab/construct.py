@@ -9,22 +9,17 @@ has a bounded antiderivative of its fluctuation (the transfer function),
 and scaling a fixed plateau bump into each ball, cell by cell, yields a
 smooth function a <= 1_Y whose cell averages are exactly c1*rho/2.
 
-The recursion runs on the unrolled line with Y extended periodically. When
-a partition is closed at s0 + W (wrap=True) the final cell may be shorter
-than M; it is flagged and excluded from the gap postcondition, since no
-closure rule can keep both gap bounds for arbitrary W. The minorant
-construction uses the unwrapped form, where every cell satisfies both
-bounds, and exposes the covered interval explicitly.
+The recursion runs on the unrolled line with Y extended periodically and
+stops once it passes one period, so every cell satisfies both gap bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ObservationField
 from .geometry import _window_min
 
 # Plateau-bump template constants. The template is 1 on |u| <= 1/2 and
@@ -122,17 +117,18 @@ class BallSystem:
 @dataclass
 class AlmostPeriodicPartition:
     breakpoints: np.ndarray
-    rho: float
-    M: float
-    max_gap: float
-    min_gap: float
-    wrapped: bool = False
-    closing_cell: bool = False
-    cell_averages: np.ndarray | None = None
 
     @property
     def gaps(self) -> np.ndarray:
         return np.diff(self.breakpoints)
+
+    @property
+    def min_gap(self) -> float:
+        return float(self.gaps.min())
+
+    @property
+    def max_gap(self) -> float:
+        return float(self.gaps.max())
 
 
 def _first_exterior(Y: BallSystem, y: float) -> float:
@@ -147,61 +143,22 @@ def _first_exterior(Y: BallSystem, y: float) -> float:
     return z
 
 
-def build_partition(
-    b,
-    Y: BallSystem,
-    M: float,
-    n_periods: int = 1,
-    wrap: bool = True,
-) -> AlmostPeriodicPartition:
+def build_partition(Y: BallSystem, M: float) -> AlmostPeriodicPartition:
     """Breakpoint recursion s_k = inf{y >= s_{k-1} + M : y not in Y}.
 
-    Covers n_periods turns of the circle starting at the first exterior
-    point s0 >= 0. With wrap=True the last breakpoint is forced to
-    s0 + n_periods * period (the closing cell may then be shorter than M
-    and is flagged); with wrap=False the recursion runs until it passes
-    that mark, so every gap lies in [M, M + 2*delta].
-
-    b, when given, is a (x, values) pair sampled on the covered range; its
-    per-cell averages are recorded and their mean is the partition's rho.
+    Starts at the first exterior point s0 >= 0 and runs until it passes
+    s0 + period, so the breakpoints span at least one turn of the circle
+    and every gap lies in [M, M + 2*delta].
     """
     if 2.0 * Y.delta > M:
         raise ValueError("need 2*delta <= M")
     if Y.measure >= Y.period:
         raise ValueError("ball system covers the whole circle; no exterior point")
-    s0 = _first_exterior(Y, 0.0)
-    end = s0 + n_periods * Y.period
-    pts = [s0]
-    closing = False
-    while True:
-        nxt = _first_exterior(Y, pts[-1] + M)
-        if wrap and nxt >= end - 1e-12:
-            if end - pts[-1] > 1e-12:
-                closing = end - pts[-1] < M - 1e-9
-                pts.append(end)
-            break
-        pts.append(nxt)
-        if not wrap and nxt >= end:
-            break
-    bp = np.asarray(pts)
-    gaps = np.diff(bp)
-    cell_avgs = None
-    rho = math.nan
-    if b is not None:
-        x, vals = np.asarray(b[0], dtype=np.float64), np.asarray(b[1], dtype=np.float64)
-        cell_avgs = _cell_averages(x, vals, _cumint_linear(x, vals), bp)
-        rho = float(np.mean(cell_avgs))
-    interior = gaps[:-1] if closing and len(gaps) > 1 else gaps
-    return AlmostPeriodicPartition(
-        breakpoints=bp,
-        rho=rho,
-        M=M,
-        max_gap=float(interior.max()) if len(interior) else 0.0,
-        min_gap=float(interior.min()) if len(interior) else 0.0,
-        wrapped=wrap,
-        closing_cell=closing,
-        cell_averages=cell_avgs,
-    )
+    pts = [_first_exterior(Y, 0.0)]
+    end = pts[0] + Y.period
+    while pts[-1] < end:
+        pts.append(_first_exterior(Y, pts[-1] + M))
+    return AlmostPeriodicPartition(np.asarray(pts))
 
 
 def _cumint_linear(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -220,12 +177,6 @@ def _H_eval(x: np.ndarray, v: np.ndarray, H: np.ndarray, y) -> np.ndarray:
     return H[i] + v[i] * dx + 0.5 * slope * dx * dx
 
 
-def _cell_averages(x: np.ndarray, v: np.ndarray, H: np.ndarray, bp: np.ndarray) -> np.ndarray:
-    """Exact averages of the piecewise-linear interpolant over the cells
-    [bp[i], bp[i + 1]], from its cumulative integral H."""
-    return np.diff(_H_eval(x, v, H, bp)) / np.diff(bp)
-
-
 @dataclass
 class TransferResult:
     y: np.ndarray
@@ -233,7 +184,6 @@ class TransferResult:
     breakpoint_values: np.ndarray
     max_abs: float
     bound: float
-    sharp_bound: float
     rho: float
 
 
@@ -243,9 +193,7 @@ def transfer_function(b, rho: float, partition: AlmostPeriodicPartition, tol: fl
 
     Errors out if some cell average of b deviates from rho by more than
     tol: the boundedness claim only holds for almost-periodic densities.
-    The returned bound is 4 * max_gap * sup|b|; the sharper two-cell form
-    2 * max_gap * sup|b| applies to B relative to its value at the nearest
-    breakpoint and is exposed as sharp_bound.
+    The returned bound is 4 * max_gap * sup|b|.
     """
     x, vals = np.asarray(b[0], dtype=np.float64), np.asarray(b[1], dtype=np.float64)
     if len(x) != len(vals) or len(x) < 2:
@@ -254,7 +202,8 @@ def transfer_function(b, rho: float, partition: AlmostPeriodicPartition, tol: fl
     if bp[0] < x[0] - 1e-9 or bp[-1] > x[-1] + 1e-9:
         raise ValueError("partition breakpoints fall outside the sampled range of b")
     H = _cumint_linear(x, vals)
-    avgs = _cell_averages(x, vals, H, bp)
+    Hk = _H_eval(x, vals, H, bp)
+    avgs = np.diff(Hk) / np.diff(bp)
     bad = np.flatnonzero(np.abs(avgs - rho) > tol)
     if bad.size:
         i = int(bad[0])
@@ -262,17 +211,14 @@ def transfer_function(b, rho: float, partition: AlmostPeriodicPartition, tol: fl
             f"cell {i} average {avgs[i]} deviates from rho = {rho} by more than {tol}"
         )
     B = (H - rho * (x - x[0])) - (_H_eval(x, vals, H, bp[0]) - rho * (bp[0] - x[0]))
-    Bk = _H_eval(x, vals, H, bp) - rho * (bp - x[0])
+    Bk = Hk - rho * (bp - x[0])
     Bk -= Bk[0]
-    binf = float(np.max(np.abs(vals)))
-    gap = partition.max_gap if partition.max_gap > 0 else float(np.max(partition.gaps))
     return TransferResult(
         y=x,
         B=B,
         breakpoint_values=Bk,
         max_abs=float(np.max(np.abs(B))),
-        bound=4.0 * gap * binf,
-        sharp_bound=2.0 * gap * binf,
+        bound=4.0 * partition.max_gap * float(np.max(np.abs(vals))),
         rho=rho,
     )
 
@@ -287,31 +233,10 @@ class SmoothMinorant:
     rho: float
     t_scales: np.ndarray
     partition: AlmostPeriodicPartition
-    cell_averages_exact: np.ndarray
-    constants: dict = dc_field(default_factory=dict)
 
     @property
     def step(self) -> float:
         return float(self.x[1] - self.x[0])
-
-    @property
-    def covered(self) -> tuple[float, float]:
-        return float(self.partition.breakpoints[0]), float(self.partition.breakpoints[-1])
-
-    def as_field(self, grid: int | None = None) -> ObservationField:
-        """Resample onto a uniform periodic grid over the covered interval.
-
-        The export period is the covered window length (a whole number of
-        cells), so the periodic extension keeps the cell structure intact.
-        """
-        lo, hi = self.covered
-        W = hi - lo
-        if grid is None:
-            grid = len(self.x)
-        xs = lo + W * np.arange(grid) / grid
-        vals = _bump_sum(xs, self.Y, self.partition, self.t_scales)
-        fam = {"name": "custom-grid", "source": "smooth-minorant", "eta": self.eta}
-        return ObservationField(1, W, grid, np.clip(vals, 0.0, 1.0), lo, fam, (self.rho / 2.0) * self.Y.delta)
 
 
 def _cell_ball_centers(Y: BallSystem, lo: float, hi: float) -> np.ndarray:
@@ -356,10 +281,9 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
             f"Y is not (M, rho) relatively dense: window [{wat}, {wat + M}] carries "
             f"measure {wmin} < rho*M = {rho * M}"
         )
-    part = build_partition(None, Y, M, wrap=False)
+    part = build_partition(Y, M)
     bp = part.breakpoints
     t_scales = np.empty(len(bp) - 1)
-    exact_avgs = np.empty(len(bp) - 1)
     for k in range(len(bp) - 1):
         gap = bp[k + 1] - bp[k]
         centers = _cell_ball_centers(Y, bp[k], bp[k + 1])
@@ -370,7 +294,6 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
         if t > 1.0 + 1e-12:
             raise ValueError(f"cell {k} scale t = {t} exceeds 1; density precondition violated")
         t_scales[k] = min(t, 1.0)
-        exact_avgs[k] = BUMP_C1 * t_scales[k] * mass / gap  # = c1 * rho / 2
     n = int(math.ceil((bp[-1] - bp[0]) / ((rho / 2.0) * delta / 16.0))) + 1
     xs = np.linspace(bp[0], bp[-1], n)
     vals = _bump_sum(xs, Y, part, t_scales)
@@ -384,8 +307,6 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
         rho=rho,
         t_scales=t_scales,
         partition=part,
-        cell_averages_exact=exact_avgs,
-        constants={"c1": BUMP_C1, "c2": BUMP_C2},
     )
 
 

@@ -224,6 +224,8 @@ def periodic_effective_covering(
     """
     if not 0 < delta_level <= 1:
         raise ValueError("delta_level must lie in (0, 1]")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     if not 0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     lam0 = (20.0 / rho) ** 4
@@ -272,6 +274,8 @@ def product_effective_covering(
     """
     if M <= 0 or L_diag <= 0:
         raise ValueError("M and L_diag must be positive")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     lam0 = 8.0 * max(L_diag, M) / rho ** 2
     if lam < lam0 * (1.0 - 1e-12):
         raise ValueError(f"lam = {lam} below the admissible floor lam0 = 8*max(L, M)/rho^2 = {lam0}")
@@ -381,6 +385,8 @@ def _family_param(field: ObservationField, key: str):
 
 
 def _product_family_plan(field: ObservationField, rho: float) -> dict:
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     ex = _parse_intervals(_family_param(field, "intervals_x"))
     fy = _parse_intervals(_family_param(field, "intervals_y"))
     d1 = sum(hi - lo for lo, hi in ex)
@@ -518,6 +524,12 @@ def comb_gcc_certify(
     entries are scanned in (T, angle) order and the scan stops at the first
     failure for that lam.
     """
+    lambda_list = list(lambda_list)
+    if not lambda_list:
+        raise ValueError("lambda_list must be non-empty")
+    if n_offsets < 1 or not samples_per_unit > 0:
+        raise ValueError(f"need n_offsets >= 1 and samples_per_unit > 0, "
+                         f"got {n_offsets} and {samples_per_unit}")
     build = default_covering_builder(field, rho, gamma)
     cache: dict = {}
     per_lambda = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +49,6 @@ class GramianReport:
     residual: float
     field: dict
     wall_time: float
-    extra: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +63,6 @@ class GramianReport:
             "residual": self.residual,
             "cost_class": "frequency-truncated (lower bound of the continuum cost)",
             "field": self.field,
-            **self.extra,
         }
 
 

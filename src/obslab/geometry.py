@@ -40,13 +40,6 @@ class Direction:
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
 
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (2,) or not np.any(v):
-            raise ValueError("direction vector must be a nonzero pair")
-        return cls(math.atan2(v[1], v[0]))
-
     @property
     def vector(self) -> np.ndarray:
         return np.array([math.cos(self.angle), math.sin(self.angle)])
@@ -105,7 +98,6 @@ class CombProfile:
     M: float
     values: np.ndarray
     spacing: float
-    x0: float = 0.0
     periodic: bool = True
     meta: dict = dc_field(default_factory=dict)
 
@@ -115,18 +107,44 @@ def _auto_samples(field: ObservationField, length: float) -> int:
     return int(max(64, min(8192, math.ceil(per_cell))))
 
 
+def _window_means(field, anchors, body):
+    """Mean of the field over the points anchor + body, for each row of
+    anchors (n, dim); body is (k, dim). Returns n means."""
+    pts = anchors[:, None, :] + body[None, :, :]
+    if field.dim == 1:
+        pts = pts[..., 0]
+    return evaluate(field, pts).mean(axis=1)
+
+
+def _segment_body(dvec, length, n_samples):
+    """Midpoints of n_samples equal pieces of [0, length] * dvec."""
+    s = (np.arange(n_samples) + 0.5) * (length / n_samples)
+    return s[:, None] * dvec[None, :]
+
+
+def _rect_body(theta: Direction, side_s, side_t, n_samples, dim):
+    """Midpoint lattice of the rectangle with sides side_s across theta and
+    side_t along it, cornered at the origin; aspect-balanced in 2d, and the
+    segment [0, side_t] in 1d."""
+    if dim == 1:
+        u = (np.arange(n_samples) + 0.5) / n_samples
+        return (u * side_t)[:, None]
+    n1 = int(max(2, round(math.sqrt(n_samples / (side_t / side_s)))))
+    n2 = int(max(2, math.ceil(n_samples / n1)))
+    u = (np.arange(n1) + 0.5) / n1
+    v = (np.arange(n2) + 0.5) / n2
+    return np.outer(np.repeat(u, n2) * side_s, theta.perp) + np.outer(np.tile(v, n1) * side_t, theta.vector)
+
+
 def line_average(field: ObservationField, segment: LineSegment, n_samples: int | None = None) -> float:
     """Midpoint-rule average of the field along the segment."""
     if n_samples is None:
         n_samples = _auto_samples(field, segment.length)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    s = (np.arange(n_samples) + 0.5) * (segment.length / n_samples)
-    if field.dim == 1:
-        pts = segment.start[0] + segment.direction.sign * s
-    else:
-        pts = np.asarray(segment.start) + s[:, None] * segment.direction.vector
-    return float(np.mean(evaluate(field, pts)))
+    dvec = np.array([segment.direction.sign]) if field.dim == 1 else segment.direction.vector
+    start = np.asarray(segment.start, dtype=np.float64)[None, :]
+    return float(_window_means(field, start, _segment_body(dvec, segment.length, n_samples))[0])
 
 
 def _anchor_box(field, extent_lo, extent_hi):
@@ -144,15 +162,6 @@ def _anchor_grid(lo, hi, n, dim):
         return axes[0][:, None]
     g = np.meshgrid(*axes, indexing="ij")
     return np.stack([c.ravel() for c in g], axis=-1)
-
-
-def _segment_means(field, anchors, dvec, length, n_samples):
-    s = (np.arange(n_samples) + 0.5) * (length / n_samples)
-    if field.dim == 1:
-        pts = anchors[:, 0][:, None] + s[None, :] * dvec[0]
-    else:
-        pts = anchors[:, None, :] + s[None, :, None] * dvec[None, None, :]
-    return evaluate(field, pts).mean(axis=1)
 
 
 def gcc_constant(
@@ -199,7 +208,7 @@ def gcc_constant(
             lo = np.full(field.dim, field.origin)
             hi = np.full(field.dim, field.origin + field.period)
         anchors = _anchor_grid(lo, hi, anchor_grid_size, field.dim)
-        means = _segment_means(field, anchors, dvec, L, n_samples)
+        means = _window_means(field, anchors, _segment_body(dvec, L, n_samples))
         i = int(np.argmin(means))
         if means[i] < best[0]:
             best = (float(means[i]), k, float(ang), anchors[i].copy())
@@ -217,7 +226,7 @@ def gcc_constant(
             except ValueError:
                 return np.inf
             z = np.clip(z, lo, hi)
-        return _segment_means(field, z[None, :], dvec, L, n_samples)[0]
+        return _window_means(field, z[None, :], _segment_body(dvec, L, n_samples))[0]
 
     value, _, _ = _descend(probe, value, ang, anchor, math.pi / max(len(angle_list), 8),
                            field.period / (2.0 * anchor_grid_size),
@@ -250,29 +259,10 @@ def _descend(probe, value, ang, z, ang_step, z_step, move_angle):
     return value, ang, z
 
 
-def _rect_sample_offsets(side_s, side_t, n_samples, dim):
-    """Midpoint lattice in rectangle coordinates, aspect-balanced."""
-    if dim == 1:
-        u = (np.arange(n_samples) + 0.5) / n_samples
-        return u[:, None]
-    ratio = side_t / side_s
-    n1 = int(max(2, round(math.sqrt(n_samples / ratio))))
-    n2 = int(max(2, math.ceil(n_samples / n1)))
-    u = (np.arange(n1) + 0.5) / n1
-    v = (np.arange(n2) + 0.5) / n2
-    return np.column_stack([np.repeat(u, n2), np.tile(v, n1)])
-
-
 def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
     """Average of the field over one rectangle, by midpoint grid."""
-    s, t = rect.side_s, rect.side_t
-    off = _rect_sample_offsets(s, t, n_samples, field.dim)
-    z = np.asarray(rect.anchor, dtype=np.float64)
-    if field.dim == 1:
-        pts = z[0] + off[:, 0] * t
-    else:
-        pts = z + np.outer(off[:, 0] * s, rect.theta.perp) + np.outer(off[:, 1] * t, rect.theta.vector)
-    return float(np.mean(evaluate(field, pts)))
+    body = _rect_body(rect.theta, rect.side_s, rect.side_t, n_samples, field.dim)
+    return float(_window_means(field, np.asarray(rect.anchor, dtype=np.float64)[None, :], body)[0])
 
 
 def rectangle_density_inf(
@@ -322,13 +312,7 @@ def rectangle_density_inf(
                 lo = np.full(field.dim, field.origin)
                 hi = np.full(field.dim, field.origin + field.period)
             anchors = _anchor_grid(lo, hi, anchor_grid_size, field.dim)
-            off = _rect_sample_offsets(s, t, n_samples, field.dim)
-            if field.dim == 1:
-                pts = anchors[:, 0][:, None] + off[None, :, 0] * t
-            else:
-                body = np.outer(off[:, 0] * s, theta.perp) + np.outer(off[:, 1] * t, theta.vector)
-                pts = anchors[:, None, :] + body[None, :, :]
-            means = evaluate(field, pts).mean(axis=1)
+            means = _window_means(field, anchors, _rect_body(theta, s, t, n_samples, field.dim))
             i = int(np.argmin(means))
             if means[i] < best_val:
                 best_val = float(means[i])
@@ -337,9 +321,11 @@ def rectangle_density_inf(
     if best is None:
         raise ValueError("no rectangle fits inside the box at the requested sizes")
 
+    s, t = best.side_s, best.side_t
+
     def probe(ang_, z_):
-        rect = RectangleSpec(Direction(ang_), tuple(z_), best.L, best.lam, best.beta)
-        return rectangle_density(field, rect, n_samples)
+        body = _rect_body(Direction(ang_), s, t, n_samples, field.dim)
+        return float(_window_means(field, z_[None, :], body)[0])
 
     val, ang, z = _descend(probe, best_val, best.theta.angle,
                            np.asarray(best.anchor, dtype=np.float64),
@@ -399,7 +385,6 @@ def comb_profile(
         M=M,
         values=values,
         spacing=x_extent / n_x,
-        x0=xs[0],
         periodic=periodic_t,
         meta={
             "x_extent": x_extent,

@@ -378,6 +378,8 @@ def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.n
 def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gamma: float,
                   lam: float, m: float, t0: float) -> SpectralReport:
     """M at one lam from the form Q = I - m M_a of _resolvent_form."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     n = Q.shape[0]
     dvec = absxi ** gamma - lam
     ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
@@ -438,6 +440,8 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
     """m = 2 / c with c the uncertainty eigenvalue on the ball of radius
     lam0^(1/gamma): kernel modes of any |lam| <= lam0 then satisfy
     m <a u, u> >= 2 ||u||^2, keeping the deflated form negative there."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     radius = lam0 ** (1.0 / gamma)
     rad = aliasing_radius(field.grid, field.period)
     if radius >= rad:

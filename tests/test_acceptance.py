@@ -116,7 +116,7 @@ def test_criterion_05_transfer_function_bound_and_breakpoints():
         jitter = 0.5 * (pitch - 2.0 * delta)
         centers = pitch * np.arange(n) + rng.uniform(-jitter, jitter, size=n)
         Y = construct.BallSystem(centers, delta, W)
-        part = construct.build_partition(None, Y, 1.5, wrap=False)
+        part = construct.build_partition(Y, 1.5)
         bp = part.breakpoints
         xs, vs = [], []
         for k in range(len(bp) - 1):

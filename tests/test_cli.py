@@ -346,3 +346,24 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "rank 11289" in err and "GB" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--rho", "0"],
+    ["cover", "--rho", "-1"],
+    ["certify", "--rho", "0"],
+    ["certify", "--n-offsets", "0"],
+    ["certify", "--samples-per-unit", "0"],
+    ["certify", "--lambdas", ""],
+    ["resolvent", "--gamma", "0"],
+    ["resolvent", "--lambdas", "", "--fit"],
+    ["construct-demo", "--n-balls", "0"],
+    ["observe", "--T-list", "", "--envelope-eps", "0.5"],
+])
+def test_empty_sweeps_and_nonpositive_scales_exit_code(tmp_path, capsys, argv):
+    try:
+        code = run(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from obslab import covering, fields, geometry
 
@@ -45,19 +46,17 @@ def test_bezout_bounded_validation():
         covering.bezout_bounded(3, 5, 0)
 
 
-def test_bezout_bounded_random():
-    rng = np.random.default_rng(11)
-    done = 0
-    while done < 300:
-        P = int(rng.integers(1, 30))
-        Q = int(rng.integers(1, 30))
-        if math.gcd(P, Q) != 1:
-            continue
-        n = int(rng.integers(1, P * Q + 1))
-        a, b = covering.bezout_bounded(P, Q, n)
-        assert a * P + b * Q == n
-        assert abs(a) <= Q and abs(b) <= P
-        done += 1
+nonzero = st.integers(-300, 300).filter(bool)
+
+
+@settings(max_examples=500, deadline=None)
+@given(P=nonzero, Q=nonzero, data=st.data())
+def test_bezout_bounded_random(P, Q, data):
+    assume(math.gcd(P, Q) == 1)
+    n = data.draw(st.integers(1, abs(P * Q)), label="n")
+    a, b = covering.bezout_bounded(P, Q, n)
+    assert a * P + b * Q == n
+    assert abs(a) <= abs(Q) and abs(b) <= abs(P)
 
 
 def test_dirichlet_direction_contract():
@@ -261,3 +260,14 @@ def test_certify_fail_fast_stops_early():
     assert rec["n_measured"] < rec["n_entries"]
     failing = [e for e in rec["entries"] if e["measured"] is not None and not e["pass"]]
     assert failing
+
+
+@pytest.mark.parametrize("kwargs", [dict(lambda_list=[]), dict(n_offsets=0),
+                                    dict(samples_per_unit=0.0), dict(rho=0.0)])
+def test_certify_rejects_empty_or_degenerate_inputs(kwargs):
+    """An empty sweep would pass with nothing measured; zero counts and
+    scales would divide by zero."""
+    f = fields.make_field("constant", dim=2, period=1.0, grid=16, value=1.0)
+    args = {"rho": 2.0, "lambda_list": [10000.0], **kwargs}
+    with pytest.raises(ValueError):
+        covering.comb_gcc_certify(f, **args)

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from obslab import fields
 
@@ -76,18 +78,6 @@ def test_half_strip_comb_halves():
     assert np.array_equal(f.values[:, iy_dn], (~upper).astype(float))
 
 
-def test_evaluate_exact_at_nodes_and_periodic():
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(size=(16, 16))
-    f = fields.make_field("custom-grid", dim=2, period=2.0, grid=16, values=vals)
-    xs = np.arange(16) * f.h
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    got = fields.evaluate(f, pts).reshape(16, 16)
-    assert np.allclose(got, vals, atol=1e-14)
-    shifted = fields.evaluate(f, pts + np.array([2.0, -4.0])).reshape(16, 16)
-    assert np.allclose(shifted, vals, atol=1e-12)
-
-
 def test_evaluate_bilinear_midpoints():
     vals = np.array([0.0, 1.0, 0.5, 0.25])
     f = fields.make_field("custom-grid", dim=1, period=4.0, grid=4, values=vals)
@@ -97,15 +87,50 @@ def test_evaluate_bilinear_midpoints():
     assert np.allclose(got, expected, atol=1e-14)
 
 
-def test_mollify_preserves_mean_and_range():
-    f = fields.make_field("periodic-square", dim=1, period=2 * math.pi, grid=256, delta=0.3)
-    g = fields.mollify(f, 0.05)
-    assert g.values.mean() == pytest.approx(f.values.mean(), abs=1e-12)
-    assert g.values.min() >= 0.0
-    assert g.values.max() <= 1.0
-    assert g.modulus > 0.0
-    # smoothing can only shrink the worst node-to-node jump
-    assert np.abs(np.diff(g.values)).max() <= np.abs(np.diff(f.values)).max()
+def _unit_samples(data, dim, grid):
+    shape = (grid,) * dim
+    return data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)), label="values")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_exact_at_nodes_and_periodic(data):
+    """With a dyadic step and origin every node coordinate is exact, so
+    evaluate returns the samples bit for bit, also one period over."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 12), label="grid")
+    h = 2.0 ** data.draw(st.integers(-6, 2), label="log2 h")
+    origin = h * data.draw(st.integers(-8, 8), label="origin / h")
+    vals = _unit_samples(data, dim, grid)
+    f = fields.make_field("custom-grid", dim=dim, period=grid * h, grid=grid,
+                          origin=origin, values=vals)
+    shift = f.period * data.draw(st.integers(-2, 2), label="periods")
+    ax = origin + h * np.arange(grid) + shift
+    pts = ax if dim == 1 else np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    assert np.array_equal(fields.evaluate(f, pts), f.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mollify_preserves_mean_and_range(data):
+    """The periodic box average keeps the sample sum, stays in [0, 1], and
+    can only shrink the worst node-to-node jump along every axis."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 40), label="grid")
+    f = fields.make_field("custom-grid", dim=dim, period=1.0, grid=grid,
+                          values=_unit_samples(data, dim, grid))
+    radius = data.draw(st.floats(0.0, 2.0), label="radius")
+    g = fields.mollify(f, radius)
+    assert g.values.sum() == pytest.approx(f.values.sum(), rel=1e-12, abs=1e-12)
+    assert g.values.min() >= 0.0 and g.values.max() <= 1.0
+    w = round(radius / f.h)
+    assert g.modulus == (w * f.h if w else f.modulus)
+
+    def jump(v, axis):
+        return np.abs(v - np.roll(v, 1, axis=axis)).max()
+
+    for axis in range(dim):
+        assert jump(g.values, axis) <= jump(f.values, axis) + 1e-12
 
 
 def test_mollify_rejects_bad_radius():

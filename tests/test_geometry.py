@@ -12,7 +12,7 @@ def test_direction_basics():
     d = geometry.Direction(0.3)
     assert math.hypot(*d.vector) == pytest.approx(1.0, abs=1e-15)
     assert np.dot(d.vector, d.perp) == pytest.approx(0.0, abs=1e-15)
-    e = geometry.Direction.from_vector((3.0, 4.0))
+    e = geometry.Direction(math.atan2(4.0, 3.0))
     assert e.vector[0] == pytest.approx(0.6)
     assert e.vector[1] == pytest.approx(0.8)
 
@@ -55,6 +55,26 @@ def test_rectangle_density_constant_field():
     f = fields.make_field("constant", dim=2, period=1.0, grid=32, value=1.0)
     rect = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 2.0, 4.0, 0.5)
     assert geometry.rectangle_density(f, rect, n_samples=256) == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rectangle_density_reproduces_the_reported_infimum(data):
+    """The sweep, the descent probe and rectangle_density sample a
+    rectangle through the same points, so the reported argmin re-measures
+    to the reported value bit for bit."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = 16
+    vals = data.draw(arrays(np.float64, (grid,) * dim, elements=st.floats(0.0, 1.0)),
+                     label="values")
+    f = fields.make_field("custom-grid", dim=dim, period=1.0, grid=grid, values=vals)
+    beta = data.draw(st.floats(0.0, 1.0), label="beta")
+    lams = data.draw(st.lists(st.floats(1.0, 8.0), min_size=1, max_size=2), label="lams")
+    L = data.draw(st.floats(0.1, 2.0), label="L")
+    n = data.draw(st.integers(8, 96), label="n_samples")
+    val, spec = geometry.rectangle_density_inf(f, beta, L, lams, direction_grid_size=4,
+                                               anchor_grid_size=3, n_samples=n)
+    assert geometry.rectangle_density(f, spec, n) == val
 
 
 def test_gcc_constant_constant_field():
