@@ -50,6 +50,17 @@ def _one_of(*names):
     return choice
 
 
+def _flag_type(type_):
+    """type_ as an argparse type: its ValueError text becomes the usage
+    error, where argparse would print only the type's name."""
+    def parse(text: str):
+        try:
+            return type_(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 # flag, [field] config key, type, help
 FIELD_FLAGS = (
     ("--field-family", "family", str, "built-in family name (default constant)"),
@@ -419,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default $OBSLAB_OUT or .)")
         if box is not None:
             for flag, key, type_, help_ in FIELD_FLAGS:
-                p.add_argument(flag, dest=f"field_{key}", type=type_, help=help_)
+                p.add_argument(flag, dest=f"field_{key}", type=_flag_type(type_), help=help_)
         for dest, type_, _, help_ in options:
             flag = "--" + dest.replace("_", "-")
             if type_ is _boolean:
                 p.add_argument(flag, dest=dest, action="store_true", default=None, help=help_)
             else:
-                p.add_argument(flag, dest=dest, type=type_, help=help_)
+                p.add_argument(flag, dest=dest, type=_flag_type(type_), help=help_)
     return parser
 
 

@@ -99,7 +99,6 @@ class CoveringReport:
     covers: bool
     budget_ok: bool
     gaps: list
-    worst_entry: int
     worst_margin: float
     n_entries: int
 
@@ -321,7 +320,7 @@ def verify_covering(cov: EffectiveCovering, tol: float = 1e-12) -> CoveringRepor
     Chord half-widths eps convert to angular half-widths 2*asin(eps/2);
     entries with eps >= 2 cover everything. budget requires the strict
     inequality eps*M + 1/(eps*lam) < rho for every entry; the worst margin
-    rho - (eps*M + 1/(eps*lam)) and its entry index are reported.
+    rho - (eps*M + 1/(eps*lam)) is reported.
     """
     arcs = []
     for e in cov.entries:
@@ -350,13 +349,9 @@ def verify_covering(cov: EffectiveCovering, tol: float = 1e-12) -> CoveringRepor
         gaps.append((reach, 2.0 * math.pi))
     covers = not gaps
 
-    worst_entry, worst_margin = -1, math.inf
-    for i, e in enumerate(cov.entries):
-        margin = cov.rho - (e.eps * e.M + 1.0 / (e.eps * cov.lam))
-        if margin < worst_margin:
-            worst_entry, worst_margin = i, margin
-    budget_ok = worst_margin > 0.0
-    return CoveringReport(covers, budget_ok, gaps, worst_entry, worst_margin, len(cov.entries))
+    worst_margin = min((cov.rho - (e.eps * e.M + 1.0 / (e.eps * cov.lam)) for e in cov.entries),
+                       default=math.inf)
+    return CoveringReport(covers, worst_margin > 0.0, gaps, worst_margin, len(cov.entries))
 
 
 def covering_to_dict(cov: EffectiveCovering) -> dict:
@@ -451,12 +446,8 @@ def default_covering_builder(field: ObservationField, rho: float, gamma: float =
 
 @dataclass
 class CertifyReport:
-    field: dict
-    rho: float
-    gamma: float
     passed: bool
     per_lambda: list
-    params: dict
 
 
 def _measure_entry(
@@ -597,14 +588,7 @@ def comb_gcc_certify(
             }
         )
         all_pass = all_pass and lam_pass
-    return CertifyReport(
-        field=field.describe(),
-        rho=rho,
-        gamma=gamma,
-        passed=all_pass,
-        per_lambda=per_lambda,
-        params={"n_offsets": n_offsets, "samples_per_unit": samples_per_unit, "fail_fast": fail_fast},
-    )
+    return CertifyReport(passed=all_pass, per_lambda=per_lambda)
 
 
 def _canonical_rational_key(entry: CoveringEntry):

@@ -19,7 +19,6 @@ continuum cost.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ class GramianReport:
     kappa: float
     residual: float
     field: dict
-    wall_time: float
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +78,6 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
     if T <= 0:
         raise ValueError("T must be positive")
-    t0 = time.perf_counter()
     required = nyquist_nodes(beta, T, cutoff_K)
     if n_nodes is None:
         n_nodes = max(required, 33)
@@ -112,7 +109,7 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
     return GramianReport(
         T=T, beta=beta, K=cutoff_K, n_nodes=n_nodes, quadrature="trapezoid",
         rank=mask.rank, lam_min=lam_min, kappa=kappa, residual=residual,
-        field=field.describe(), wall_time=time.perf_counter() - t0,
+        field=field.describe(),
     )
 
 

@@ -293,8 +293,8 @@ def mollify(field: ObservationField, radius: float) -> ObservationField:
     The radius is rounded to a whole number of grid steps; the realized
     half-width is recorded as the field's modulus. Values stay in [0, 1].
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ValueError(f"mollify radius must be nonnegative, got {radius}")
     w = int(round(radius / field.h))
     if w == 0:
         return ObservationField(
@@ -414,6 +414,6 @@ def field_from_config(source) -> ObservationField:
             **params,
         )
     r = float(sec.get("mollify", 0.0))
-    if r > 0:
+    if r != 0:
         fld = mollify(fld, r)
     return fld

@@ -3,17 +3,18 @@
 Everything here estimates an infimum of window averages of a sampled field:
 over line segments (gcc_constant), over anisotropic rectangles
 (rectangle_density_inf), or over sliding windows along a direction
-(comb_profile / relative_density_1d). Infima over continuous families are
-approximated by explicit grids plus one round of local coordinate descent;
-all grid sizes are parameters and are echoed in returned metadata, because
-the numbers are only meaningful together with the search resolution.
+(comb_profile / relative_density_1d). Infima over segments and rectangles
+are approximated by one search (_infimum): an explicit grid over
+direction and anchor, then eight rounds of local coordinate descent. All
+grid sizes are parameters, because the numbers are only meaningful
+together with the search resolution.
 
 Conventions: a Direction wraps an angle on the circle; the transverse unit
 vector used by comb profiles is perp(theta) = (sin, -cos) rotated so that
 the map (x, t) -> x*perp + t*theta is the rotation taking (0, 1) to theta.
 Searches run over the field's fundamental domain; for fields that represent
-a truncated (non-periodic) set, probes are kept inside the box instead of
-wrapping.
+a truncated (non-periodic) set, every grid point and every descent probe
+keeps its window inside the box instead of wrapping.
 """
 
 from __future__ import annotations
@@ -147,15 +148,6 @@ def line_average(field: ObservationField, segment: LineSegment, n_samples: int |
     return float(_window_means(field, start, _segment_body(dvec, segment.length, n_samples))[0])
 
 
-def _anchor_box(field, extent_lo, extent_hi):
-    """Anchor bounds so [z + extent_lo, z + extent_hi] stays in the box."""
-    lo = field.origin - extent_lo
-    hi = field.origin + field.period - extent_hi
-    if np.any(hi <= lo):
-        raise ValueError("probe does not fit inside the box")
-    return lo, hi
-
-
 def _anchor_grid(lo, hi, n, dim):
     axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dim)]
     if dim == 1:
@@ -181,13 +173,13 @@ def gcc_constant(
     result stays an infimum over the requested directions; with the grid
     it also polishes the angle. The result is an upper bound for the true
     infimum. Grids must have at least 8 points each unless `angles` is
-    supplied.
+    supplied. On a truncated field, directions whose segment cannot fit
+    inside the box are skipped, and ValueError is raised if none fits.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     if angles is None and (direction_grid_size < 8 or anchor_grid_size < 8):
         raise ValueError("direction and anchor grids need at least 8 points")
-    inside_box = is_truncated(field)
     if n_samples is None:
         n_samples = _auto_samples(field, L)
 
@@ -198,65 +190,83 @@ def gcc_constant(
     else:
         angle_list = 2.0 * math.pi * np.arange(direction_grid_size) / direction_grid_size
 
-    best = (np.inf, 0, None, None)  # value, angle index, angle, anchor
-    for k, ang in enumerate(angle_list):
+    def segment(ang):
+        # raw cos/sin: Direction() would reduce a negative probe angle mod
+        # 2*pi and move the last bits of the direction vector
         dvec = np.array([math.cos(ang), math.sin(ang)]) if field.dim == 2 else np.array([1.0])
-        if inside_box:
-            ext = dvec * L
-            lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext))
-        else:
-            lo = np.full(field.dim, field.origin)
-            hi = np.full(field.dim, field.origin + field.period)
-        anchors = _anchor_grid(lo, hi, anchor_grid_size, field.dim)
-        means = _window_means(field, anchors, _segment_body(dvec, L, n_samples))
-        i = int(np.argmin(means))
-        if means[i] < best[0]:
-            best = (float(means[i]), k, float(ang), anchors[i].copy())
+        return _segment_body(dvec, L, n_samples), np.array([np.zeros(field.dim), L * dvec])
 
-    value, _, ang, anchor = best
-    if anchor is None:
-        return value
-
-    def probe(ang_, z):
-        dvec = np.array([math.cos(ang_), math.sin(ang_)]) if field.dim == 2 else np.array([1.0])
-        if inside_box:
-            ext = dvec * L
-            try:
-                lo, hi = _anchor_box(field, np.minimum(0.0, ext), np.maximum(0.0, ext))
-            except ValueError:
-                return np.inf
-            z = np.clip(z, lo, hi)
-        return _window_means(field, z[None, :], _segment_body(dvec, L, n_samples))[0]
-
-    value, _, _ = _descend(probe, value, ang, anchor, math.pi / max(len(angle_list), 8),
-                           field.period / (2.0 * anchor_grid_size),
-                           move_angle=field.dim == 2 and angles is None)
+    value, *_ = _infimum(field, [segment], angle_list, anchor_grid_size,
+                         math.pi / max(len(angle_list), 8),
+                         move_angle=field.dim == 2 and angles is None)
     return value
 
 
-def _descend(probe, value, ang, z, ang_step, z_step, move_angle):
-    """Coordinate-descent polish of a grid minimizer of probe(angle, anchor).
+def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
+    """Least window mean over (shape, angle, anchor), by grid and descent.
 
-    Each of eight rounds tries ang -+ ang_step (when move_angle), then
-    z -+ z_step along each anchor axis in turn, keeping any strict
-    improvement, and halves both steps. Returns (value, angle, anchor).
+    shapes[j](angle) returns (body, corners): the window's sample offsets
+    and its vertices, both relative to the anchor. Anchors range over one
+    period; on truncated fields they range instead over the box that keeps
+    the window inside the field's box, and an angle whose window cannot
+    fit there is skipped. The grid minimizer (ties go to the first point
+    visited: shapes outer, angles inner, then anchors) is polished by
+    eight rounds of coordinate descent. Each round tries angle -+ ang_step
+    (when move_angle), then anchor -+ z_step along each axis, keeps any
+    strict improvement, and halves both steps; on truncated fields each
+    probe first moves its anchor into the admissible box. Returns (value,
+    shape index, angle, anchor).
     """
+    inside_box = is_truncated(field)
+
+    def window(shape, ang):
+        """(body, anchor lo, anchor hi), or None if the window cannot fit."""
+        body, corners = shape(ang)
+        if not inside_box:
+            return body, np.full(field.dim, field.origin), np.full(field.dim, field.origin + field.period)
+        lo = field.origin - corners.min(axis=0)
+        hi = field.origin + field.period - corners.max(axis=0)
+        return None if np.any(hi <= lo) else (body, lo, hi)
+
+    def probe(win, z):
+        if inside_box:
+            z = np.clip(z, win[1], win[2])
+        return _window_means(field, z[None, :], win[0])[0], z
+
+    best = (np.inf, None, None, None, None)  # value, shape index, angle, anchor, window
+    for j, shape in enumerate(shapes):
+        for ang in angles:
+            win = window(shape, ang)
+            if win is None:
+                continue
+            anchors = _anchor_grid(win[1], win[2], anchor_grid_size, field.dim)
+            means = _window_means(field, anchors, win[0])
+            i = int(np.argmin(means))
+            if means[i] < best[0]:
+                best = (float(means[i]), j, float(ang), anchors[i].copy(), win)
+    value, j, ang, z, win = best
+    if z is None:
+        raise ValueError("no angle admits a window inside the box at the requested sizes")
+
+    z_step = field.period / (2.0 * anchor_grid_size)
     for _ in range(8):
         if move_angle:
             for cand in (ang - ang_step, ang + ang_step):
-                v = probe(cand, z)
-                if v < value:
-                    value, ang = v, cand
-        for axis in range(len(z)):
+                cwin = window(shapes[j], cand)
+                if cwin is not None:
+                    v, zc = probe(cwin, z)
+                    if v < value:
+                        value, ang, z, win = v, cand, zc, cwin
+        for axis in range(field.dim):
             for sgn in (-1.0, 1.0):
                 zc = z.copy()
                 zc[axis] += sgn * z_step
-                v = probe(ang, zc)
+                v, zc = probe(win, zc)
                 if v < value:
                     value, z = v, zc
         ang_step *= 0.5
         z_step *= 0.5
-    return value, ang, z
+    return value, j, ang, z
 
 
 def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
@@ -279,62 +289,36 @@ def rectangle_density_inf(
     argmin rectangle.
 
     Ties break to the first grid point visited, i.e. the lexicographically
-    smallest (lam index, direction index, anchor index).
+    smallest (lam index, direction index, anchor index). On a truncated
+    field every rectangle measured, the returned one included, lies
+    inside the box.
     """
     lambda_list = [float(l) for l in lambda_list]
     if not lambda_list:
         raise ValueError("lambda_list must be non-empty")
-    inside_box = is_truncated(field)
     if field.dim == 1:
         angle_list = np.array([0.0])
     else:
         angle_list = math.pi * np.arange(direction_grid_size) / direction_grid_size
 
-    best_val = np.inf
-    best = None
-    for lam in lambda_list:
-        for ang in angle_list:
+    def rectangle(lam):
+        spec = RectangleSpec(Direction(0.0), (0.0,) * field.dim, L, lam, beta)
+        s, t = spec.side_s, spec.side_t
+
+        def shape(ang):
             theta = Direction(ang)
-            spec0 = RectangleSpec(theta, (0.0,) * field.dim, L, lam, beta)
-            s, t = spec0.side_s, spec0.side_t
-            if field.dim == 2:
-                span = np.outer([0, 1], s * theta.perp)[:, None, :] + np.outer([0, 1], t * theta.vector)[None, :, :]
-                corners = span.reshape(-1, 2)
-                ext_lo, ext_hi = corners.min(axis=0), corners.max(axis=0)
-            else:
-                ext_lo, ext_hi = np.array([min(0.0, t)]), np.array([max(0.0, t)])
-            if inside_box:
-                try:
-                    lo, hi = _anchor_box(field, ext_lo, ext_hi)
-                except ValueError:
-                    continue
-            else:
-                lo = np.full(field.dim, field.origin)
-                hi = np.full(field.dim, field.origin + field.period)
-            anchors = _anchor_grid(lo, hi, anchor_grid_size, field.dim)
-            means = _window_means(field, anchors, _rect_body(theta, s, t, n_samples, field.dim))
-            i = int(np.argmin(means))
-            if means[i] < best_val:
-                best_val = float(means[i])
-                best = RectangleSpec(theta, tuple(anchors[i]), L, lam, beta)
+            body = _rect_body(theta, s, t, n_samples, field.dim)
+            if field.dim == 1:
+                return body, np.array([[0.0], [t]])
+            across, along = s * theta.perp, t * theta.vector
+            return body, np.array([np.zeros(2), across, along, across + along])
 
-    if best is None:
-        raise ValueError("no rectangle fits inside the box at the requested sizes")
+        return shape
 
-    s, t = best.side_s, best.side_t
-
-    def probe(ang_, z_):
-        body = _rect_body(Direction(ang_), s, t, n_samples, field.dim)
-        return float(_window_means(field, z_[None, :], body)[0])
-
-    val, ang, z = _descend(probe, best_val, best.theta.angle,
-                           np.asarray(best.anchor, dtype=np.float64),
-                           math.pi / max(len(angle_list), 8) / 2.0,
-                           field.period / (2.0 * anchor_grid_size), move_angle=field.dim == 2)
-    if val < best_val:
-        best_val = val
-        best = RectangleSpec(Direction(ang), tuple(z), best.L, best.lam, best.beta)
-    return best_val, best
+    value, j, ang, z = _infimum(field, [rectangle(lam) for lam in lambda_list], angle_list,
+                                anchor_grid_size, math.pi / max(len(angle_list), 8) / 2.0,
+                                move_angle=field.dim == 2)
+    return float(value), RectangleSpec(Direction(ang), tuple(z), L, lambda_list[j], beta)
 
 
 def comb_profile(

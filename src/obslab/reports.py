@@ -1,10 +1,9 @@
 """Deterministic report serialization.
 
 Written artifacts are byte-reproducible: JSON keys are sorted, floats are
-written as repr'd Python floats, and timing is stripped from both the JSON
-reports and the CSV sweep tables, so rerunning an experiment with the same
-config and seed reproduces the bytes exactly. Wall times stay available on
-the in-memory report objects.
+written as repr'd Python floats, and no report object carries a timing,
+so rerunning an experiment with the same config and seed reproduces the
+bytes exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-
-TIMING_KEYS = frozenset({"wall_time"})
-
 
 def to_jsonable(obj):
     """Recursively convert dataclasses, arrays and numpy scalars for JSON."""
@@ -40,15 +36,6 @@ def to_jsonable(obj):
     return obj
 
 
-def scrub_timing(obj):
-    """Drop timing keys recursively so reports are byte-reproducible."""
-    if isinstance(obj, dict):
-        return {k: scrub_timing(v) for k, v in obj.items() if k not in TIMING_KEYS}
-    if isinstance(obj, list):
-        return [scrub_timing(v) for v in obj]
-    return obj
-
-
 def report_envelope(kind: str, config: dict, payload: dict) -> dict:
     """Wrap a payload with the tool version and the resolved config."""
     return {
@@ -60,8 +47,7 @@ def report_envelope(kind: str, config: dict, payload: dict) -> dict:
 
 
 def write_json(path, payload) -> None:
-    data = scrub_timing(to_jsonable(payload))
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text)
 
 

@@ -28,7 +28,6 @@ symmetric one of the same order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -174,7 +173,6 @@ class SpectralReport:
     rank: int
     mask: dict
     field: dict
-    wall_time: float
     extra: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -186,7 +184,6 @@ class SpectralReport:
             "rank": self.rank,
             "mask": self.mask,
             "field": self.field,
-            "wall_time": self.wall_time,
             **self.extra,
         }
 
@@ -300,7 +297,6 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
     C is reported as inf when c falls below the residual floor: the masked
     subspace then contains data essentially invisible to the field.
     """
-    t0 = time.perf_counter()
     c, _, residual = _smallest_eig(field, mask, weight)
     if c < -1e-10:
         raise RuntimeError(f"compression eigenvalue {c} is negative beyond roundoff")
@@ -314,7 +310,6 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
         rank=mask.rank,
         mask=mask.describe(),
         field=field.describe(),
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -376,7 +371,7 @@ def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.n
 
 
 def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gamma: float,
-                  lam: float, m: float, t0: float) -> SpectralReport:
+                  lam: float, m: float) -> SpectralReport:
     """M at one lam from the form Q = I - m M_a of _resolvent_form."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -384,14 +379,14 @@ def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gam
     dvec = absxi ** gamma - lam
     ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
     extra = {"kernel_dim": int(ker.sum()), "lam": lam, "gamma": gamma, "m": m}
-    full = FrequencyMask(field.grid, field.dim, field.period, "ball", {"radius": float("inf")},
-                         np.ones((field.grid,) * field.dim, dtype=bool))
+    # the full lattice, as FrequencyMask.describe() writes a ball of radius inf
+    full = {"grid": field.grid, "dim": field.dim, "period": field.period, "kind": "ball",
+            "params": {"radius": float("inf")}, "rank": n}
 
     def report(value, c, residual=0.0):
         return SpectralReport(
             kind="resolvent-M", value=value, c=c, residual=residual, rank=n,
-            mask=full.describe(), field=field.describe(),
-            wall_time=time.perf_counter() - t0, extra=extra,
+            mask=full, field=field.describe(), extra=extra,
         )
 
     k_idx, p_idx = np.flatnonzero(ker), np.flatnonzero(~ker)
@@ -431,9 +426,8 @@ def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: flo
     lattice may have at most DENSE_LATTICE_LIMIT points; larger ones
     raise ValueError.
     """
-    t0 = time.perf_counter()
     Q, absxi = _resolvent_form(field, m)
-    return _resolvent_at(field, Q, absxi, gamma, lam, m, t0)
+    return _resolvent_at(field, Q, absxi, gamma, lam, m)
 
 
 def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
@@ -442,6 +436,8 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
     m <a u, u> >= 2 ||u||^2, keeping the deflated form negative there."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if not lam0 > 0:
+        raise ValueError(f"lam0 must be positive, got {lam0}")
     radius = lam0 ** (1.0 / gamma)
     rad = aliasing_radius(field.grid, field.period)
     if radius >= rad:
@@ -456,5 +452,4 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
 def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) -> list[SpectralReport]:
     """resolvent_constant across a lam list, assembling the form once."""
     Q, absxi = _resolvent_form(field, m)
-    return [_resolvent_at(field, Q, absxi, gamma, float(lam), m, time.perf_counter())
-            for lam in lambdas]
+    return [_resolvent_at(field, Q, absxi, gamma, float(lam), m) for lam in lambdas]

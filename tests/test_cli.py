@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +362,8 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
     ["resolvent", "--lambdas", "", "--fit"],
     ["construct-demo", "--n-balls", "0"],
     ["observe", "--T-list", "", "--envelope-eps", "0.5"],
+    ["resolvent", "--lam0", "-1"],
+    ["cover", "--field-mollify", "-1"],
 ])
 def test_empty_sweeps_and_nonpositive_scales_exit_code(tmp_path, capsys, argv):
     try:
@@ -367,3 +372,34 @@ def test_empty_sweeps_and_nonpositive_scales_exit_code(tmp_path, capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["certify", "--lambdas", ""], "argument --lambdas: expected at least one number"),
+    (["uncertainty", "--mask", "blob"], "argument --mask: 'blob' is not one of ball, annulus"),
+])
+def test_bad_flag_value_names_what_was_expected(capsys, argv, expected):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert expected in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every command of the README's command-line block parses, and every
+    field flag the README lists exists on cover."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    commands = block.replace("\\\n", " ").strip().splitlines()
+    assert len(commands) == len(cli.COMMANDS)
+    parser = cli.build_parser()
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "obslab"
+        assert parser.parse_args(argv[1:]).command == argv[1]
+    listed = section.split("shares the field flags:", 1)[1].split(". ", 1)[0]
+    flags = re.findall(r"`(--[a-z-]+)`", listed)
+    assert sorted(flags) == sorted(flag for flag, *_ in cli.FIELD_FLAGS)
+    for flag in flags:
+        assert parser.parse_args(["cover", flag, "1"]).command == "cover"

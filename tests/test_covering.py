@@ -74,6 +74,21 @@ def test_dirichlet_direction_contract():
             assert chord <= 2.0 / (cap * r.T) + 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0), lam=st.floats(1.0, 1e10),
+       gamma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_dirichlet_direction_contract_random(x, y, lam, gamma):
+    """The contract over random directions, scales and exponents."""
+    nrm = math.hypot(x, y)
+    assume(nrm > 1e-6)
+    r = covering.dirichlet_direction((x, y), lam, gamma=gamma)
+    cap = lam ** gamma
+    assert math.gcd(abs(r.p), abs(r.q)) == 1
+    assert r.T <= 2.0 * cap
+    v = r.direction.vector
+    assert math.hypot(v[0] - x / nrm, v[1] - y / nrm) <= 2.0 / (cap * r.T) + 1e-9
+
+
 def test_dirichlet_direction_validation():
     with pytest.raises(ValueError):
         covering.dirichlet_direction(geometry.Direction(0.1), 0.5)
@@ -165,6 +180,34 @@ def test_verify_covering_detects_gaps():
     assert not ver.covers
     assert len(ver.gaps) >= 2
     assert not ver.ok
+
+
+def _uncovered(thetas, entries):
+    """Brute force: which of the angles lie in no cap, with 1e-9 of slack
+    for roundoff."""
+    out = np.ones(len(thetas), dtype=bool)
+    for e in entries:
+        if e.eps >= 2.0:
+            return np.zeros(len(thetas), dtype=bool)
+        dist = np.abs((thetas - e.angle + math.pi) % (2.0 * math.pi) - math.pi)
+        out &= dist > 2.0 * math.asin(e.eps / 2.0) + 1e-9
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                               st.floats(1e-3, 2.5)), min_size=1, max_size=12))
+def test_verify_covering_matches_brute_force(caps):
+    """covers means no sampled angle is uncovered, and every reported gap
+    wider than 1e-3 has an uncovered midpoint."""
+    cert = covering.Certificate("gcc", 1.0, 0.1)
+    entries = [covering.CoveringEntry(a, eps, cert) for a, eps in caps]
+    ver = covering.verify_covering(covering.EffectiveCovering(entries, 1.0, 1e6))
+    if ver.covers:
+        samples = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
+        assert not _uncovered(samples, entries).any()
+    mids = np.array([0.5 * (lo + hi) for lo, hi in ver.gaps if hi - lo > 1e-3])
+    assert _uncovered(mids, entries).all()
 
 
 def test_verify_covering_detects_budget_violation():

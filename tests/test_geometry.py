@@ -166,3 +166,17 @@ def test_comb_profile_periodic_follows_periodic_t():
     assert not geometry.comb_profile(f, geometry.Direction(0.3), 2.0, **kwargs).periodic
     assert geometry.comb_profile(f, geometry.Direction(0.3), 2.0, periodic_t=True,
                                  **kwargs).periodic
+
+
+def test_rectangle_search_keeps_truncated_anchors_inside_the_box():
+    """On a truncated field every descent probe moves its anchor into the
+    admissible box, so the reported rectangle lies inside the field's box
+    instead of wrapping across its edge, and re-measures to the value."""
+    f = fields.make_field("half-strip-comb", dim=2, period=2.0, grid=128)
+    val, spec = geometry.rectangle_density_inf(f, 0.0, 1.0, [1.0, 2.0], direction_grid_size=8,
+                                               anchor_grid_size=2, n_samples=128)
+    across, along = spec.side_s * spec.theta.perp, spec.side_t * spec.theta.vector
+    corners = np.asarray(spec.anchor) + np.array([[0.0, 0.0], across, along, across + along])
+    assert corners.min() >= f.origin - 1e-12
+    assert corners.max() <= f.origin + f.period + 1e-12
+    assert geometry.rectangle_density(f, spec, 128) == val
