@@ -28,8 +28,15 @@ import numpy as np
 from . import construct, covering, evolution, fields, reports, spectral
 
 
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    values = [float(tok) for tok in text.replace(",", " ").split()]
+    values = [_real(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ValueError("expected at least one number")
     return values
@@ -66,12 +73,12 @@ FIELD_FLAGS = (
     ("--field-family", "family", str, "built-in family name (default constant)"),
     ("--field-dim", "dim", int, "1 or 2"),
     ("--field-grid", "grid", int, "samples per axis"),
-    ("--field-period", "period", float, "box side (default 1.0)"),
+    ("--field-period", "period", _real, "box side (default 1.0)"),
     ("--field-origin", "origin", str, "box corner, or 'centered'"),
-    ("--field-mollify", "mollify", float, "box-average radius"),
-    ("--field-value", "value", float, "constant family value"),
-    ("--field-delta", "delta", float, "periodic-square side"),
-    ("--field-beta", "beta", float, "e-beta exponent"),
+    ("--field-mollify", "mollify", _real, "box-average radius"),
+    ("--field-value", "value", _real, "constant family value"),
+    ("--field-delta", "delta", _real, "periodic-square side"),
+    ("--field-beta", "beta", _real, "e-beta exponent"),
     ("--intervals-x", "intervals_x", str, "product family x intervals 'lo:hi, ...'"),
     ("--intervals-y", "intervals_y", str, "product family y intervals 'lo:hi, ...'"),
     ("--grid-file", "grid_file", str, "custom-grid sample file"),
@@ -136,12 +143,12 @@ def _out_dir(args) -> Path:
 
 
 CERTIFY_OPTIONS = (
-    ("rho", float, 0.5, "observation scale"),
+    ("rho", _real, 0.5, "observation scale"),
     ("lambdas", _floats, [2560000.0], "frequency scales, space or comma separated"),
-    ("gamma", float, 0.25, "covering exponent in (0, 1/2)"),
+    ("gamma", _real, 0.25, "covering exponent in (0, 1/2)"),
     ("fail_fast", _boolean, False, "stop at the first failing entry"),
     ("n_offsets", int, 32, "transverse offsets per comb profile"),
-    ("samples_per_unit", float, 64.0, "line samples per unit length"),
+    ("samples_per_unit", _real, 64.0, "line samples per unit length"),
 )
 
 
@@ -149,12 +156,14 @@ def cmd_certify(args, field) -> int:
     report = covering.comb_gcc_certify(field, args.rho, args.lambdas, gamma=args.gamma,
                                        fail_fast=args.fail_fast, n_offsets=args.n_offsets,
                                        samples_per_unit=args.samples_per_unit)
+    symmetry = ",".join("transpose" if g["kind"] == "transpose" else f"flip{g['axis']}@{g['s']}"
+                        for g in report.symmetry) or "none"
     for rec in report.per_lambda:
         print(f"[certify] lam={rec['lam']:g} entries={rec['n_entries']} "
-              f"measured={rec['n_measured']} pass={rec['all_pass']}")
+              f"measured={rec['n_measured']} pass={rec['all_pass']} symmetry={symmetry}")
     config = {**_values(args, CERTIFY_OPTIONS), "field": field.describe()}
     out = _out_dir(args)
-    payload = {"passed": report.passed, "per_lambda": report.per_lambda}
+    payload = {"passed": report.passed, "symmetry": report.symmetry, "per_lambda": report.per_lambda}
     reports.write_json(out / "certify_report.json", reports.report_envelope("certify", config, payload))
     rows = []
     for rec in report.per_lambda:
@@ -168,9 +177,9 @@ def cmd_certify(args, field) -> int:
 
 
 COVER_OPTIONS = (
-    ("rho", float, 1.0, "observation scale"),
-    ("lam", float, 160000.0, "frequency scale"),
-    ("gamma", float, 0.25, "covering exponent in (0, 1/2)"),
+    ("rho", _real, 1.0, "observation scale"),
+    ("lam", _real, 160000.0, "frequency scale"),
+    ("gamma", _real, 0.25, "covering exponent in (0, 1/2)"),
 )
 
 
@@ -195,12 +204,12 @@ UNCERTAINTY_OPTIONS = (
     ("mask", _one_of("ball", "annulus", "sector", "annulus_sector", "rectangle"), "annulus",
      "ball, annulus, sector, annulus_sector or rectangle"),
     ("weight", _one_of("sqrt", "full"), "sqrt", "sqrt or full"),
-    ("mask_delta", float, 2.0, "annulus half-width factor"),
-    ("mask_beta", float, 0.0, "annulus width exponent"),
-    ("sigma", float, None, "rectangle side"),
-    ("radius", float, None, "ball radius"),
-    ("angle", float, 0.0, "sector direction"),
-    ("eps0", float, 0.25, "sector aperture"),
+    ("mask_delta", _real, 2.0, "annulus half-width factor"),
+    ("mask_beta", _real, 0.0, "annulus width exponent"),
+    ("sigma", _real, None, "rectangle side"),
+    ("radius", _real, None, "ball radius"),
+    ("angle", _real, 0.0, "sector direction"),
+    ("eps0", _real, 0.25, "sector aperture"),
     ("lambdas", _floats, None, "annulus center sweep"),
     ("zetas", _floats, None, "rectangle corner sweep"),
 )
@@ -248,10 +257,10 @@ def cmd_uncertainty(args, field) -> int:
 
 
 RESOLVENT_OPTIONS = (
-    ("gamma", float, 1.5, "dispersion exponent"),
+    ("gamma", _real, 1.5, "dispersion exponent"),
     ("lambdas", _floats, [64.0, 125.0, 253.0, 512.0], "spectral parameter sweep"),
-    ("m", float, None, "damping strength"),
-    ("lam0", float, 16.0, "calibration scale when --m is absent"),
+    ("m", _real, None, "damping strength"),
+    ("lam0", _real, 16.0, "calibration scale when --m is absent"),
     ("fit", _boolean, False, "add log-log slope"),
 )
 
@@ -285,12 +294,12 @@ def cmd_resolvent(args, field) -> int:
 
 
 OBSERVE_OPTIONS = (
-    ("beta", float, 1.0, "dispersion exponent in [0, 1]"),
-    ("cutoff", float, 16.0, "frequency cutoff K"),
+    ("beta", _real, 1.0, "dispersion exponent in [0, 1]"),
+    ("cutoff", _real, 16.0, "frequency cutoff K"),
     ("T_list", _floats, [0.1, 0.2, 0.4, 0.8], "observation times"),
     ("n_nodes", int, None, "time quadrature nodes (default: Nyquist)"),
     ("miller", str, None, "M,m,eps for a predicted-cost comparison"),
-    ("envelope_eps", float, None, "fit log kappa against T^(2-4/eps)"),
+    ("envelope_eps", _real, None, "fit log kappa against T^(2-4/eps)"),
 )
 
 
@@ -342,10 +351,10 @@ def random_ball_system(rng: np.random.Generator, W: float, delta: float, n_balls
 
 
 CONSTRUCT_DEMO_OPTIONS = (
-    ("W", float, 40.0, "circle circumference"),
-    ("M", float, 1.0, "window length"),
-    ("rho", float, None, "target density (default 0.8 x the least window density of the balls)"),
-    ("delta", float, 0.01, "ball radius"),
+    ("W", _real, 40.0, "circle circumference"),
+    ("M", _real, 1.0, "window length"),
+    ("rho", _real, None, "target density (default 0.8 x the least window density of the balls)"),
+    ("delta", _real, 0.01, "ball radius"),
     ("n_balls", int, 400, "number of balls"),
     ("seed", int, 0, "random seed of the ball centers"),
 )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ObservationField, _parse_intervals
+from .fields import ObservationField, _parse_intervals, lattice_symmetries
 from .geometry import Direction, comb_profile, gcc_constant, relative_density_1d
 
 
@@ -448,6 +448,7 @@ def default_covering_builder(field: ObservationField, rho: float, gamma: float =
 class CertifyReport:
     passed: bool
     per_lambda: list
+    symmetry: list
 
 
 def _measure_entry(
@@ -510,10 +511,14 @@ def comb_gcc_certify(
     entry's certificate.
 
     An entry passes when its measured constant exceeds its declared floor.
-    Measurements depend only on (direction mod pi, certificate), not on lam,
-    so they are cached across entries and lambda values. With fail_fast,
-    entries are scanned in (T, angle) order and the scan stops at the first
-    failure for that lam.
+    A certificate's infimum depends only on the certificate and the orbit
+    of its direction under direction reversal and the field's lattice
+    symmetries (fields.lattice_symmetries, recorded as the report's
+    symmetry), not on lam. Measurements are therefore cached by orbit,
+    across entries and lambda values: each orbit is measured once, on its
+    first scanned member, and every member reports that value. With
+    fail_fast, entries are scanned in (T, angle) order and the scan stops
+    at the first failure for that lam.
     """
     lambda_list = list(lambda_list)
     if not lambda_list:
@@ -522,6 +527,8 @@ def comb_gcc_certify(
         raise ValueError(f"need n_offsets >= 1 and samples_per_unit > 0, "
                          f"got {n_offsets} and {samples_per_unit}")
     build = default_covering_builder(field, rho, gamma)
+    symmetry = lattice_symmetries(field)
+    maps = _orbit_maps(symmetry)
     cache: dict = {}
     per_lambda = []
     all_pass = True
@@ -540,10 +547,7 @@ def comb_gcc_certify(
         stopped = False
         for i in order:
             e = cov.entries[i]
-            if e.rational is not None:
-                key = _canonical_rational_key(e)
-            else:
-                key = (e.certificate.kind, round(e.angle % math.pi, 12), e.certificate.M, e.certificate.L)
+            key = _orbit_key(e, maps)
             if key not in cache:
                 cache[key] = _measure_entry(field, e, n_offsets, samples_per_unit)
             measured = cache[key]
@@ -588,11 +592,40 @@ def comb_gcc_certify(
             }
         )
         all_pass = all_pass and lam_pass
-    return CertifyReport(passed=all_pass, per_lambda=per_lambda)
+    return CertifyReport(passed=all_pass, per_lambda=per_lambda, symmetry=symmetry)
 
 
-def _canonical_rational_key(entry: CoveringEntry):
-    p, q = entry.rational.p, entry.rational.q
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return (entry.certificate.kind, p, q, entry.certificate.M, entry.certificate.L)
+def _orbit_maps(symmetry) -> list[tuple[int, int, int, int]]:
+    """Linear parts (a, b, c, d), acting as (x, y) -> (a x + b y, c x + d y),
+    of the group generated by direction reversal and the lattice symmetries
+    found by fields.lattice_symmetries."""
+    gens = [(-1, 0, 0, -1)]
+    for rec in symmetry:
+        if rec["kind"] == "transpose":
+            gens.append((0, 1, 1, 0))
+        else:
+            gens.append((-1, 0, 0, 1) if rec["axis"] == 0 else (1, 0, 0, -1))
+    group = {(1, 0, 0, 1)}
+    while True:
+        grown = group | {(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                         for a, b, c, d in group for e, f, g, h in gens}
+        if grown == group:
+            return sorted(group)
+        group = grown
+
+
+def _orbit_key(entry: CoveringEntry, maps) -> tuple:
+    """Cache key shared by every entry whose direction lies in one orbit of
+    maps and whose certificate is the same: the largest image of (p, q)
+    for rational directions, the least image of the angle mod pi
+    (rounded to 12 digits) otherwise. A signed permutation with
+    determinant det sends angle t to det * t, plus pi/2 when it swaps the
+    axes, modulo pi. With reversal alone these are the +-(p, q) and
+    angle-mod-pi keys."""
+    cert = entry.certificate
+    if entry.rational is not None:
+        p, q = entry.rational.p, entry.rational.q
+        return (cert.kind, *max((a * p + b * q, c * p + d * q) for a, b, c, d in maps), cert.M, cert.L)
+    images = (((math.pi / 2.0 if a == 0 else 0.0) + (a * d - b * c) * entry.angle) % math.pi
+              for a, b, c, d in maps)
+    return (cert.kind, min(round(t, 12) for t in images), cert.M, cert.L)

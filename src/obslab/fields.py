@@ -225,13 +225,15 @@ def make_field(
     info = _FAMILIES[family]
     if dim not in info["dims"]:
         raise ValueError(f"family {family!r} supports dim in {info['dims']}, got {dim}")
-    if period <= 0 or grid < 2:
-        raise ValueError("need period > 0 and grid >= 2")
+    if not 0 < period < np.inf or grid < 2:
+        raise ValueError(f"need a finite period > 0 and grid >= 2, got period={period}, grid={grid}")
     if origin is None:
         origin = "centered" if family in TRUNCATED_FAMILIES else 0.0
     if origin == "centered":
         origin = -period / 2.0
     origin = float(origin)
+    if not np.isfinite(origin):
+        raise ValueError(f"origin must be finite, got {origin}")
 
     if family == "custom-grid":
         if values is None:
@@ -287,14 +289,51 @@ def evaluate(field: ObservationField, points) -> np.ndarray:
     )
 
 
+def lattice_symmetries(field: ObservationField) -> list[dict]:
+    """Lattice symmetries of the samples.
+
+    Finds the transpose values[i, j] = values[j, i] ({"kind": "transpose"})
+    and, per axis, a reflection i -> (s - i) mod grid ({"kind": "flip",
+    "axis": k, "s": s}, the least such s). Candidate shifts come from the
+    axis's 1d marginal and each is verified on the full grid. Equality is
+    exact, or within 1e-12 on a mollified field (the box filter breaks
+    exactness in the last bits). The bilinear interpolant inherits every
+    symmetry found. Truncated families have none, since their box edge is
+    no symmetry of the set they sample.
+    """
+    if field.family.get("name") in TRUNCATED_FAMILIES:
+        return []
+    v = field.values
+    tol = 1e-12 if field.modulus > 0 else 0.0
+
+    def holds(w):
+        return float(np.max(np.abs(w - v))) <= tol
+
+    found = []
+    if field.dim == 2 and holds(v.T):
+        found.append({"kind": "transpose"})
+    n = field.grid
+    for axis in range(field.dim):
+        marginal = v.sum(axis=tuple(a for a in range(field.dim) if a != axis))
+        mirrored = np.flip(marginal)
+        mtol = (v.size // n) * (tol + 1e-12)  # tol per summed sample, plus rounding
+        for s in range(n):
+            # np.roll(np.flip(x), s + 1)[i] == x[(s - i) % n]
+            if (float(np.max(np.abs(np.roll(mirrored, s + 1) - marginal))) <= mtol
+                    and holds(np.roll(np.flip(v, axis), s + 1, axis=axis))):
+                found.append({"kind": "flip", "axis": axis, "s": s})
+                break
+    return found
+
+
 def mollify(field: ObservationField, radius: float) -> ObservationField:
     """Periodic box average of half-width radius along every axis.
 
     The radius is rounded to a whole number of grid steps; the realized
     half-width is recorded as the field's modulus. Values stay in [0, 1].
     """
-    if not radius >= 0:
-        raise ValueError(f"mollify radius must be nonnegative, got {radius}")
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"mollify radius must be finite and nonnegative, got {radius}")
     w = int(round(radius / field.h))
     if w == 0:
         return ObservationField(
@@ -340,6 +379,9 @@ def load_grid(path) -> ObservationField:
         raise ValueError(f"{path}: unsupported grid file version {version}")
     if dim not in (1, 2) or grid < 2:
         raise ValueError(f"{path}: need dim in (1, 2) and grid >= 2, got dim={dim}, grid={grid}")
+    if not (0 < period < np.inf and np.isfinite(origin)):
+        raise ValueError(f"{path}: need a finite period > 0 and a finite origin, "
+                         f"got period={period}, origin={origin}")
     count = grid ** dim
     if len(raw) != 4 + 28 + 8 * count:
         raise ValueError(f"{path}: expected {count} float64 samples after the header, "

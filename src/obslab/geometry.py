@@ -199,7 +199,7 @@ def gcc_constant(
     value, *_ = _infimum(field, [segment], angle_list, anchor_grid_size,
                          math.pi / max(len(angle_list), 8),
                          move_angle=field.dim == 2 and angles is None)
-    return value
+    return float(value)
 
 
 def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from obslab import cli, evolution, fields, reports
 
@@ -383,6 +386,68 @@ def test_bad_flag_value_names_what_was_expected(capsys, argv, expected):
         run(argv)
     assert exc.value.code == 2
     assert expected in capsys.readouterr().err
+
+
+TWO_PI = repr(2 * math.pi)
+# a cheap run of each command, and its numeric flags (int-valued ones marked)
+BAD_VALUE_RUNS = {
+    "certify": (["--field-grid", "16", "--rho", "2", "--lambdas", "10000",
+                 "--n-offsets", "4", "--samples-per-unit", "4"],
+                {"--rho": float, "--lambdas": float, "--gamma": float, "--n-offsets": int,
+                 "--samples-per-unit": float}),
+    "cover": (["--field-grid", "16", "--rho", "1", "--lam", "160000"],
+              {"--rho": float, "--lam": float, "--gamma": float}),
+    "resolvent": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
+                   "--lambdas", "20 40"],
+                  {"--gamma": float, "--lambdas": float, "--m": float, "--lam0": float}),
+    "observe": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
+                 "--cutoff", "4", "--T-list", "0.5 1.0"],
+                {"--beta": float, "--cutoff": float, "--T-list": float, "--n-nodes": int,
+                 "--envelope-eps": float}),
+}
+# resolvent spectral parameters below the spectrum are valid input
+NEGATIVE_IS_VALID = {("resolvent", "--lambdas")}
+
+
+@st.composite
+def _bad_flag_value(draw):
+    command = draw(st.sampled_from(sorted(BAD_VALUE_RUNS)), label="command")
+    base, numeric = BAD_VALUE_RUNS[command]
+    flag = draw(st.sampled_from(sorted(numeric)), label="flag")
+    kinds = ["empty", "nan", "infinite", "non-numeric"]
+    if (command, flag) not in NEGATIVE_IS_VALID:
+        kinds.append("negative")
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "negative":
+        value = (draw(st.integers(max_value=-1)) if numeric[flag] is int
+                 else draw(st.floats(max_value=-1e-300, allow_infinity=False)))
+        text = repr(value)
+    else:
+        text = draw({
+            "empty": st.sampled_from(["", " "]),
+            "nan": st.sampled_from(["nan", "NaN", "-nan"]),
+            "infinite": st.sampled_from(["inf", "-inf", "Infinity"]),
+            # no letter of nan, inf or infinity, so float() cannot parse it
+            "non-numeric": st.text("bcdeghjklmopqrsuvwxz", min_size=1, max_size=6),
+        }[kind])
+    return [command, *base, flag, text]
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_bad_flag_value())
+def test_bad_numeric_flag_values_exit_2(tmp_path_factory, argv):
+    """Empty, negative, NaN, infinite or non-numeric values of a numeric
+    flag are usage errors: exit 2, an error: line, no traceback."""
+    out = tmp_path_factory.mktemp("out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+    assert code == 2
+    assert "error:" in stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_readme_commands_parse():

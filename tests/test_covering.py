@@ -298,11 +298,65 @@ def test_certify_fail_fast_stops_early():
     rep = covering.comb_gcc_certify(f, 0.5, [2560000.0], fail_fast=True,
                                     n_offsets=8, samples_per_unit=8.0)
     assert not rep.passed
+    assert rep.symmetry == []
     rec = rep.per_lambda[0]
     assert rec["stopped_early"]
     assert rec["n_measured"] < rec["n_entries"]
     failing = [e for e in rec["entries"] if e["measured"] is not None and not e["pass"]]
     assert failing
+
+
+def _counting_measurements(monkeypatch):
+    calls = []
+    measure = covering._measure_entry
+
+    def counted(field, entry, *args):
+        calls.append(entry)
+        return measure(field, entry, *args)
+
+    monkeypatch.setattr(covering, "_measure_entry", counted)
+    return calls
+
+
+def test_certify_measures_each_symmetry_orbit_once(monkeypatch):
+    """The periodic squares are invariant under the whole square group, so
+    (p, q) shares its measurement with every (+-p, +-q) and (+-q, +-p)
+    of the same certificate, once per orbit and across lambda values."""
+    calls = _counting_measurements(monkeypatch)
+    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=64, delta=0.3)
+    rep = covering.comb_gcc_certify(f, 2.0, [10000.0, 40000.0], n_offsets=4,
+                                    samples_per_unit=4.0)
+    assert rep.symmetry == [{"kind": "transpose"}, {"kind": "flip", "axis": 0, "s": 19},
+                            {"kind": "flip", "axis": 1, "s": 19}]
+    orbits: dict = {}
+    for pl in rep.per_lambda:
+        assert pl["n_measured"] == pl["n_entries"]
+        for e in pl["entries"]:
+            orbit = (e["kind"], *sorted((abs(e["p"]), abs(e["q"]))), e["M"], e["L"])
+            orbits.setdefault(orbit, set()).add(e["measured"])
+    assert all(len(values) == 1 for values in orbits.values())
+    assert len(calls) == len(orbits)
+    n_directions = len({(e["p"], e["q"]) for pl in rep.per_lambda for e in pl["entries"]})
+    assert 4 * len(orbits) < n_directions
+
+
+def test_certify_without_symmetry_measures_each_direction_pair(monkeypatch):
+    """Interval unions with no mirror symmetry and E != F leave only
+    direction reversal: one measurement per +-(p, q) or angle mod pi."""
+    calls = _counting_measurements(monkeypatch)
+    f = fields.make_field("product", dim=2, period=1.0, grid=100,
+                          intervals_x="0:0.3,0.4:0.8", intervals_y="0:0.35,0.5:0.9")
+    rep = covering.comb_gcc_certify(f, 1.9, [200.0], n_offsets=8, samples_per_unit=8.0)
+    assert rep.symmetry == []
+    keys = set()
+    for e in rep.per_lambda[0]["entries"]:
+        if e["p"] is not None:
+            key = max((e["p"], e["q"]), (-e["p"], -e["q"]))
+        else:
+            key = round(e["angle"] % math.pi, 12)
+        keys.add((e["kind"], key, e["M"], e["L"]))
+    assert len(calls) == len(keys)
+    assert 2 * len(keys) == rep.per_lambda[0]["n_entries"]
 
 
 @pytest.mark.parametrize("kwargs", [dict(lambda_list=[]), dict(n_offsets=0),

@@ -34,6 +34,12 @@ def test_make_field_validates_parameters():
     with pytest.raises(ValueError):
         fields.make_field("product", dim=2, period=1.0, grid=16,
                           intervals_x="0.5:0.2", intervals_y="0:1")
+    for period in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite period"):
+            fields.make_field("constant", dim=1, period=period, grid=16)
+    for origin in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="origin"):
+            fields.make_field("constant", dim=1, period=1.0, grid=16, origin=origin)
 
 
 def test_periodic_square_1d_exact_node_values():
@@ -135,8 +141,9 @@ def test_mollify_preserves_mean_and_range(data):
 
 def test_mollify_rejects_bad_radius():
     f = fields.make_field("constant", dim=1, period=1.0, grid=16, value=1.0)
-    with pytest.raises(ValueError):
-        fields.mollify(f, -0.1)
+    for radius in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fields.mollify(f, radius)
 
 
 def test_grid_roundtrip(tmp_path):
@@ -227,8 +234,8 @@ def test_custom_grid_rejects_non_finite_values(bad):
         fields.make_field("custom-grid", dim=1, period=1.0, grid=8, values=vals)
 
 
-def _grid_bytes(dim, grid, samples):
-    return b"OGRD" + struct.pack("<IIIdd", 1, dim, grid, 1.0, 0.0) + \
+def _grid_bytes(dim, grid, samples, period=1.0, origin=0.0):
+    return b"OGRD" + struct.pack("<IIIdd", 1, dim, grid, period, origin) + \
         np.full(samples, 0.5).astype("<f8").tobytes()
 
 
@@ -242,6 +249,15 @@ def test_load_grid_rejects_malformed_files(tmp_path, dim, grid, samples):
     path = tmp_path / "field.ogrd"
     path.write_bytes(_grid_bytes(dim, grid, samples))
     with pytest.raises(ValueError):
+        fields.load_grid(path)
+
+
+@pytest.mark.parametrize("period, origin", [(0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0),
+                                            (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)])
+def test_load_grid_rejects_bad_boxes(tmp_path, period, origin):
+    path = tmp_path / "field.ogrd"
+    path.write_bytes(_grid_bytes(1, 8, 8, period, origin))
+    with pytest.raises(ValueError, match="finite period"):
         fields.load_grid(path)
 
 
@@ -263,3 +279,79 @@ def test_field_from_config_rejects_bad_interpolation(tmp_path):
     cfg.write_text("[field]\nfamily = constant\ndim = 1\ngrid = 16\nvalue = 50%\n")
     with pytest.raises(ValueError, match="config"):
         fields.field_from_config(cfg)
+
+
+def _index_maps(dim, grid, transpose, flips):
+    """Flat-index permutations of a grid for the transpose and for the
+    reflections i -> (s - i) mod grid along each axis in flips."""
+    idx = np.arange(grid ** dim).reshape((grid,) * dim)
+    maps = [idx.T.ravel()] if transpose else []
+    for axis, s in flips.items():
+        maps.append(np.take(idx, (s - np.arange(grid)) % grid, axis=axis).ravel())
+    return maps
+
+
+def _symmetrize(values, maps):
+    """Give every orbit of the maps (all involutions) the value of its
+    least flat index, so the result is exactly invariant."""
+    label = np.arange(values.size)
+    while True:
+        new = label
+        for m in maps:
+            new = np.minimum(new, new[m])
+        if np.array_equal(new, label):
+            return values.ravel()[label].reshape(values.shape)
+        label = new
+
+
+def _is_symmetry(values, g):
+    if g["kind"] == "transpose":
+        return np.allclose(values, values.T, rtol=0.0, atol=1e-12)
+    n = values.shape[g["axis"]]
+    mirrored = np.take(values, (g["s"] - np.arange(n)) % n, axis=g["axis"])
+    return np.allclose(values, mirrored, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lattice_symmetries_finds_what_the_grid_was_given(data):
+    """A random grid made invariant under a random subset of {transpose,
+    flip per axis at a random shift} shows at least that subset, also
+    after mollify; everything reported is a true symmetry; a generic grid
+    shows none."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(3, 24), label="grid")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    raw = rng.random((grid,) * dim)
+    transpose = dim == 2 and data.draw(st.booleans(), label="transpose")
+    flips = {axis: data.draw(st.integers(0, grid - 1), label=f"s{axis}")
+             for axis in range(dim) if data.draw(st.booleans(), label=f"flip{axis}")}
+    vals = _symmetrize(raw, _index_maps(dim, grid, transpose, flips))
+    f = fields.make_field("custom-grid", dim=dim, period=1.0, grid=grid, values=vals)
+    radius = data.draw(st.sampled_from([0.0, 1.0 / grid, 2.0 / grid]), label="radius")
+    f = fields.mollify(f, radius)
+    found = fields.lattice_symmetries(f)
+    assert all(_is_symmetry(f.values, g) for g in found)
+    kinds = {(g["kind"], g.get("axis")) for g in found}
+    if transpose:
+        assert ("transpose", None) in kinds
+    for axis in flips:
+        assert ("flip", axis) in kinds
+    generic = fields.make_field("custom-grid", dim=dim, period=1.0, grid=grid, values=raw)
+    assert fields.lattice_symmetries(generic) == []
+
+
+def test_lattice_symmetries_of_the_builtin_families():
+    prod = fields.make_field("product", dim=2, period=1.0, grid=500,
+                             intervals_x="0:0.6", intervals_y="0:0.6")
+    assert fields.lattice_symmetries(prod) == [
+        {"kind": "transpose"},
+        {"kind": "flip", "axis": 0, "s": 299},
+        {"kind": "flip", "axis": 1, "s": 299},
+    ]
+    lopsided = fields.make_field("product", dim=2, period=1.0, grid=100,
+                                 intervals_x="0:0.3,0.4:0.8", intervals_y="0:0.35,0.5:0.9")
+    assert fields.lattice_symmetries(lopsided) == []
+    for name in fields.TRUNCATED_FAMILIES:
+        f = fields.make_field(name, dim=2, period=8.0, grid=64)
+        assert fields.lattice_symmetries(f) == []

@@ -84,6 +84,21 @@ def test_gcc_constant_constant_field():
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
+def test_gcc_constant_returns_a_float_on_both_search_paths():
+    """A plain float whether the descent beats the grid minimum (a dip
+    between anchor grid points) or not (a constant field)."""
+    body = geometry._segment_body(np.array([1.0]), 0.1, 32)
+    anchors = geometry._anchor_grid(np.zeros(1), np.ones(1), 8, 1)
+    dip = np.ones(64)
+    dip[28:31] = 0.0
+    for vals, descent_wins in ((dip, True), (np.ones(64), False)):
+        f = fields.make_field("custom-grid", dim=1, period=1.0, grid=64, values=vals)
+        val = geometry.gcc_constant(f, 0.1, anchor_grid_size=8, n_samples=32)
+        grid_min = geometry._window_means(f, anchors, body).min()
+        assert type(val) is float
+        assert (val < grid_min) == descent_wins
+
+
 def test_gcc_constant_validation():
     f = fields.make_field("constant", dim=2, period=1.0, grid=32, value=1.0)
     with pytest.raises(ValueError):
