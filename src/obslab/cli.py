@@ -160,7 +160,8 @@ def cmd_certify(args, field) -> int:
                         for g in report.symmetry) or "none"
     for rec in report.per_lambda:
         print(f"[certify] lam={rec['lam']:g} entries={rec['n_entries']} "
-              f"measured={rec['n_measured']} pass={rec['all_pass']} symmetry={symmetry}")
+              f"measured={rec['n_measured']} measurements={rec['n_measurements']} "
+              f"pass={rec['all_pass']} symmetry={symmetry}")
     config = {**_values(args, CERTIFY_OPTIONS), "field": field.describe()}
     out = _out_dir(args)
     payload = {"passed": report.passed, "symmetry": report.symmetry, "per_lambda": report.per_lambda}

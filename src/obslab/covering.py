@@ -516,9 +516,11 @@ def comb_gcc_certify(
     symmetries (fields.lattice_symmetries, recorded as the report's
     symmetry), not on lam. Measurements are therefore cached by orbit,
     across entries and lambda values: each orbit is measured once, on its
-    first scanned member, and every member reports that value. With
-    fail_fast, entries are scanned in (T, angle) order and the scan stops
-    at the first failure for that lam.
+    first scanned member, and every member reports that value. Per lam,
+    n_measured counts the entries scanned and n_measurements the
+    measurements taken during that scan. With fail_fast, entries are
+    scanned in (T, angle) order and the scan stops at the first failure
+    for that lam.
     """
     lambda_list = list(lambda_list)
     if not lambda_list:
@@ -545,6 +547,7 @@ def comb_gcc_certify(
         records = []
         lam_pass = ver.ok
         stopped = False
+        taken = len(cache)
         for i in order:
             e = cov.entries[i]
             key = _orbit_key(e, maps)
@@ -583,6 +586,7 @@ def comb_gcc_certify(
                 "budget_ok": ver.budget_ok,
                 "n_entries": len(cov.entries),
                 "n_measured": len(records),
+                "n_measurements": len(cache) - taken,
                 "n_pass": sum(r["pass"] for r in records),
                 "stopped_early": stopped,
                 "worst_index": worst,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import struct
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,20 @@ from scipy import ndimage
 
 _GRID_MAGIC = b"OGRD"
 _GRID_VERSION = 1
+# points per evaluate block, so that a block's temporaries stay in cache
+_EVAL_BLOCK = 8192
 # families that sample a non-periodic set on a finite box centered at 0
 TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
 
 
 @dataclass
 class ObservationField:
-    """Sampled density a : box -> [0, 1] on a uniform periodic grid."""
+    """Sampled density a : box -> [0, 1] on a uniform periodic grid.
+
+    A field is not mutated after construction: evaluate reads a wrapped
+    copy of the samples that is built once per field, so operations that
+    change samples (mollify, load_grid) return a new field.
+    """
 
     dim: int
     period: float
@@ -44,6 +52,12 @@ class ObservationField:
     @property
     def h(self) -> float:
         return self.period / self.grid
+
+    @cached_property
+    def _wrapped(self) -> np.ndarray:
+        """The samples with index grid wrapped to 0 along every axis,
+        (grid + 1)^dim values flattened in row-major order."""
+        return np.pad(self.values, [(0, 1)] * self.dim, mode="wrap").ravel()
 
     def describe(self) -> dict:
         """Plain-dict descriptor for report embedding."""
@@ -255,38 +269,60 @@ def evaluate(field: ObservationField, points) -> np.ndarray:
     """Bilinear interpolation of the samples, periodic in every axis.
 
     points: array of shape (..., dim) for dim = 2, or (...) for dim = 1.
-    Exact at grid nodes. Returns an array of the batch shape.
+    Exact at grid nodes. Returns an array of the batch shape, a NumPy
+    scalar for a single point. Points are wrapped onto the box in float64,
+    which is exact while they lie within 2**52 / grid cells of it.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = field.grid
-    h = field.h
-    if field.dim == 1:
-        u = (pts - field.origin) / h
-        i0 = np.floor(u).astype(np.int64)
-        f = u - i0
-        i0 = np.mod(i0, n)
-        i1 = (i0 + 1) % n
-        v = field.values
-        return (1.0 - f) * v[i0] + f * v[i1]
-    if pts.shape[-1] != 2:
+    dim, n, h, origin = field.dim, field.grid, field.h, field.origin
+    if dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
         raise ValueError("2d field expects points of shape (..., 2)")
-    u = (pts[..., 0] - field.origin) / h
-    w = (pts[..., 1] - field.origin) / h
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(w).astype(np.int64)
-    fu = u - i0
-    fw = w - j0
-    i0 = np.mod(i0, n)
-    j0 = np.mod(j0, n)
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-    v = field.values
-    return (
-        v[i0, j0] * (1 - fu) * (1 - fw)
-        + v[i1, j0] * fu * (1 - fw)
-        + v[i0, j1] * (1 - fu) * fw
-        + v[i1, j1] * fu * fw
-    )
+    batch = pts.shape if dim == 1 else pts.shape[:-1]
+    flat = pts.reshape(-1, dim)
+    out = np.empty(len(flat))
+    # Each cell corner is read from the wrapped table shifted by the
+    # corner's flat offset, and weighted per axis by frac (bit 1) or
+    # 1 - frac (bit 0). Terms are multiplied and summed left to right in
+    # the order of (1 - f) v[i] + f v[i+1] (1d) and
+    # v[i,j] (1-fu)(1-fw) + v[i+1,j] fu (1-fw) + v[i,j+1] (1-fu) fw + v[i+1,j+1] fu fw
+    # (2d), which fixes every rounding.
+    table = field._wrapped
+    if dim == 1:
+        corners = [(table, (0,)), (table[1:], (1,))]
+    else:
+        corners = [(table, (0, 0)), (table[n + 1:], (1, 0)),
+                   (table[1:], (0, 1)), (table[n + 2:], (1, 1))]
+    m = min(_EVAL_BLOCK, len(flat))
+    work = np.empty((4, dim, m))  # frac, cell, quotient, 1 - frac
+    terms = np.empty((len(corners), m))
+    index = np.empty(m, dtype=np.intp)
+    for start in range(0, len(flat), _EVAL_BLOCK):
+        res = out[start:start + _EVAL_BLOCK]
+        k = len(res)
+        f, c, q, g = work[:, :, :k]
+        v, idx = terms[:, :k], index[:k]
+        np.subtract(flat[start:start + k].T, origin, out=f)
+        f /= h
+        np.floor(f, out=c)
+        f -= c
+        np.divide(c, n, out=q)  # c mod n without integer modulo
+        np.floor(q, out=q)
+        q *= n
+        c -= q
+        np.subtract(1.0, f, out=g)
+        if dim == 2:
+            c[0] *= n + 1
+            c[0] += c[1]
+        np.copyto(idx, c[0], casting="unsafe")
+        for (shifted, bits), vt in zip(corners, v):
+            shifted.take(idx, out=vt, mode="clip")  # idx is in range; "raise" would buffer out
+            for axis, bit in enumerate(bits):
+                vt *= f[axis] if bit else g[axis]
+        np.add(v[0], v[1], out=res)
+        for vt in v[2:]:
+            res += vt
+    out = out.reshape(batch)
+    return out[()] if out.ndim == 0 else out
 
 
 def lattice_symmetries(field: ObservationField) -> list[dict]:

@@ -113,6 +113,21 @@ def test_certify_failure_exit_code(tmp_path):
     assert lines[0].startswith("lam,angle,p,q,T,kind")
 
 
+def test_certify_reports_measurements_taken(tmp_path, capsys):
+    """The periodic squares share one measurement per symmetry orbit, so
+    the report and the summary line count measurements apart from the
+    entries scanned."""
+    code = run(["certify", "--out", str(tmp_path), "--samples-per-unit", "32",
+                "--field-family", "periodic-square", "--field-dim", "2",
+                "--field-grid", "200", "--field-period", "1.0", "--field-delta", "0.3",
+                "--rho", "1.0", "--lambdas", "160000"])
+    assert code == 0
+    assert "entries=3064 measured=3064 measurements=384 pass=True" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "certify_report.json").read_text())
+    (rec,) = payload["report"]["per_lambda"]
+    assert (rec["n_entries"], rec["n_measured"], rec["n_measurements"]) == (3064, 3064, 384)
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     # a non-integer box period cannot host the unit-periodic comb family
     code = run(["certify", "--out", str(tmp_path),

@@ -336,6 +336,7 @@ def test_certify_measures_each_symmetry_orbit_once(monkeypatch):
             orbits.setdefault(orbit, set()).add(e["measured"])
     assert all(len(values) == 1 for values in orbits.values())
     assert len(calls) == len(orbits)
+    assert sum(pl["n_measurements"] for pl in rep.per_lambda) == len(calls)
     n_directions = len({(e["p"], e["q"]) for pl in rep.per_lambda for e in pl["entries"]})
     assert 4 * len(orbits) < n_directions
 

@@ -116,6 +116,101 @@ def test_evaluate_exact_at_nodes_and_periodic(data):
     assert np.array_equal(fields.evaluate(f, pts), f.values)
 
 
+def _reference_evaluate(field, points):
+    """Bilinear evaluate with integer indices and modulo, kept as the oracle
+    that fields.evaluate must match bit for bit."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = field.grid
+    h = field.h
+    if field.dim == 1:
+        u = (pts - field.origin) / h
+        i0 = np.floor(u).astype(np.int64)
+        f = u - i0
+        i0 = np.mod(i0, n)
+        i1 = (i0 + 1) % n
+        v = field.values
+        return (1.0 - f) * v[i0] + f * v[i1]
+    u = (pts[..., 0] - field.origin) / h
+    w = (pts[..., 1] - field.origin) / h
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(w).astype(np.int64)
+    fu = u - i0
+    fw = w - j0
+    i0 = np.mod(i0, n)
+    j0 = np.mod(j0, n)
+    i1 = (i0 + 1) % n
+    j1 = (j0 + 1) % n
+    v = field.values
+    return (
+        v[i0, j0] * (1 - fu) * (1 - fw)
+        + v[i1, j0] * fu * (1 - fw)
+        + v[i0, j1] * (1 - fu) * fw
+        + v[i1, j1] * fu * fw
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_integer_index_reference(data):
+    """Float wrapping, the wrapped table and blocking change no bit: random
+    grids (odd ones too), boxes, far points, nodes and nodes +- 1 ulp, in
+    batches that cross several block boundaries."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 600), label="grid")
+    period = data.draw(st.floats(0.01, 100.0), label="period")
+    origin = data.draw(st.floats(-100.0, 100.0), label="origin")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
+                          values=rng.random((grid,) * dim))
+    count = data.draw(st.integers(0, 3 * fields._EVAL_BLOCK + 100), label="points")
+    periods = 10.0 ** data.draw(st.floats(0.0, 5.0), label="log10 periods out")
+    shape = (count,) if dim == 1 else (count, 2)
+    kind = data.draw(st.sampled_from(["uniform", "nodes", "nodes+-ulp"]), label="kind")
+    if kind == "uniform":
+        pts = origin + period * rng.uniform(-periods, periods, shape)
+    else:
+        # half of the nodes on period boundaries, where the wrap is decided
+        cells = rng.integers(-int(periods * grid), int(periods * grid) + 1, shape)
+        cells[::2] = grid * (cells[::2] // grid)
+        pts = origin + f.h * cells
+        if kind == "nodes+-ulp":
+            pts = np.nextafter(pts, rng.choice([-np.inf, np.inf], shape))
+    assert np.array_equal(fields.evaluate(f, pts), _reference_evaluate(f, pts))
+
+
+def test_evaluate_output_contract():
+    f1 = fields.make_field("custom-grid", dim=1, period=1.0, grid=4,
+                           values=[0.0, 1.0, 0.5, 0.25])
+    f2 = fields.make_field("periodic-square", dim=2, period=1.0, grid=8, delta=0.5)
+    assert fields.evaluate(f1, []).shape == (0,)
+    assert fields.evaluate(f2, np.zeros((0, 3, 2))).shape == (0, 3)
+    single = fields.evaluate(f1, 0.125)
+    assert type(single) is np.float64 and single == 0.5
+    assert type(fields.evaluate(f2, [0.1, 0.2])) is np.float64
+    assert fields.evaluate(f1, [[0.125, 0.25], [0.375, 0.5]]).shape == (2, 2)
+    assert np.array_equal(fields.evaluate(f2, [[0.125, 0.25], [0.625, 0.25]]), [1.0, 0.0])
+    for bad in (np.zeros((4, 3)), 0.5):
+        with pytest.raises(ValueError, match="points of shape"):
+            fields.evaluate(f2, bad)
+
+
+def test_evaluate_reads_each_fields_own_samples(tmp_path):
+    """evaluate caches a wrapped copy of the samples per field; a field,
+    its mollified copy and a file round trip of that copy each evaluate
+    their own samples at the nodes, in any order."""
+    rng = np.random.default_rng(5)
+    f = fields.make_field("custom-grid", dim=2, period=1.0, grid=16, values=rng.random((16, 16)))
+    ax = np.arange(16) / 16
+    nodes = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    assert np.array_equal(fields.evaluate(f, nodes), f.values)
+    g = fields.mollify(f, 2 / 16)
+    fields.save_grid(g, tmp_path / "g.ogrd")
+    loaded = fields.load_grid(tmp_path / "g.ogrd")
+    assert not np.array_equal(g.values, f.values)
+    for field in (g, loaded, f):
+        assert np.array_equal(fields.evaluate(field, nodes), field.values)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mollify_preserves_mean_and_range(data):
