@@ -16,13 +16,22 @@ sampled lattice, A the Fourier multiplier |xi|^gamma; exact kernel modes
 of A - lam are deflated through a Schur complement and the value is
 infinite when the form I - m M_a is positive on some kernel vector.
 
-The resolvent works in the real Fourier basis of the full lattice: e_k
+The resolvent works in a real Fourier basis of the full lattice: e_k
 for each self-conjugate k (k = -k mod N on every axis) and, for each
 pair {k, -k}, the cosine (e_k + e_-k)/sqrt2 and sine i(e_k - e_-k)/sqrt2
 vectors. The field is real and |xi|^gamma is even, so M_a is a real
 symmetric matrix there, A - lam stays diagonal and its kernel stays a
 coordinate subset: the complex Hermitian problem is solved as a real
-symmetric one of the same order.
+symmetric one of the same order. When the field has a flip on every
+axis (fields.lattice_symmetries), the pairs are twisted by the phase
+exp(-i pi k.s/N) of the reflection x -> s - x, which then fixes the
+cosine-like vectors and negates the sine-like ones: the form splits into
+an even and an odd block of about half the order, solved one by one.
+
+The uncertainty compression of a transpose-invariant field on a
+transpose-invariant mask splits the same way, into the blocks spanned by
+e_k + e_k' and e_k - e_k', k' = (k2, k1). Each block is solved densely
+or iteratively by its own order against DENSE_RANK_LIMIT.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .fields import ObservationField
+from .fields import ObservationField, lattice_symmetries
 
 DENSE_RANK_LIMIT = 2000
 DENSE_LATTICE_LIMIT = 8192
@@ -243,48 +252,106 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
     return matvec
 
 
+def _smallest_pair(dense, matvec, r):
+    """Smallest eigenpair of a Hermitian r x r operator.
+
+    Dense (dense() builds the matrix) up to DENSE_RANK_LIMIT; above it,
+    shift-invert Lanczos on matvec at a small negative shift, so the inner
+    conjugate-gradient solves stay well conditioned even when the operator
+    is nearly singular. A block of Ritz pairs is requested because the
+    smallest eigenvalues of concentration operators cluster.
+    """
+    if r <= DENSE_RANK_LIMIT:
+        vals, vecs = scipy.linalg.eigh(dense(), subset_by_index=[0, 0])
+        return float(vals[0]), vecs[:, 0]
+    op = scipy.sparse.linalg.LinearOperator((r, r), matvec=matvec, dtype=complex)
+    sigma = -1e-2
+    shifted = scipy.sparse.linalg.LinearOperator(
+        (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
+
+    def solve(b):
+        x, info = scipy.sparse.linalg.cg(shifted, b, rtol=1e-12, atol=0.0, maxiter=5000)
+        if info != 0:
+            raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
+        return x
+
+    opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
+    # a fixed Gaussian start makes reruns bit-identical; a structured
+    # start such as ones would be orthogonal to odd eigenvectors
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            op, k=4, sigma=sigma, which="LM", OPinv=opinv, tol=1e-9, maxiter=1000,
+            v0=v0, rng=np.random.default_rng(0))
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        if vals is None or not len(vals):
+            raise RuntimeError("eigensolver did not converge and returned no Ritz pairs") from exc
+    i = int(np.argmin(vals))
+    return float(vals[i]), vecs[:, i]
+
+
+def _transpose_fold(field: ObservationField, mask: FrequencyMask):
+    """Two-point bases (pts, alpha, pts2, beta) of the blocks that split
+    Pi M_w Pi when the field and the mask are transpose-invariant, else None.
+
+    With k' = (k2, k1), the + block holds (e_k + e_k')/sqrt2 for k1 < k2
+    and e_k on the diagonal k1 = k2 (alpha = beta = 1/2); the - block holds
+    (e_k - e_k')/sqrt2. A transpose-invariant weight maps neither into the
+    other.
+    """
+    if (field.dim != 2 or not np.array_equal(mask.mask, mask.mask.T)
+            or {"kind": "transpose"} not in lattice_symmetries(field)):
+        return None
+    idx = mask.indices()
+    upper, diag = idx[:, 0] < idx[:, 1], idx[:, 0] == idx[:, 1]
+    plus = upper | diag
+    a = np.where(diag[plus], 0.5, math.sqrt(0.5))
+    h = np.full(int(upper.sum()), math.sqrt(0.5))
+    blocks = [(idx[plus], a, idx[plus][:, ::-1], a), (idx[upper], h, idx[upper][:, ::-1], -h)]
+    return [b for b in blocks if b[0].size]
+
+
+def _fold_block_smallest(matvec, table, pos, rank, pts, alpha, pts2, beta):
+    """Smallest eigenpair of one _transpose_fold block, the eigenvector
+    lifted to the rank mask points (pos maps a lattice point to its mask
+    position; alpha and beta are real)."""
+    i, j = pos[tuple(pts.T)], pos[tuple(pts2.T)]
+
+    def lift(x):
+        v = np.zeros(rank, dtype=complex)
+        v[i] = alpha * x
+        v[j] += beta * x
+        return v
+
+    def block_matvec(x):
+        y = matvec(lift(x))
+        return alpha * y[i] + beta * y[j]
+
+    c, x = _smallest_pair(lambda: _pair_form(table, pts, alpha, pts2, beta), block_matvec,
+                          len(pts))
+    return c, lift(x)
+
+
 def _smallest_eig(field, mask, weight):
     """Smallest eigenpair of the compression, with its matrix-free residual.
 
-    Dense below the rank limit; above it, shift-invert Lanczos at a small
-    negative shift, so the inner conjugate-gradient solves stay well
-    conditioned even when the compression is nearly singular. A block of
-    Ritz pairs is requested because the smallest eigenvalues of
-    concentration operators cluster.
+    A transpose-invariant field and mask split the compression into the
+    blocks of _transpose_fold, each solved on its own (dense or iterative
+    by its own order) and lifted back to the mask; the residual is taken
+    on the full mask.
     """
     matvec = _sandwich_matvec(field, mask, weight)
-    r = mask.rank
-    if r <= DENSE_RANK_LIMIT:
-        mat = compression_matrix(field, mask, weight)
-        vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-        c, v = float(vals[0]), vecs[:, 0]
+    blocks = _transpose_fold(field, mask)
+    if blocks is None:
+        c, v = _smallest_pair(lambda: compression_matrix(field, mask, weight), matvec, mask.rank)
     else:
-        op = scipy.sparse.linalg.LinearOperator((r, r), matvec=matvec, dtype=complex)
-        sigma = -1e-2
-        shifted = scipy.sparse.linalg.LinearOperator(
-            (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
-
-        def solve(b):
-            x, info = scipy.sparse.linalg.cg(shifted, b, rtol=1e-12, atol=0.0, maxiter=5000)
-            if info != 0:
-                raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
-            return x
-
-        opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
-        # a fixed Gaussian start makes reruns bit-identical; a structured
-        # start such as ones would be orthogonal to odd eigenvectors
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                op, k=4, sigma=sigma, which="LM", OPinv=opinv, tol=1e-9, maxiter=1000,
-                v0=v0, rng=np.random.default_rng(0))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            vals, vecs = exc.eigenvalues, exc.eigenvectors
-            if vals is None or not len(vals):
-                raise RuntimeError("eigensolver did not converge and returned no Ritz pairs") from exc
-        i = int(np.argmin(vals))
-        c, v = float(vals[i]), vecs[:, i]
+        table = _coefficient_table(_weight_values(field, weight))
+        pos = np.zeros(mask.mask.shape, dtype=np.intp)
+        pos[mask.mask] = np.arange(mask.rank)
+        c, v = min((_fold_block_smallest(matvec, table, pos, mask.rank, *b) for b in blocks),
+                   key=lambda pair: pair[0])
     residual = float(np.linalg.norm(matvec(v) - c * v))
     if residual > 1e-8:
         raise RuntimeError(f"eigensolver did not converge; residual {residual}")
@@ -313,50 +380,79 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
     )
 
 
-def _real_fourier_basis(grid: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice points k (n, dim) and coefficients alpha (n,) of the real
-    Fourier basis: vector r is alpha_r e_k + conj(alpha_r) e_-k, k = pts[r].
+def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
+               beta: np.ndarray, real: bool = False) -> np.ndarray:
+    """Pi M_w Pi in an orthonormal basis of two-point vectors
+    alpha_r e_k + beta_r e_k', k = pts[r], k' = pts2[r]; table is
+    _coefficient_table(w).
 
-    alpha is 1/2 at a self-conjugate k (the vector is e_k itself), 1/sqrt2
-    for the cosine and i/sqrt2 for the sine vector of a pair {k, -k}. The
-    cosine and self-conjugate vectors come first, then the sines, each in
-    flat lattice order.
+    Entry (r, s) is 2 conj(alpha_r) [alpha_s w^(k_r - k_s) + beta_s
+    w^(k_r - k'_s)]. These two terms stand for all four of the exact entry
+    in the two bases built on it:
+      real Fourier bases (k' = -k, beta = conj(alpha), w real): the other
+        two terms are their conjugates, and the entry is the real part
+        (real=True returns it as float64);
+      the transpose fold (k' the transpose of k, beta = +-alpha real, w
+        transpose-invariant): the other two terms equal these.
+    Rows are filled in blocks, so no rank x rank index temporary is
+    allocated.
+    """
+    table, radix, shift = table
+    powers = radix ** np.arange(pts.shape[1] - 1, -1, -1)
+    key, key2 = pts @ powers - shift, pts2 @ powers - shift
+    n = key.size
+    out = np.empty((n, n), dtype=np.float64 if real else complex)
+    step = max(1, (1 << 16) // n)
+    for r0 in range(0, n, step):
+        blk = slice(r0, r0 + step)
+        a = np.conj(alpha[blk])[:, None]
+        row = key[blk, None] + shift
+        rows = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
+        out[blk] = rows.real if real else rows
+    return out
+
+
+def _real_fourier_basis(grid: int, dim: int, s=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (pts, alpha) of a real Fourier basis of the full lattice:
+    vector r of a block is alpha_r e_k + conj(alpha_r) e_-k, k = pts[r].
+
+    With no reflection (s None) there is one block. alpha is 1/2 at a
+    self-conjugate k (the vector is e_k itself), 1/sqrt2 for the cosine
+    and i/sqrt2 for the sine vector of a pair {k, -k}. The cosine and
+    self-conjugate vectors come first, then the sines, each in flat
+    lattice order.
+
+    With the point reflection x -> s - x (one shift per axis), each pair
+    is twisted by phi_k = exp(-i pi k.s / grid): its even vector has
+    alpha = phi_k/sqrt2 and its odd vector i phi_k/sqrt2. The reflection
+    fixes the first and negates the second, so the even block (even
+    vectors and the self-conjugate k with exp(2 pi i k.s / grid) = 1) and
+    the odd block (odd vectors and the other self-conjugate k) are
+    returned apart, each in flat lattice order.
     """
     shape = (grid,) * dim
     pts = np.indices(shape).reshape(dim, -1).T
     flat = np.arange(pts.shape[0])
     neg = np.ravel_multi_index(tuple(np.mod(-pts, grid).T), shape)
-    cos, sin = flat <= neg, flat < neg
-    alpha = np.concatenate([np.where(flat[cos] == neg[cos], 0.5, math.sqrt(0.5)),
-                            np.full(int(sin.sum()), 1j * math.sqrt(0.5))])
-    return np.concatenate([pts[cos], pts[sin]]), alpha
+    pair, fixed = flat < neg, flat == neg
+    if s is None:
+        cos = pair | fixed
+        alpha = np.concatenate([np.where(fixed[cos], 0.5, math.sqrt(0.5)),
+                                np.full(int(pair.sum()), 1j * math.sqrt(0.5))])
+        return [(np.concatenate([pts[cos], pts[pair]]), alpha)]
+    ks = pts @ np.asarray(s) % (2 * grid)  # k.s mod 2 grid fixes phi_k
+    twist = np.exp(-1j * math.pi * ks / grid) * math.sqrt(0.5)
+    odd_fixed = fixed & (2 * ks // grid % 2 == 1)
+    blocks = [(pts[sel], np.where(fixed[sel], 0.5, unit * twist[sel]))
+              for sel, unit in ((pair | (fixed & ~odd_fixed), 1.0), (pair | odd_fixed, 1j))]
+    return [b for b in blocks if b[0].size]
 
 
-def _real_compression(field: ObservationField) -> tuple[np.ndarray, np.ndarray]:
-    """Full-lattice Pi M_a Pi in the real Fourier basis, and the basis points.
-
-    Entry (r, s) is 2 Re[conj(alpha_r) alpha_s a^(k_r - k_s)
-    + conj(alpha_r alpha_s) a^(k_r + k_s)] with a^ the Fourier coefficients
-    of the field, the same exact lattice compression as compression_matrix.
-    Rows are filled in blocks so the index temporaries stay small.
-    """
-    table, radix, shift = _coefficient_table(field.values)
-    pts, alpha = _real_fourier_basis(field.grid, field.dim)
-    key = pts @ radix ** np.arange(field.dim - 1, -1, -1)
-    n = pts.shape[0]
-    out = np.empty((n, n))
-    step = max(1, (1 << 20) // n)
-    for r0 in range(0, n, step):
-        blk = slice(r0, r0 + step)
-        a = np.conj(alpha[blk])[:, None]
-        diff = table[key[blk, None] - key[None, :] + shift]
-        summ = table[key[blk, None] + key[None, :]]
-        out[blk] = 2.0 * (a * alpha * diff + a * np.conj(alpha) * summ).real
-    return out, pts
-
-
-def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """I - m M_a in the real Fourier basis, and |xi| at the basis points."""
+def _resolvent_form(field: ObservationField, m: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (Q, |xi|) of I - m M_a, one per block of the real Fourier
+    basis, with |xi| at the block's basis points. The basis is twisted by
+    the point reflection x -> s - x when fields.lattice_symmetries finds a
+    flip i -> (s_k - i) mod grid on every axis k."""
     if m <= 0:
         raise ValueError("m must be positive")
     n = field.grid ** field.dim
@@ -364,21 +460,32 @@ def _resolvent_form(field: ObservationField, m: float) -> tuple[np.ndarray, np.n
         raise ValueError(
             f"the dense resolvent on n = {n} lattice points needs about {3 * 8 * n * n / 1e9:.1f} GB"
             f" for three n x n float64 matrices; the limit is {DENSE_LATTICE_LIMIT} points")
-    Q, pts = _real_compression(field)
-    Q *= -m
-    Q[np.diag_indices(n)] += 1.0
-    return Q, _abs_xi(field.grid, field.dim, field.period)[tuple(pts.T)]
+    flips = {g["axis"]: g["s"] for g in lattice_symmetries(field) if g["kind"] == "flip"}
+    s = [flips[k] for k in range(field.dim)] if len(flips) == field.dim else None
+    table = _coefficient_table(field.values)
+    absxi = _abs_xi(field.grid, field.dim, field.period)
+    blocks = []
+    for pts, alpha in _real_fourier_basis(field.grid, field.dim, s):
+        Q = _pair_form(table, pts, alpha, np.mod(-pts, field.grid), np.conj(alpha), real=True)
+        Q *= -m
+        Q[np.diag_indices(len(pts))] += 1.0
+        blocks.append((Q, absxi[tuple(pts.T)]))
+    return blocks
 
 
-def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gamma: float,
-                  lam: float, m: float) -> SpectralReport:
-    """M at one lam from the form Q = I - m M_a of _resolvent_form."""
+def _resolvent_at(field: ObservationField, blocks, gamma: float, lam: float,
+                  m: float) -> SpectralReport:
+    """M at one lam from the blocks of I - m M_a built by _resolvent_form."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n = Q.shape[0]
-    dvec = absxi ** gamma - lam
-    ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
-    extra = {"kernel_dim": int(ker.sum()), "lam": lam, "gamma": gamma, "m": m}
+    parts = []
+    for Q, absxi in blocks:
+        dvec = absxi ** gamma - lam
+        ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
+        parts.append((Q, dvec, np.flatnonzero(ker), np.flatnonzero(~ker)))
+    n = sum(Q.shape[0] for Q, _ in blocks)
+    extra = {"kernel_dim": sum(k_idx.size for _, _, k_idx, _ in parts), "lam": lam,
+             "gamma": gamma, "m": m}
     # the full lattice, as FrequencyMask.describe() writes a ball of radius inf
     full = {"grid": field.grid, "dim": field.dim, "period": field.period, "kind": "ball",
             "params": {"radius": float("inf")}, "rank": n}
@@ -389,26 +496,42 @@ def _resolvent_at(field: ObservationField, Q: np.ndarray, absxi: np.ndarray, gam
             mask=full, field=field.describe(), extra=extra,
         )
 
-    k_idx, p_idx = np.flatnonzero(ker), np.flatnonzero(~ker)
-    W = Q[np.ix_(p_idx, p_idx)]
-    if k_idx.size:
-        Q01 = Q[np.ix_(k_idx, p_idx)]
-        e, V = scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)])
-        if e[-1] > 1e-12:
-            return report(float("inf"), float(e[-1]))
-        null = np.abs(e) <= 1e-12
-        if null.any() and np.any(np.linalg.norm(V[:, null].T @ Q01, axis=1) > 1e-10):
-            return report(float("inf"), 0.0)
-        neg = e < -1e-12
-        X = V[:, neg].T @ Q01
-        W -= (X.T / e[neg]) @ X
-    scale = 1.0 / np.abs(dvec[p_idx])
-    W *= scale[:, None]
-    W *= scale[None, :]
-    top = W.shape[0] - 1
-    vals, vecs = scipy.linalg.eigh(W, subset_by_index=[top, top], driver="evx")
-    M, v = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(W @ v - M * v))
+    # every block's kernel is tested before any block is solved, so the
+    # verdict does not depend on the block order
+    kernels = [scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)]) if k_idx.size else None
+               for Q, _, k_idx, _ in parts]
+    tops = [eig[0][-1] for eig in kernels if eig is not None]
+    if tops and max(tops) > 1e-12:
+        return report(float("inf"), float(max(tops)))
+    for (Q, _, k_idx, p_idx), eig in zip(parts, kernels):
+        if eig is not None:
+            e, V = eig
+            null = np.abs(e) <= 1e-12
+            if null.any() and np.any(
+                    np.linalg.norm(V[:, null].T @ Q[np.ix_(k_idx, p_idx)], axis=1) > 1e-10):
+                return report(float("inf"), 0.0)
+    M, residual = -math.inf, 0.0
+    for (Q, dvec, k_idx, p_idx), eig in zip(parts, kernels):
+        if not p_idx.size:
+            continue
+        W = Q[np.ix_(p_idx, p_idx)]
+        if eig is not None:
+            e, V = eig
+            neg = e < -1e-12
+            X = V[:, neg].T @ Q[np.ix_(k_idx, p_idx)]
+            W -= (X.T / e[neg]) @ X
+        scale = 1.0 / np.abs(dvec[p_idx])
+        W *= scale[:, None]
+        W *= scale[None, :]
+        top = W.shape[0] - 1
+        vals, vecs = scipy.linalg.eigh(W, subset_by_index=[top, top], driver="evx")
+        block_M, v = float(vals[0]), vecs[:, 0]
+        block_residual = float(np.linalg.norm(W @ v - block_M * v))
+        if block_residual > 1e-8 * max(1.0, abs(block_M)):
+            raise RuntimeError(f"top eigenpair of a resolvent block did not converge; residual "
+                               f"{block_residual} at M = {block_M}")
+        if block_M > M:
+            M, residual = block_M, block_residual
     M = max(M, 0.0)
     return report(M, M, residual)
 
@@ -418,16 +541,20 @@ def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: flo
 
     A = |xi|^gamma on the full frequency lattice. The form I - m M_a is
     assembled in the real Fourier basis of the module docstring, where it
-    is real symmetric and A - lam is diagonal. Kernel modes of A - lam,
-    |A - lam| <= KERNEL_TOL * max(1, |lam|), are deflated: the value is
-    inf if the form is positive, or null with coupling, on the kernel;
-    otherwise the kernel is eliminated by a Schur complement S and M is
-    the top eigenvalue of D^-1 S D^-1, D = |A - lam| off the kernel. The
-    lattice may have at most DENSE_LATTICE_LIMIT points; larger ones
-    raise ValueError.
+    is real symmetric and A - lam is diagonal: one block, or the even and
+    odd blocks of the twisted basis when the field has a flip on every
+    axis. Kernel modes of A - lam, |A - lam| <= KERNEL_TOL * max(1, |lam|),
+    are deflated: the value is inf if the form is positive on the kernel
+    of any block (c is then the largest kernel eigenvalue over all
+    blocks), or null with coupling there; otherwise each block's kernel is
+    eliminated by a Schur complement S, and M is the largest top
+    eigenvalue of D^-1 S D^-1 over the blocks, D = |A - lam| off the
+    kernel. kernel_dim counts the kernel of every block. A top eigenpair
+    whose residual exceeds 1e-8 * max(1, |M|) raises RuntimeError. The
+    lattice may have at most DENSE_LATTICE_LIMIT points in all, whatever
+    the blocks; larger ones raise ValueError.
     """
-    Q, absxi = _resolvent_form(field, m)
-    return _resolvent_at(field, Q, absxi, gamma, lam, m)
+    return _resolvent_at(field, _resolvent_form(field, m), gamma, lam, m)
 
 
 def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
@@ -451,5 +578,5 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
 
 def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) -> list[SpectralReport]:
     """resolvent_constant across a lam list, assembling the form once."""
-    Q, absxi = _resolvent_form(field, m)
-    return [_resolvent_at(field, Q, absxi, gamma, float(lam), m) for lam in lambdas]
+    blocks = _resolvent_form(field, m)
+    return [_resolvent_at(field, blocks, gamma, float(lam), m) for lam in lambdas]
