@@ -298,7 +298,6 @@ OBSERVE_OPTIONS = (
     ("beta", _real, 1.0, "dispersion exponent in [0, 1]"),
     ("cutoff", _real, 16.0, "frequency cutoff K"),
     ("T_list", _floats, [0.1, 0.2, 0.4, 0.8], "observation times"),
-    ("n_nodes", int, None, "time quadrature nodes (default: Nyquist)"),
     ("miller", str, None, "M,m,eps for a predicted-cost comparison"),
     ("envelope_eps", _real, None, "fit log kappa against T^(2-4/eps)"),
 )
@@ -306,7 +305,7 @@ OBSERVE_OPTIONS = (
 
 def cmd_observe(args, field) -> int:
     beta, K, T_list, miller = args.beta, args.cutoff, args.T_list, args.miller
-    reps = evolution.cost_curve(field, beta, T_list, K, n_nodes=args.n_nodes)
+    reps = evolution.cost_curve(field, beta, T_list, K)
     rows = []
     for rep in reps:
         print(f"[observe] T={rep.T:g} lam_min={rep.lam_min:.6g} kappa={rep.kappa:.6g} "

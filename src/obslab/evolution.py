@@ -15,13 +15,13 @@ the observability cost on the truncated data class; since the true cost
 is an infimum over all of L^2, reported costs are lower bounds of the
 continuum cost.
 
-omega = |xi|^(beta+1) is invariant under the transpose k' = (k2, k1), so
-on a transpose-invariant 2d field the Gramian splits into the transpose
-blocks of spectral._transpose_fold, spanned by e_k + e_k' and
-e_k - e_k': every term of a block entry shares the time kernel at
-(omega_k, omega_l), so the block is the two-point form of C_a times that
-kernel, entry by entry. Each block is solved on its own, and the full
-rank x rank Gramian is never formed.
+The Gramian is solved over the blocks of spectral._mask_blocks. omega =
+|xi|^(beta+1) is invariant under the transpose k' = (k2, k1), so on a
+transpose-invariant 2d field every term of a block entry, in the bases
+e_k + e_k' and e_k - e_k', shares the time kernel at (omega_k, omega_l):
+the block is the two-point form of C_a times that kernel, entry by
+entry, and the full rank x rank Gramian is never formed. A field with no
+such symmetry is one identity block, C_a itself times the kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import numpy as np
 import scipy.linalg
 
 from .fields import ObservationField
-from .spectral import (DENSE_LATTICE_LIMIT, _coefficient_table, _pair_form, _transpose_fold,
-                       build_mask, compression_matrix)
+from .spectral import DENSE_LATTICE_LIMIT, _coefficient_table, _mask_blocks, _pair_form, build_mask
+# bound here only so that bench/spans.py can wrap it; no solver calls it
+from .spectral import compression_matrix  # noqa: F401
 
 KAPPA_FLOOR = 1e-14
 
@@ -73,30 +74,23 @@ class GramianReport:
         }
 
 
-def observability_gramian(field: ObservationField, beta: float, T: float, cutoff_K: float,
-                          n_nodes: int | None = None) -> GramianReport:
+def observability_gramian(field: ObservationField, beta: float, T: float,
+                          cutoff_K: float) -> GramianReport:
     """Smallest Gramian eigenvalue on the data class spec u ⊂ {|xi| <= K}.
 
-    Composite trapezoid in time with weights summing to T, so a field
-    identically 1 gives lam_min = T exactly. Node counts below the phase
-    Nyquist guard are rejected with the required count in the message, and
-    so are masks of rank above DENSE_LATTICE_LIMIT, before any rank x rank
-    allocation. A transpose-invariant 2d field is solved per transpose
-    block (module docstring); lam_min is the least block minimum and the
-    residual that block's. An eigenpair whose residual exceeds
-    1e-8 * max(1, T) raises RuntimeError (||G|| <= T max a).
+    Composite trapezoid in time on max(nyquist_nodes, 33) nodes with
+    weights summing to T, so a field identically 1 gives lam_min = T
+    exactly. Masks of rank above DENSE_LATTICE_LIMIT are rejected before
+    any rank x rank allocation. Each block of spectral._mask_blocks is
+    solved on its own (module docstring); lam_min is the least block
+    minimum and the residual that block's. An eigenpair whose residual
+    exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T max a).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
     if T <= 0:
         raise ValueError("T must be positive")
-    required = nyquist_nodes(beta, T, cutoff_K)
-    if n_nodes is None:
-        n_nodes = max(required, 33)
-    elif n_nodes < required:
-        raise ValueError(
-            f"n_nodes = {n_nodes} undersamples the fastest phase: need at least {required}"
-        )
+    n_nodes = max(nyquist_nodes(beta, T, cutoff_K), 33)
     mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
     r = mask.rank
     if r > DENSE_LATTICE_LIMIT:
@@ -109,11 +103,15 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
     w[0] *= 0.5
     w[-1] *= 0.5
 
-    def time_kernel(om):
-        E = np.exp(1j * np.outer(om, nodes))
-        return (E * w) @ E.conj().T
+    table = _coefficient_table(field.values)
+    idx = mask.indices()
 
-    def smallest(G):
+    def block_smallest(i, alpha, j, beta2):
+        """Smallest eigenpair of one block: its two-point form of C_a times
+        the trapezoid time kernel at the block's omega, entry by entry."""
+        G = _pair_form(table, idx[i], alpha, idx[j], beta2)
+        E = np.exp(1j * np.outer(omega[i], nodes))
+        G *= (E * w) @ E.conj().T
         vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
         lam, v = float(vals[0]), vecs[:, 0]
         residual = float(np.linalg.norm(G @ v - lam * v))
@@ -122,22 +120,8 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
                                f" at T = {T}")
         return lam, residual
 
-    blocks = _transpose_fold(field, mask)
-    if blocks is None:
-        lam_min, residual = smallest(compression_matrix(field, mask, weight="sqrt")
-                                     * time_kernel(omega))
-    else:
-        table = _coefficient_table(field.values)
-        pos = np.zeros(mask.mask.shape, dtype=np.intp)
-        pos[mask.mask] = np.arange(r)
-
-        def block_form(pts, alpha, pts2, beta2):
-            G = _pair_form(table, pts, alpha, pts2, beta2)
-            G *= time_kernel(omega[pos[tuple(pts.T)]])
-            return G
-
-        lam_min, residual = min((smallest(block_form(*b)) for b in blocks),
-                                key=lambda pair: pair[0])
+    lam_min, residual = min((block_smallest(*b) for b in _mask_blocks(field, mask)),
+                            key=lambda pair: pair[0])
     lam_min = max(lam_min, 0.0)
     kappa = float("inf") if lam_min <= KAPPA_FLOOR else 1.0 / lam_min
     return GramianReport(
@@ -147,10 +131,9 @@ def observability_gramian(field: ObservationField, beta: float, T: float, cutoff
     )
 
 
-def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float,
-               n_nodes: int | None = None) -> list[GramianReport]:
+def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) -> list[GramianReport]:
     """observability_gramian across a T sweep, one report per T."""
-    return [observability_gramian(field, beta, float(T), cutoff_K, n_nodes=n_nodes) for T in T_list]
+    return [observability_gramian(field, beta, float(T), cutoff_K) for T in T_list]
 
 
 def miller_cost(M_res: float, m_res: float, T: float, eps: float) -> float | None:

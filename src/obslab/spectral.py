@@ -28,10 +28,10 @@ exp(-i pi k.s/N) of the reflection x -> s - x, which then fixes the
 cosine-like vectors and negates the sine-like ones: the form splits into
 an even and an odd block of about half the order, solved one by one.
 
-The uncertainty compression of a transpose-invariant field on a
-transpose-invariant mask splits the same way, into the blocks spanned by
-e_k + e_k' and e_k - e_k', k' = (k2, k1). Each block is solved densely
-or iteratively by its own order against DENSE_RANK_LIMIT.
+The uncertainty compression is solved over the blocks of _mask_blocks,
+each densely or iteratively by its own order against DENSE_RANK_LIMIT:
+two transpose blocks on a transpose-invariant field and mask, else one
+identity block, the compression itself.
 """
 
 from __future__ import annotations
@@ -225,16 +225,12 @@ def compression_matrix(field: ObservationField, mask: FrequencyMask, weight: str
 
     Entry (j, k) is the (xi_j - xi_k) Fourier coefficient of w, read off a
     single FFT of the weight, so the compression is exact on the lattice.
-    Rows are gathered in blocks of at most 8192 entries, so no rank x rank
-    index array is allocated.
+    It is _pair_form on the identity block e_k = e_k/2 + e_k/2, whose
+    entries 2 (w/4 + w/4) are exact in floating point.
     """
-    table, radix, shift = _coefficient_table(_weight_values(field, weight))
-    key = mask.indices() @ radix ** np.arange(mask.dim - 1, -1, -1)
-    out = np.empty((key.size, key.size), dtype=table.dtype)
-    step = max(1, (1 << 13) // key.size)
-    for r0 in range(0, key.size, step):
-        np.take(table, key[r0:r0 + step, None] - (key - shift), out=out[r0:r0 + step])
-    return out
+    idx = mask.indices()
+    half = np.full(mask.rank, 0.5)
+    return _pair_form(_coefficient_table(_weight_values(field, weight)), idx, half, idx, half)
 
 
 def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
@@ -292,66 +288,61 @@ def _smallest_pair(dense, matvec, r):
     return float(vals[i]), vecs[:, i]
 
 
-def _transpose_fold(field: ObservationField, mask: FrequencyMask):
-    """Two-point bases (pts, alpha, pts2, beta) of the blocks that split
-    Pi M_w Pi when the field and the mask are transpose-invariant, else None.
+def _mask_blocks(field: ObservationField, mask: FrequencyMask):
+    """Blocks (i, alpha, j, beta) that split Pi M_w Pi: vector r of a block
+    is alpha_r e_k + beta_r e_k', k and k' the mask points at positions
+    i[r] and j[r] of mask.indices(), alpha and beta real.
 
-    With k' = (k2, k1), the + block holds (e_k + e_k')/sqrt2 for k1 < k2
-    and e_k on the diagonal k1 = k2 (alpha = beta = 1/2); the - block holds
-    (e_k - e_k')/sqrt2. A transpose-invariant weight maps neither into the
-    other.
+    With no transpose symmetry there is one identity block, e_k = e_k/2 +
+    e_k/2. A transpose-invariant 2d field and mask give two: with
+    k' = (k2, k1), the + block holds (e_k + e_k')/sqrt2 for k1 < k2 and
+    e_k on the diagonal (alpha = beta = 1/2), the - block (e_k - e_k')/sqrt2.
+    A transpose-invariant weight maps neither into the other.
     """
+    pos = np.arange(mask.rank)
     if (field.dim != 2 or not np.array_equal(mask.mask, mask.mask.T)
             or {"kind": "transpose"} not in lattice_symmetries(field)):
-        return None
+        half = np.full(mask.rank, 0.5)
+        return [(pos, half, pos, half)]
     idx = mask.indices()
+    at = np.zeros(mask.mask.shape, dtype=np.intp)
+    at[mask.mask] = pos
+    pos_t = at[idx[:, 1], idx[:, 0]]
     upper, diag = idx[:, 0] < idx[:, 1], idx[:, 0] == idx[:, 1]
     plus = upper | diag
     a = np.where(diag[plus], 0.5, math.sqrt(0.5))
     h = np.full(int(upper.sum()), math.sqrt(0.5))
-    blocks = [(idx[plus], a, idx[plus][:, ::-1], a), (idx[upper], h, idx[upper][:, ::-1], -h)]
+    blocks = [(pos[plus], a, pos_t[plus], a), (pos[upper], h, pos_t[upper], -h)]
     return [b for b in blocks if b[0].size]
-
-
-def _fold_block_smallest(matvec, table, pos, rank, pts, alpha, pts2, beta):
-    """Smallest eigenpair of one _transpose_fold block, the eigenvector
-    lifted to the rank mask points (pos maps a lattice point to its mask
-    position; alpha and beta are real)."""
-    i, j = pos[tuple(pts.T)], pos[tuple(pts2.T)]
-
-    def lift(x):
-        v = np.zeros(rank, dtype=complex)
-        v[i] = alpha * x
-        v[j] += beta * x
-        return v
-
-    def block_matvec(x):
-        y = matvec(lift(x))
-        return alpha * y[i] + beta * y[j]
-
-    c, x = _smallest_pair(lambda: _pair_form(table, pts, alpha, pts2, beta), block_matvec,
-                          len(pts))
-    return c, lift(x)
 
 
 def _smallest_eig(field, mask, weight):
     """Smallest eigenpair of the compression, with its matrix-free residual.
 
-    A transpose-invariant field and mask split the compression into the
-    blocks of _transpose_fold, each solved on its own (dense or iterative
-    by its own order) and lifted back to the mask; the residual is taken
-    on the full mask.
+    Each block of _mask_blocks is solved on its own (dense or iterative by
+    its own order) and its eigenvector lifted back to the mask; the least
+    block minimum wins, and the residual is taken on the full mask.
     """
     matvec = _sandwich_matvec(field, mask, weight)
-    blocks = _transpose_fold(field, mask)
-    if blocks is None:
-        c, v = _smallest_pair(lambda: compression_matrix(field, mask, weight), matvec, mask.rank)
-    else:
-        table = _coefficient_table(_weight_values(field, weight))
-        pos = np.zeros(mask.mask.shape, dtype=np.intp)
-        pos[mask.mask] = np.arange(mask.rank)
-        c, v = min((_fold_block_smallest(matvec, table, pos, mask.rank, *b) for b in blocks),
-                   key=lambda pair: pair[0])
+    table = _coefficient_table(_weight_values(field, weight))
+    idx = mask.indices()
+
+    def block_smallest(i, alpha, j, beta):
+        def lift(x):
+            v = np.zeros(mask.rank, dtype=complex)
+            v[i] = alpha * x
+            v[j] += beta * x
+            return v
+
+        def block_matvec(x):
+            y = matvec(lift(x))
+            return alpha * y[i] + beta * y[j]
+
+        c, x = _smallest_pair(lambda: _pair_form(table, idx[i], alpha, idx[j], beta),
+                              block_matvec, len(i))
+        return c, lift(x)
+
+    c, v = min((block_smallest(*b) for b in _mask_blocks(field, mask)), key=lambda pair: pair[0])
     residual = float(np.linalg.norm(matvec(v) - c * v))
     if residual > 1e-8:
         raise RuntimeError(f"eigensolver did not converge; residual {residual}")
@@ -388,12 +379,13 @@ def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
 
     Entry (r, s) is 2 conj(alpha_r) [alpha_s w^(k_r - k_s) + beta_s
     w^(k_r - k'_s)]. These two terms stand for all four of the exact entry
-    in the two bases built on it:
+    in the bases built on it:
       real Fourier bases (k' = -k, beta = conj(alpha), w real): the other
         two terms are their conjugates, and the entry is the real part
         (real=True returns it as float64);
-      the transpose fold (k' the transpose of k, beta = +-alpha real, w
-        transpose-invariant): the other two terms equal these.
+      the blocks of _mask_blocks (k' = k or the transpose of k, beta =
+        +-alpha real, w transpose-invariant when k' != k): the other two
+        terms equal these.
     Rows are filled in blocks, so no rank x rank index temporary is
     allocated.
     """

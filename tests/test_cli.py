@@ -348,17 +348,18 @@ def test_observe_envelope_fits_the_reported_sweep(tmp_path):
                 "--field-family", "periodic-square", "--field-dim", "1",
                 "--field-grid", "256", "--field-period", str(2 * math.pi),
                 "--field-delta", "0.3", "--field-mollify", "0.05",
-                "--beta", "0.5", "--cutoff", "24", "--n-nodes", "400",
+                "--beta", "0.5", "--cutoff", "24",
                 "--T-list", " ".join(map(repr, T)), "--envelope-eps", repr(2.0 / 3.0)])
     assert code == 0
     report = json.loads((tmp_path / "observe_report.json").read_text())["report"]
-    assert [r["n_nodes"] for r in report["reports"]] == [400] * 6
+    assert [r["n_nodes"] for r in report["reports"]] == \
+        [max(evolution.nyquist_nodes(0.5, t, 24.0), 33) for t in T]
     assert report["envelope"]["kappa"] == [r["kappa"] for r in report["reports"]]
 
 
 def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(evolution, "compression_matrix", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(evolution, "_pair_form", lambda *a, **k: calls.append(a))
     code = run(["observe", "--out", str(tmp_path),
                 "--field-family", "constant", "--field-dim", "2",
                 "--field-grid", "128", "--field-period", str(2 * math.pi),
@@ -417,7 +418,7 @@ BAD_VALUE_RUNS = {
                   {"--gamma": float, "--lambdas": float, "--m": float, "--lam0": float}),
     "observe": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
                  "--cutoff", "4", "--T-list", "0.5 1.0"],
-                {"--beta": float, "--cutoff": float, "--T-list": float, "--n-nodes": int,
+                {"--beta": float, "--cutoff": float, "--T-list": float,
                  "--envelope-eps": float}),
 }
 # resolvent spectral parameters below the spectrum are valid input

@@ -78,6 +78,35 @@ def test_compression_matrix_matches_direct_sum():
     assert scipy.linalg.eigvalsh(C).min() > -1e-12
 
 
+def _gathered_compression(field, mask, weight):
+    """The compression read off the coefficient table by one gather, with no
+    arithmetic: entry (j, k) is table[key_j - key_k + shift]."""
+    table, radix, shift = spectral._coefficient_table(spectral._weight_values(field, weight))
+    key = mask.indices() @ radix ** np.arange(mask.dim - 1, -1, -1)
+    return table[key[:, None] - (key - shift)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(5, 20), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from(["sqrt", "full"]),
+       st.sampled_from(["ball", "rectangle", "sector"]), st.floats(0.0, 1.0))
+def test_compression_matrix_is_the_gathered_table(dim, grid, seed, binary, weight, kind, t):
+    """compression_matrix, built as the identity block of _pair_form, equals
+    the plain gather bit for bit: 2 (w/4 + w/4) is exact."""
+    vals = np.random.default_rng(seed).uniform(0.0, 1.0, size=(grid,) * dim)
+    f = fields.make_field("custom-grid", dim=dim, period=2.0 * math.pi, grid=grid,
+                          values=np.round(vals) if binary else vals)
+    rad = spectral.aliasing_radius(grid, f.period)
+    if kind == "sector" and dim == 2:
+        mask = spectral.build_mask(grid, dim, f.period, kind, angle=6.0 * t, eps0=0.5)
+    elif kind == "rectangle":
+        mask = spectral.build_mask(grid, dim, f.period, kind, zeta=-rad + t * rad, sigma=rad / 2)
+    else:
+        mask = spectral.build_mask(grid, dim, f.period, "ball", radius=t * (rad - 0.5))
+    assert np.array_equal(spectral.compression_matrix(f, mask, weight),
+                          _gathered_compression(f, mask, weight))
+
+
 def test_uncertainty_constant_constant_field():
     rep = spectral.uncertainty_constant(_const(), spectral.build_mask(
         64, 1, 2.0 * math.pi, "ball", radius=8.0))
@@ -438,8 +467,13 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
     masks = [spectral.build_mask(grid, 2, f.period, "ball", radius=radius),
              spectral.build_mask(grid, 2, f.period, "annulus", lam=lam, delta=delta, beta=0.0),
              spectral.build_mask(grid, 2, f.period, "sector", angle=0.3, eps0=0.4)]
-    for mask, folded in zip(masks, (True, True, False)):
-        assert (spectral._transpose_fold(f, mask) is not None) == folded
+    for mask, n_blocks in zip(masks, (2, 2, 1)):
+        blocks = spectral._mask_blocks(f, mask)
+        assert len(blocks) == n_blocks
+        if n_blocks == 1:  # the sector is not transpose-invariant: one identity block
+            (i, alpha, j, beta), = blocks
+            assert np.array_equal(i, np.arange(mask.rank)) and np.array_equal(i, j)
+            assert np.all(alpha == 0.5) and np.all(beta == 0.5)
         want = scipy.linalg.eigvalsh(spectral.compression_matrix(f, mask, weight))[0]
         rep = spectral.uncertainty_constant(f, mask, weight)
         assert rep.c == pytest.approx(want, rel=1e-12)
@@ -449,7 +483,7 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
 def test_folded_iterative_uncertainty_matches_dense(monkeypatch):
     f = _ps_2d()
     mask = spectral.build_mask(f.grid, 2, f.period, "ball", radius=8.0)
-    blocks = spectral._transpose_fold(f, mask)
+    blocks = spectral._mask_blocks(f, mask)
     n_diag = int(np.count_nonzero(np.diag(mask.mask)))
     assert [len(b[0]) for b in blocks] == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2]
     dense = spectral.uncertainty_constant(f, mask)
