@@ -22,6 +22,20 @@ e_k + e_k' and e_k - e_k', shares the time kernel at (omega_k, omega_l):
 the block is the two-point form of C_a times that kernel, entry by
 entry, and the full rank x rank Gramian is never formed. A field with no
 such symmetry is one identity block, C_a itself times the kernel.
+
+Only the smallest eigenpair of each block is used, so a block of order
+above DENSE_EIGH_LIMIT is not tridiagonalized. Since 0 <= a <= max(a)
+and the weights sum to T, 0 <= G <= T max(a); at the shift sigma =
+-SHIFT_EPS T max(a) the block G - sigma I is positive definite. It is
+Cholesky-factored once, and shift-invert Lanczos
+(spectral._shift_invert_lanczos: one pair, tolerance LANCZOS_TOL, a
+fixed Gaussian start vector) finds the largest eigenvalue mu of its
+inverse, so lam = sigma + 1/mu. The factorization costs about a quarter of the flops of a
+Hermitian tridiagonalization and each Lanczos step is two triangular
+solves. Blocks up to DENSE_EIGH_LIMIT, where eigh is as fast (and ARPACK
+needs order >= 3), and the zero field (sigma = 0) go to eigh. The two
+solvers agree to the last bits: a relative 1e-13 on lam_min for the
+benchmark's cost blocks.
 """
 
 from __future__ import annotations
@@ -33,11 +47,19 @@ import numpy as np
 import scipy.linalg
 
 from .fields import ObservationField
-from .spectral import DENSE_LATTICE_LIMIT, _coefficient_table, _mask_blocks, _pair_form, build_mask
+from .spectral import (DENSE_LATTICE_LIMIT, _coefficient_table, _mask_blocks, _pair_form,
+                       _shift_invert_lanczos, build_mask)
 # bound here only so that bench/spans.py can wrap it; no solver calls it
 from .spectral import compression_matrix  # noqa: F401
 
 KAPPA_FLOOR = 1e-14
+# block orders up to this go to eigh, which is as fast there (measured
+# crossover 130-230 on smooth fields, 2 cores, OpenBLAS)
+DENSE_EIGH_LIMIT = 160
+SHIFT_EPS = 1e-6
+# a relative Ritz tolerance of 0 (machine precision) stalls for 1000
+# restarts on clustered bottoms, such as a field zero on a strip
+LANCZOS_TOL = 1e-10
 
 
 def nyquist_nodes(beta: float, T: float, K: float) -> int:
@@ -82,9 +104,13 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
     weights summing to T, so a field identically 1 gives lam_min = T
     exactly. Masks of rank above DENSE_LATTICE_LIMIT are rejected before
     any rank x rank allocation. Each block of spectral._mask_blocks is
-    solved on its own (module docstring); lam_min is the least block
-    minimum and the residual that block's. An eigenpair whose residual
-    exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T max a).
+    solved on its own, by eigh up to order DENSE_EIGH_LIMIT and above it
+    by Lanczos on the Cholesky-factored inverse of G - sigma I, sigma =
+    -SHIFT_EPS T max(a) (module docstring); a block and its factor are
+    the two block-sized matrices held at once. lam_min is the least block
+    minimum and the residual that block's, ||G v - lam v|| on the
+    unshifted G. An eigenpair whose residual exceeds 1e-8 * max(1, T)
+    raises RuntimeError (||G|| <= T max a).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
@@ -95,8 +121,9 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
     r = mask.rank
     if r > DENSE_LATTICE_LIMIT:
         raise ValueError(
-            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about {4 * 16 * r * r / 1e9:.1f} GB"
-            f" for four rank x rank complex128 matrices; the limit is rank {DENSE_LATTICE_LIMIT}")
+            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs {2 * 16 * r * r / 1e9:.1f} GB"
+            f" for a block and its Cholesky factor, two rank x rank complex128 matrices;"
+            f" the limit is rank {DENSE_LATTICE_LIMIT}")
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
     nodes = np.linspace(0.0, T, n_nodes)
     w = np.full(n_nodes, T / (n_nodes - 1))
@@ -105,6 +132,7 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
 
     table = _coefficient_table(field.values)
     idx = mask.indices()
+    sigma = -SHIFT_EPS * T * float(np.max(field.values))
 
     def block_smallest(i, alpha, j, beta2):
         """Smallest eigenpair of one block: its two-point form of C_a times
@@ -112,7 +140,16 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
         G = _pair_form(table, idx[i], alpha, idx[j], beta2)
         E = np.exp(1j * np.outer(omega[i], nodes))
         G *= (E * w) @ E.conj().T
-        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
+        n = len(i)
+        if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
+            vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
+        else:
+            F = G.copy(order="F")
+            F[np.diag_indices(n)] -= sigma
+            factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
+            vals, vecs = _shift_invert_lanczos(
+                G, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
+                k=1, tol=LANCZOS_TOL)
         lam, v = float(vals[0]), vecs[:, 0]
         residual = float(np.linalg.norm(G @ v - lam * v))
         if residual > 1e-8 * max(1.0, T):

@@ -32,6 +32,16 @@ The uncertainty compression is solved over the blocks of _mask_blocks,
 each densely or iteratively by its own order against DENSE_RANK_LIMIT:
 two transpose blocks on a transpose-invariant field and mask, else one
 identity block, the compression itself.
+
+The dense uncertainty and resolvent solves stay on eigh, unlike the
+Gramian blocks of evolution, which go to Cholesky shift-invert Lanczos
+(_shift_invert_lanczos, also the iterative path here). On the 2d ball
+blocks of order 1079 and 1042 the bottom eigenvalues cluster (0.122968
+against 0.123048), so Lanczos's time hangs on its tolerance: at machine
+precision it took 0.26-0.44 s per block against 0.31-0.47 s for eigh.
+The resolvent needs the top eigenpair of a scaled form; plain Lanczos
+took 0.14-0.23 s there against 0.15-0.18 s for eigh's evx driver (order
+1023, 1d lattice of 2048 points). Both measured on 2 cores, OpenBLAS.
 """
 
 from __future__ import annotations
@@ -271,21 +281,31 @@ def _smallest_pair(dense, matvec, r):
             raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
         return x
 
+    vals, vecs = _shift_invert_lanczos(op, sigma, solve, k=4, tol=1e-9)
+    i = int(np.argmin(vals))
+    return float(vals[i]), vecs[:, i]
+
+
+def _shift_invert_lanczos(op, sigma, solve, k, tol):
+    """The k eigenpairs of a Hermitian operator nearest sigma, by Lanczos
+    on (op - sigma)^-1, which solve applies; op gives only the order and
+    dtype. Needs k < order - 1. If Lanczos stops unconverged, the Ritz
+    pairs it has are returned and the caller's residual check judges them.
+    """
+    r = op.shape[0]
     opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
     # a fixed Gaussian start makes reruns bit-identical; a structured
     # start such as ones would be orthogonal to odd eigenvectors
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=4, sigma=sigma, which="LM", OPinv=opinv, tol=1e-9, maxiter=1000,
+        return scipy.sparse.linalg.eigsh(
+            op, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=tol, maxiter=1000,
             v0=v0, rng=np.random.default_rng(0))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-        if vals is None or not len(vals):
+        if exc.eigenvalues is None or not len(exc.eigenvalues):
             raise RuntimeError("eigensolver did not converge and returned no Ritz pairs") from exc
-    i = int(np.argmin(vals))
-    return float(vals[i]), vecs[:, i]
+        return exc.eigenvalues.real, exc.eigenvectors
 
 
 def _mask_blocks(field: ObservationField, mask: FrequencyMask):

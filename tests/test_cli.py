@@ -366,7 +366,8 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
                 "--cutoff", "60", "--T-list", "0.5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "rank 11289" in err and "GB" in err
+    # a block and its Cholesky factor: 2 * 16 * 11289^2 B
+    assert "rank 11289" in err and "4.1 GB" in err
     assert calls == []
 
 

@@ -1,9 +1,11 @@
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from obslab import cli, evolution, fields, spectral
@@ -137,13 +139,38 @@ def _random_2d(grid, seed, mollify=0.0, symmetric=True):
     return fields.mollify(f, mollify) if mollify else f
 
 
+@contextlib.contextmanager
+def _block_solver_hook(after):
+    """Route the results of both block solvers, scipy.linalg.eigh (orders up
+    to DENSE_EIGH_LIMIT and the zero field) and scipy.sparse.linalg.eigsh
+    (the Cholesky shift-invert Lanczos path), through
+    after(matrix, vals, vecs), which returns the (vals, vecs) passed on."""
+    def hook(solver):
+        def hooked(a, *args, **kwargs):
+            vals, vecs = solver(a, *args, **kwargs)
+            return after(a, vals, vecs)
+        return hooked
+
+    with mock.patch.object(scipy.linalg, "eigh", hook(scipy.linalg.eigh)), \
+            mock.patch.object(scipy.sparse.linalg, "eigsh", hook(scipy.sparse.linalg.eigsh)):
+        yield
+
+
+# DENSE_EIGH_LIMIT = 2 sends every block of order >= 3 to Lanczos, so the
+# small fields below exercise both block solvers
+LIMITS = [2, evolution.DENSE_EIGH_LIMIT]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(12, 32), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
-       st.sampled_from([0.0, 0.5, 1.0]), st.floats(2.0, 5.0), st.floats(0.05, 2.0))
-def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, beta, K, T):
+       st.sampled_from([0.0, 0.5, 1.0]), st.floats(2.0, 5.0), st.floats(0.05, 2.0),
+       st.sampled_from(LIMITS))
+def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, beta, K, T,
+                                              limit):
     """Two transpose blocks on a transpose-invariant field, one identity
-    block on a field without the transpose; either way lam_min matches the
-    dense Gramian and the lifted eigenvector solves it."""
+    block on a field without the transpose; either way, and with either
+    block solver, lam_min matches the dense Gramian and the lifted
+    eigenvector solves it."""
     f = _random_2d(grid, seed, mollify=2.0 * math.pi / grid if mollified else 0.0,
                    symmetric=symmetric)
     mask = spectral.build_mask(grid, 2, f.period, "ball", radius=K)
@@ -151,14 +178,12 @@ def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, 
     assert len(blocks) == (2 if symmetric else 1)
     want, _, _, G = _dense_gramian(f, beta, T, K)
     solved = []
-    eigh = scipy.linalg.eigh
 
-    def capture(a, *args, **kwargs):
-        vals, vecs = eigh(a, *args, **kwargs)
+    def capture(a, vals, vecs):
         solved.append((float(vals[0]), vecs[:, 0]))
         return vals, vecs
 
-    with mock.patch.object(scipy.linalg, "eigh", capture):
+    with _block_solver_hook(capture), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
         rep = evolution.observability_gramian(f, beta, T, K)
     assert rep.rank == mask.rank
     assert rep.lam_min == pytest.approx(want, rel=1e-12)
@@ -173,58 +198,120 @@ def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, 
     lam, v = min(lifted, key=lambda pair: pair[0])
     assert rep.lam_min == max(lam, 0.0)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    assert float(np.linalg.norm(G @ v - lam * v)) <= 1e-10
+    # Lanczos stops at a residual up to LANCZOS_TOL ||G - sigma I||, and
+    # ||G|| <= T; a wrong lift would leave a residual of order lam
+    assert float(np.linalg.norm(G @ v - lam * v)) <= 2 * evolution.LANCZOS_TOL * max(1.0, T)
 
 
-def test_gramian_solves_two_transpose_blocks(monkeypatch):
+def test_gramian_solves_two_transpose_blocks():
     """Two eigensolves per T on a transpose-invariant 2d field, of the two
-    block orders; one, bit-identical to the dense Gramian, on a 2d field
-    without the transpose and on a 1d field. Calls are counted through the
-    module attribute scipy.linalg.eigh."""
+    block orders; one on a 2d field without the transpose and on a 1d
+    field, bit-identical to the dense Gramian through eigh and within
+    rel 1e-12 through Lanczos. Calls are counted through the module
+    attributes scipy.linalg.eigh and scipy.sparse.linalg.eigsh."""
     T_list, K = [0.3, 0.9], 5.0
     sym = _random_2d(24, 5, mollify=0.3)
     mask = spectral.build_mask(24, 2, sym.period, "ball", radius=K)
     n_diag = int(np.count_nonzero(np.diag(mask.mask)))
-    orders = []
-    eigh = scipy.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        orders.append(np.shape(a)[0])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
-    evolution.cost_curve(sym, 1.0, T_list, K)
-    assert orders == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2] * len(T_list)
     u = np.random.default_rng(8).uniform(0.2, 1.0, size=(24, 24))
     plain_2d = fields.make_field("custom-grid", dim=2, period=2.0 * math.pi, grid=24, values=u)
     assert fields.lattice_symmetries(plain_2d) == []
     plain_1d = fields.mollify(fields.make_field("periodic-square", dim=1, period=2.0 * math.pi,
                                                 grid=128, delta=0.3), 0.05)
-    for f, beta in ((plain_2d, 1.0), (plain_1d, 0.5)):
-        want = [_dense_gramian(f, beta, T, K)[:3] for T in T_list]
-        del orders[:]
-        reps = evolution.cost_curve(f, beta, T_list, K)
-        assert orders == [reps[0].rank] * len(T_list)
-        assert [(r.lam_min, r.kappa, r.residual) for r in reps] == want
+    want = {beta: [_dense_gramian(f, beta, T, K)[:3] for T in T_list]
+            for f, beta in ((plain_2d, 1.0), (plain_1d, 0.5))}
+    orders = []
+
+    def count(a, vals, vecs):
+        orders.append(np.shape(a)[0])
+        return vals, vecs
+
+    for limit in LIMITS:
+        with _block_solver_hook(count), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
+            del orders[:]
+            evolution.cost_curve(sym, 1.0, T_list, K)
+            assert orders == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2] * len(T_list)
+            for f, beta in ((plain_2d, 1.0), (plain_1d, 0.5)):
+                del orders[:]
+                reps = evolution.cost_curve(f, beta, T_list, K)
+                assert orders == [reps[0].rank] * len(T_list)
+                got = [(r.lam_min, r.kappa, r.residual) for r in reps]
+                if limit >= reps[0].rank:
+                    # the same eigh call on the same matrix
+                    assert got == want[beta]
+                    continue
+                for (lam, kappa, residual), (lam0, kappa0, _) in zip(got, want[beta]):
+                    assert lam == pytest.approx(lam0, rel=1e-12)
+                    assert kappa == pytest.approx(kappa0, rel=1e-12)
+                    assert residual <= 1e-10
 
 
-def test_gramian_residual_is_checked(monkeypatch, tmp_path, capsys):
-    eigh = scipy.linalg.eigh
-
-    def perturbed(a, *args, **kwargs):
-        vals, vecs = eigh(a, *args, **kwargs)
+def test_gramian_residual_is_checked(tmp_path, capsys):
+    def perturbed(a, vals, vecs):
         vecs = vecs + 1e-3
         return vals, vecs / np.linalg.norm(vecs, axis=0)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     plain_1d = fields.mollify(fields.make_field("periodic-square", dim=1, period=2.0 * math.pi,
                                                 grid=64, delta=0.3), 0.1)
-    for f in (plain_1d, _random_2d(16, 2)):
-        with pytest.raises(RuntimeError, match="residual"):
-            evolution.observability_gramian(f, 0.5, 0.7, 4.0)
-    code = cli.main(["observe", "--out", str(tmp_path), "--field-family", "periodic-square",
-                     "--field-dim", "2", "--field-grid", "32", "--field-period",
-                     "6.283185307179586", "--field-delta", "0.3", "--beta", "1",
-                     "--cutoff", "4", "--T-list", "0.5"])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    for limit in LIMITS:
+        with _block_solver_hook(perturbed), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
+            for f in (plain_1d, _random_2d(16, 2)):
+                with pytest.raises(RuntimeError, match="residual"):
+                    evolution.observability_gramian(f, 0.5, 0.7, 4.0)
+            code = cli.main(["observe", "--out", str(tmp_path), "--field-family",
+                             "periodic-square", "--field-dim", "2", "--field-grid", "32",
+                             "--field-period", "6.283185307179586", "--field-delta", "0.3",
+                             "--beta", "1", "--cutoff", "4", "--T-list", "0.5"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def _lanczos_case(kind, grid, seed):
+    """A 2d field for the Lanczos path: zero on a strip (not transpose
+    invariant, one block) or on a cross of two strips (two blocks), a
+    random field with or without the transpose, the constant 1 or 0."""
+    x = np.arange(grid) / grid
+    band = (x >= 0.3) & (x < 0.55)
+    if kind == "strip":
+        u = np.where(band[:, None], 0.0, 1.0) * np.ones(grid)
+    elif kind == "cross":
+        u = np.where(band[:, None] | band[None, :], 0.0, 1.0)
+    elif kind in ("constant", "zero"):
+        u = np.full((grid, grid), 1.0 if kind == "constant" else 0.0)
+    else:
+        return _random_2d(grid, seed, symmetric=kind == "random-symmetric")
+    return fields.make_field("custom-grid", dim=2, period=2.0 * math.pi, grid=grid, values=u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["strip", "cross", "random", "random-symmetric", "constant", "zero"]),
+       st.integers(24, 32), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 1.0]),
+       st.floats(11.0, 11.9), st.floats(0.05, 2.0))
+def test_lanczos_blocks_match_dense_eigenvalues(kind, grid, seed, beta, K, T):
+    """Every block here is above DENSE_EIGH_LIMIT, so each is solved by
+    Cholesky shift-invert Lanczos (the zero field, with nothing to shift
+    by, by eigh). lam_min matches eigvalsh of the dense Gramian; the
+    absolute term is the backward error of both solvers, n eps ||G||,
+    with ||G|| <= T max a."""
+    f = _lanczos_case(kind, grid, seed)
+    mask = spectral.build_mask(grid, 2, f.period, "ball", radius=K)
+    blocks = spectral._mask_blocks(f, mask)
+    assert min(len(b[0]) for b in blocks) > evolution.DENSE_EIGH_LIMIT
+    *_, G = _dense_gramian(f, beta, T, K)
+    want = max(float(np.linalg.eigvalsh(G)[0]), 0.0)
+    lanczos = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(a, *args, **kwargs):
+        lanczos.append(np.shape(a)[0])
+        return eigsh(a, *args, **kwargs)
+
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", counted):
+        rep = evolution.observability_gramian(f, beta, T, K)
+    assert lanczos == ([] if kind == "zero" else [len(b[0]) for b in blocks])
+    assert rep.lam_min == pytest.approx(want, rel=1e-12, abs=1e-14 * T)
+    assert rep.residual <= 1e-8 * max(1.0, T)
+    if kind == "zero":
+        assert rep.lam_min == 0.0 and rep.kappa == math.inf
+    if kind == "constant":
+        assert rep.lam_min == pytest.approx(T, abs=1e-10)
