@@ -28,10 +28,10 @@ above DENSE_EIGH_LIMIT is not tridiagonalized. Since 0 <= a <= max(a)
 and the weights sum to T, 0 <= G <= T max(a); at the shift sigma =
 -SHIFT_EPS T max(a) the block G - sigma I is positive definite. It is
 Cholesky-factored once, and shift-invert Lanczos
-(spectral._shift_invert_lanczos: one pair, tolerance LANCZOS_TOL, a
-fixed Gaussian start vector) finds the largest eigenvalue mu of its
-inverse, so lam = sigma + 1/mu. The factorization costs about a quarter of the flops of a
-Hermitian tridiagonalization and each Lanczos step is two triangular
+(spectral._shift_invert_lanczos: one pair, tolerance LANCZOS_TOL /
+max(1, T), a fixed Gaussian start vector) finds the largest eigenvalue
+mu of its inverse, so lam = sigma + 1/mu. The factorization costs about
+a quarter of the flops of a Hermitian tridiagonalization and each Lanczos step is two triangular
 solves. Blocks up to DENSE_EIGH_LIMIT, where eigh is as fast (and ARPACK
 needs order >= 3), and the zero field (sigma = 0) go to eigh. The two
 solvers agree to the last bits: a relative 1e-13 on lam_min for the
@@ -58,7 +58,9 @@ KAPPA_FLOOR = 1e-14
 DENSE_EIGH_LIMIT = 160
 SHIFT_EPS = 1e-6
 # a relative Ritz tolerance of 0 (machine precision) stalls for 1000
-# restarts on clustered bottoms, such as a field zero on a strip
+# restarts on clustered bottoms, such as a field zero on a strip; it is
+# divided by max(1, T), so the residual on G, at most tol ||G - sigma I||,
+# stays near LANCZOS_TOL
 LANCZOS_TOL = 1e-10
 
 
@@ -106,8 +108,10 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
     any rank x rank allocation. Each block of spectral._mask_blocks is
     solved on its own, by eigh up to order DENSE_EIGH_LIMIT and above it
     by Lanczos on the Cholesky-factored inverse of G - sigma I, sigma =
-    -SHIFT_EPS T max(a) (module docstring); a block and its factor are
-    the two block-sized matrices held at once. lam_min is the least block
+    -SHIFT_EPS T max(a) (module docstring). Memory peaks while a block is
+    assembled: the block, its time kernel and three block x n_nodes
+    exponential tables, all complex128; the factor later takes the
+    kernel's place. lam_min is the least block
     minimum and the residual that block's, ||G v - lam v|| on the
     unshifted G. An eigenpair whose residual exceeds 1e-8 * max(1, T)
     raises RuntimeError (||G|| <= T max a).
@@ -121,9 +125,10 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
     r = mask.rank
     if r > DENSE_LATTICE_LIMIT:
         raise ValueError(
-            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs {2 * 16 * r * r / 1e9:.1f} GB"
-            f" for a block and its Cholesky factor, two rank x rank complex128 matrices;"
-            f" the limit is rank {DENSE_LATTICE_LIMIT}")
+            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
+            f" {16 * (2 * r * r + 3 * r * n_nodes) / 1e9:.1f} GB to assemble a rank x rank block"
+            f" on {n_nodes} time nodes (the block, its time kernel and three rank x n_nodes"
+            f" tables, complex128); the limit is rank {DENSE_LATTICE_LIMIT}")
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
     nodes = np.linspace(0.0, T, n_nodes)
     w = np.full(n_nodes, T / (n_nodes - 1))
@@ -149,7 +154,7 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
             factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
             vals, vecs = _shift_invert_lanczos(
                 G, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
-                k=1, tol=LANCZOS_TOL)
+                k=1, tol=LANCZOS_TOL / max(1.0, T))
         lam, v = float(vals[0]), vecs[:, 0]
         residual = float(np.linalg.norm(G @ v - lam * v))
         if residual > 1e-8 * max(1.0, T):

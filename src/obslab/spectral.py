@@ -35,13 +35,12 @@ identity block, the compression itself.
 
 The dense uncertainty and resolvent solves stay on eigh, unlike the
 Gramian blocks of evolution, which go to Cholesky shift-invert Lanczos
-(_shift_invert_lanczos, also the iterative path here). On the 2d ball
-blocks of order 1079 and 1042 the bottom eigenvalues cluster (0.122968
-against 0.123048), so Lanczos's time hangs on its tolerance: at machine
-precision it took 0.26-0.44 s per block against 0.31-0.47 s for eigh.
-The resolvent needs the top eigenpair of a scaled form; plain Lanczos
-took 0.14-0.23 s there against 0.15-0.18 s for eigh's evx driver (order
-1023, 1d lattice of 2048 points). Both measured on 2 cores, OpenBLAS.
+(_shift_invert_lanczos, also the iterative path here). That keeps the
+uncertainty and resolvent constants bit-for-bit as they were. Moving
+the dense uncertainty blocks is left to a change that may move those
+bits: on the 2d ball blocks of order 1079 and 1042 (grid 64, radius 26)
+Cholesky Lanczos at tolerance 1e-10 took 0.19-0.31 s per block against
+0.31-0.47 s for eigh and agreed to 3.3e-15 relative (2 cores, OpenBLAS).
 """
 
 from __future__ import annotations

@@ -366,8 +366,9 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
                 "--cutoff", "60", "--T-list", "0.5"])
     assert code == 2
     err = capsys.readouterr().err
-    # a block and its Cholesky factor: 2 * 16 * 11289^2 B
-    assert "rank 11289" in err and "4.1 GB" in err
+    # the assembly peak, 16 * (2 r^2 + 3 r n_nodes) B at r = 11289 and
+    # n_nodes = 1147 (beta 1, T 0.5, K 60)
+    assert "rank 11289" in err and "4.7 GB" in err and "1147 time nodes" in err
     assert calls == []
 
 
