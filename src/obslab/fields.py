@@ -268,61 +268,87 @@ def make_field(
 def evaluate(field: ObservationField, points) -> np.ndarray:
     """Bilinear interpolation of the samples, periodic in every axis.
 
-    points: array of shape (..., dim) for dim = 2, or (...) for dim = 1.
-    Exact at grid nodes. Returns an array of the batch shape, a NumPy
-    scalar for a single point. Points are wrapped onto the box in float64,
-    which is exact while they lie within 2**52 / grid cells of it.
+    points is either an array of shape (..., dim) for dim = 2, or (...)
+    for dim = 1; or a tuple of dim per-axis coordinate arrays that
+    broadcast together, such as (x[:, None], y[None, :]) for the product
+    of x and y. The result has the batch shape (the broadcast shape for a
+    tuple), a NumPy scalar for a single point. Both forms run one kernel
+    (_bilinear) and give the same bits for the same points; the tuple form
+    works each axis's cell and weights out on that axis's own array, so a
+    product lattice costs per-axis work once per coordinate, not once per
+    point. Exact at grid nodes. Points are wrapped onto the box in
+    float64, which is exact while they lie within 2**52 / grid cells of it.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    dim, n, h, origin = field.dim, field.grid, field.h, field.origin
-    if dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
-        raise ValueError("2d field expects points of shape (..., 2)")
-    batch = pts.shape if dim == 1 else pts.shape[:-1]
-    flat = pts.reshape(-1, dim)
-    out = np.empty(len(flat))
-    # Each cell corner is read from the wrapped table shifted by the
-    # corner's flat offset, and weighted per axis by frac (bit 1) or
-    # 1 - frac (bit 0). Terms are multiplied and summed left to right in
-    # the order of (1 - f) v[i] + f v[i+1] (1d) and
-    # v[i,j] (1-fu)(1-fw) + v[i+1,j] fu (1-fw) + v[i,j+1] (1-fu) fw + v[i+1,j+1] fu fw
-    # (2d), which fixes every rounding.
-    table = field._wrapped
-    if dim == 1:
-        corners = [(table, (0,)), (table[1:], (1,))]
+    dim = field.dim
+    if isinstance(points, tuple):
+        if len(points) != dim:
+            raise ValueError(f"{dim}d field expects a tuple of {dim} coordinate arrays")
+        # 0-d axes become (1,), so that the body works on arrays only
+        axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in points]
+        out = np.empty(np.broadcast_shapes(*(a.shape for a in axes)))
+        _bilinear(field, axes, out)
+        out = out.reshape(np.broadcast_shapes(*(np.shape(a) for a in points)))
     else:
-        corners = [(table, (0, 0)), (table[n + 1:], (1, 0)),
-                   (table[1:], (0, 1)), (table[n + 2:], (1, 1))]
-    m = min(_EVAL_BLOCK, len(flat))
-    work = np.empty((4, dim, m))  # frac, cell, quotient, 1 - frac
-    terms = np.empty((len(corners), m))
-    index = np.empty(m, dtype=np.intp)
-    for start in range(0, len(flat), _EVAL_BLOCK):
-        res = out[start:start + _EVAL_BLOCK]
-        k = len(res)
-        f, c, q, g = work[:, :, :k]
-        v, idx = terms[:, :k], index[:k]
-        np.subtract(flat[start:start + k].T, origin, out=f)
+        pts = np.asarray(points, dtype=np.float64)
+        if dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
+            raise ValueError("2d field expects points of shape (..., 2)")
+        batch = pts.shape if dim == 1 else pts.shape[:-1]
+        flat = pts.reshape(-1, dim)
+        out = np.empty(len(flat))
+        # blocks of points, so that a block's temporaries stay in cache
+        for start in range(0, len(flat), _EVAL_BLOCK):
+            _bilinear(field, list(flat[start:start + _EVAL_BLOCK].T), out[start:start + _EVAL_BLOCK])
+        out = out.reshape(batch)
+    return out[()] if out.ndim == 0 else out
+
+
+def _bilinear(field: ObservationField, axes, out: np.ndarray) -> None:
+    """Write into out the interpolant at the points whose coordinate along
+    axis k is axes[k]; the axes arrays (at least 1d) broadcast to out.shape.
+
+    Per axis, on that axis's own array: the offset (p - origin) / h, its
+    floor (the cell), the fraction frac, the cell wrapped onto the grid and
+    1 - frac. Only the flat index, the corner reads and the weighted sum
+    run on the broadcast shape. Each cell corner is read from the wrapped
+    table shifted by the corner's flat offset and weighted per axis by frac
+    (bit 1) or 1 - frac (bit 0). Terms are multiplied and summed left to
+    right in the order of (1 - f) v[i] + f v[i+1] (1d) and
+    v[i,j] (1-fu)(1-fw) + v[i+1,j] fu (1-fw) + v[i,j+1] (1-fu) fw + v[i+1,j+1] fu fw
+    (2d), which fixes every rounding.
+    """
+    n, h, origin = field.grid, field.h, field.origin
+    frac, cell, comp = [], [], []
+    for p in axes:
+        f = np.subtract(p, origin)
         f /= h
-        np.floor(f, out=c)
+        c = np.floor(f)
         f -= c
-        np.divide(c, n, out=q)  # c mod n without integer modulo
+        q = np.divide(c, n)  # c mod n without integer modulo
         np.floor(q, out=q)
         q *= n
         c -= q
-        np.subtract(1.0, f, out=g)
-        if dim == 2:
-            c[0] *= n + 1
-            c[0] += c[1]
-        np.copyto(idx, c[0], casting="unsafe")
-        for (shifted, bits), vt in zip(corners, v):
-            shifted.take(idx, out=vt, mode="clip")  # idx is in range; "raise" would buffer out
-            for axis, bit in enumerate(bits):
-                vt *= f[axis] if bit else g[axis]
-        np.add(v[0], v[1], out=res)
-        for vt in v[2:]:
-            res += vt
-    out = out.reshape(batch)
-    return out[()] if out.ndim == 0 else out
+        frac.append(f)
+        cell.append(c)
+        comp.append(np.subtract(1.0, f))
+    table = field._wrapped
+    v = np.empty(out.shape)
+    if field.dim == 1:
+        corners = [(table, (0,)), (table[1:], (1,))]
+        flat = cell[0]
+    else:
+        corners = [(table, (0, 0)), (table[n + 1:], (1, 0)),
+                   (table[1:], (0, 1)), (table[n + 2:], (1, 1))]
+        cell[0] *= n + 1
+        flat = np.add(cell[0], cell[1], out=v)
+    idx = np.empty(out.shape, dtype=np.intp)
+    np.copyto(idx, flat, casting="unsafe")
+    for k, (shifted, bits) in enumerate(corners):
+        vt = v if k else out
+        shifted.take(idx, out=vt, mode="clip")  # idx is in range; "raise" would buffer out
+        for axis, bit in enumerate(bits):
+            vt *= frac[axis] if bit else comp[axis]
+        if k:
+            out += vt
 
 
 def lattice_symmetries(field: ObservationField) -> list[dict]:

@@ -7,7 +7,15 @@ over line segments (gcc_constant), over anisotropic rectangles
 are approximated by one search (_infimum): an explicit grid over
 direction and anchor, then eight rounds of local coordinate descent. All
 grid sizes are parameters, because the numbers are only meaningful
-together with the search resolution.
+together with the search resolution. Every segment and rectangle average
+is a window mean (_window_means) over a product lattice of anchors, which
+evaluate receives as one coordinate array per axis, so cells and weights
+are found per axis and never per anchor x body point; its result still
+holds one value per point, which is what a trace's point counters see.
+
+Bad sizes and lengths (non-positive, NaN or infinite lengths, too-small
+grids and sample counts, an empty angle list) raise ValueError naming the
+argument.
 
 Conventions: a Direction wraps an angle on the circle; the transverse unit
 vector used by comb profiles is perp(theta) = (sin, -cos) rotated so that
@@ -79,7 +87,7 @@ class RectangleSpec:
     beta: float
 
     def __post_init__(self):
-        if self.L <= 0 or self.lam < 1 or not 0 <= self.beta <= 1:
+        if not (self.L > 0 and self.lam >= 1 and 0 <= self.beta <= 1):
             raise ValueError("need L > 0, lam >= 1, beta in [0, 1]")
 
     @property
@@ -103,18 +111,37 @@ class CombProfile:
     meta: dict = dc_field(default_factory=dict)
 
 
+def _positive(name, value) -> None:
+    """ValueError naming the argument unless value is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _at_least(name, value, least) -> None:
+    """ValueError naming the count unless value >= least."""
+    if not value >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def _auto_samples(field: ObservationField, length: float) -> int:
     per_cell = 3.0 * length / field.h
     return int(max(64, min(8192, math.ceil(per_cell))))
 
 
-def _window_means(field, anchors, body):
-    """Mean of the field over the points anchor + body, for each row of
-    anchors (n, dim); body is (k, dim). Returns n means."""
-    pts = anchors[:, None, :] + body[None, :, :]
-    if field.dim == 1:
-        pts = pts[..., 0]
-    return evaluate(field, pts).mean(axis=1)
+def _window_means(field, anchor_axes, body):
+    """Mean of the field over the points anchor + body, one mean per anchor
+    of the product lattice anchor_axes[0] x ... x anchor_axes[dim - 1]
+    (row-major: the last axis varies fastest); body is (k, dim).
+
+    A point's coordinate along axis i depends only on the anchor's i-th
+    coordinate and the body point, so each axis goes to evaluate as its
+    own (n_i, ..., k) array and the anchors x body point array is never
+    built. The result of evaluate still has the full (n_0, ..., k) shape.
+    """
+    dim = field.dim
+    coords = tuple(np.reshape(a, [-1 if j == i else 1 for j in range(dim)] + [1]) + body[:, i]
+                   for i, a in enumerate(anchor_axes))
+    return evaluate(field, coords).reshape(-1, len(body)).mean(axis=1)
 
 
 def _segment_body(dvec, length, n_samples):
@@ -141,19 +168,16 @@ def line_average(field: ObservationField, segment: LineSegment, n_samples: int |
     """Midpoint-rule average of the field along the segment."""
     if n_samples is None:
         n_samples = _auto_samples(field, segment.length)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    _at_least("n_samples", n_samples, 2)
     dvec = np.array([segment.direction.sign]) if field.dim == 1 else segment.direction.vector
-    start = np.asarray(segment.start, dtype=np.float64)[None, :]
+    start = np.asarray(segment.start, dtype=np.float64)[:, None]
     return float(_window_means(field, start, _segment_body(dvec, segment.length, n_samples))[0])
 
 
 def _anchor_grid(lo, hi, n, dim):
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dim)]
-    if dim == 1:
-        return axes[0][:, None]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([c.ravel() for c in g], axis=-1)
+    """Per-axis coordinates of the n^dim anchor lattice: n cell midpoints
+    of [lo[i], hi[i]] on each axis i."""
+    return [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dim)]
 
 
 def gcc_constant(
@@ -176,12 +200,17 @@ def gcc_constant(
     supplied. On a truncated field, directions whose segment cannot fit
     inside the box are skipped, and ValueError is raised if none fits.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if angles is None and (direction_grid_size < 8 or anchor_grid_size < 8):
-        raise ValueError("direction and anchor grids need at least 8 points")
+    _positive("L", L)
+    if angles is None:
+        _at_least("direction_grid_size", direction_grid_size, 8)
+        _at_least("anchor_grid_size", anchor_grid_size, 8)
+    else:
+        _at_least("anchor_grid_size", anchor_grid_size, 1)
+        if np.size(angles) == 0:
+            raise ValueError("angles must be non-empty")
     if n_samples is None:
         n_samples = _auto_samples(field, L)
+    _at_least("n_samples", n_samples, 2)
 
     if field.dim == 1:
         angle_list = np.array([0.0])
@@ -231,7 +260,7 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
     def probe(win, z):
         if inside_box:
             z = np.clip(z, win[1], win[2])
-        return _window_means(field, z[None, :], win[0])[0], z
+        return _window_means(field, z[:, None], win[0])[0], z
 
     best = (np.inf, None, None, None, None)  # value, shape index, angle, anchor, window
     for j, shape in enumerate(shapes):
@@ -239,11 +268,12 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
             win = window(shape, ang)
             if win is None:
                 continue
-            anchors = _anchor_grid(win[1], win[2], anchor_grid_size, field.dim)
-            means = _window_means(field, anchors, win[0])
+            axes = _anchor_grid(win[1], win[2], anchor_grid_size, field.dim)
+            means = _window_means(field, axes, win[0])
             i = int(np.argmin(means))
             if means[i] < best[0]:
-                best = (float(means[i]), j, float(ang), anchors[i].copy(), win)
+                cell = np.unravel_index(i, (anchor_grid_size,) * field.dim)
+                best = (float(means[i]), j, float(ang), np.array([a[k] for a, k in zip(axes, cell)]), win)
     value, j, ang, z, win = best
     if z is None:
         raise ValueError("no angle admits a window inside the box at the requested sizes")
@@ -271,8 +301,9 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
 
 def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
     """Average of the field over one rectangle, by midpoint grid."""
+    _at_least("n_samples", n_samples, 2)
     body = _rect_body(rect.theta, rect.side_s, rect.side_t, n_samples, field.dim)
-    return float(_window_means(field, np.asarray(rect.anchor, dtype=np.float64)[None, :], body)[0])
+    return float(_window_means(field, np.asarray(rect.anchor, dtype=np.float64)[:, None], body)[0])
 
 
 def rectangle_density_inf(
@@ -293,9 +324,13 @@ def rectangle_density_inf(
     field every rectangle measured, the returned one included, lies
     inside the box.
     """
+    _positive("L", L)
     lambda_list = [float(l) for l in lambda_list]
     if not lambda_list:
         raise ValueError("lambda_list must be non-empty")
+    _at_least("direction_grid_size", direction_grid_size, 1)
+    _at_least("anchor_grid_size", anchor_grid_size, 1)
+    _at_least("n_samples", n_samples, 2)
     if field.dim == 1:
         angle_list = np.array([0.0])
     else:
@@ -341,8 +376,9 @@ def comb_profile(
     callers pass the direction's closing period as t_extent in that case.
     Defaults probe one fundamental domain in both coordinates.
     """
-    if M <= 0:
-        raise ValueError("window length M must be positive")
+    _positive("M", M)
+    _at_least("n_x", n_x, 1)
+    _positive("samples_per_unit", samples_per_unit)
     if field.dim != 2:
         raise ValueError("comb profiles are defined for 2d fields")
     P = field.period
@@ -350,6 +386,8 @@ def comb_profile(
         x_extent = P
     if t_extent is None:
         t_extent = P
+    _positive("x_extent", x_extent)
+    _positive("t_extent", t_extent)
     if periodic_t is None:
         periodic_t = not is_truncated(field)
     if not periodic_t and t_extent < M:
@@ -385,8 +423,7 @@ def relative_density_1d(profile: CombProfile, L: float) -> float:
 
     Windows slide at the sample resolution; periodic profiles wrap.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    _positive("L", L)
     n_w = int(max(1, round(L / profile.spacing)))
     return float(_window_min(profile.values, n_w, profile.periodic))
 

@@ -178,6 +178,45 @@ def test_evaluate_matches_the_integer_index_reference(data):
     assert np.array_equal(fields.evaluate(f, pts), _reference_evaluate(f, pts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_per_axis_form_matches_the_point_array(data):
+    """A tuple of per-axis coordinate arrays gives the bits of the same
+    points stacked into one (..., dim) array: random grids, periodic and
+    truncated-style origins, far points, nodes and nodes +- 1 ulp,
+    single-element axes and broadcast batches above one block."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 600), label="grid")
+    period = data.draw(st.floats(0.01, 100.0), label="period")
+    origin = data.draw(st.one_of(st.just(0.0), st.just(-period / 2.0), st.floats(-100.0, 100.0)),
+                       label="origin")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
+                          values=rng.random((grid,) * dim))
+    # anchors along each axis times a shared body axis: (n_0, ..., k)
+    big = data.draw(st.booleans(), label="above one block")
+    k = data.draw(st.integers(1, 2 * fields._EVAL_BLOCK if big else 64), label="k")
+    lead = [data.draw(st.integers(1, 3 if big else 12), label=f"n_{i}") for i in range(dim)]
+    periods = 10.0 ** data.draw(st.floats(0.0, 5.0), label="log10 periods out")
+    kind = data.draw(st.sampled_from(["uniform", "nodes", "nodes+-ulp"]), label="kind")
+
+    def coords(shape):
+        if kind == "uniform":
+            return origin + period * rng.uniform(-periods, periods, shape)
+        cells = rng.integers(-int(periods * grid), int(periods * grid) + 1, shape)
+        cells[..., ::2] = grid * (cells[..., ::2] // grid)
+        c = origin + f.h * cells
+        return np.nextafter(c, rng.choice([-np.inf, np.inf], shape)) if kind == "nodes+-ulp" else c
+
+    axes = tuple(coords([n if j == i else 1 for j, n in enumerate(lead)] + [1]) + coords(k)
+                 for i in range(dim))
+    got = fields.evaluate(f, axes)
+    pts = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    want = fields.evaluate(f, pts if dim == 2 else pts[..., 0])
+    assert got.shape == tuple(lead) + (k,)
+    assert np.array_equal(got, want)
+
+
 def test_evaluate_output_contract():
     f1 = fields.make_field("custom-grid", dim=1, period=1.0, grid=4,
                            values=[0.0, 1.0, 0.5, 0.25])
@@ -191,6 +230,14 @@ def test_evaluate_output_contract():
     assert np.array_equal(fields.evaluate(f2, [[0.125, 0.25], [0.625, 0.25]]), [1.0, 0.0])
     for bad in (np.zeros((4, 3)), 0.5):
         with pytest.raises(ValueError, match="points of shape"):
+            fields.evaluate(f2, bad)
+    # the per-axis form: broadcast shape, a scalar for scalar axes
+    assert type(fields.evaluate(f2, (0.1, 0.2))) is np.float64
+    assert fields.evaluate(f2, (0.1, 0.2)) == fields.evaluate(f2, [0.1, 0.2])
+    assert fields.evaluate(f2, (np.zeros((3, 1)), np.zeros(4))).shape == (3, 4)
+    assert fields.evaluate(f1, (np.zeros((0, 2)),)).shape == (0, 2)
+    for bad in ((0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match="tuple of 2 coordinate arrays"):
             fields.evaluate(f2, bad)
 
 

@@ -195,3 +195,131 @@ def test_rectangle_search_keeps_truncated_anchors_inside_the_box():
     assert corners.min() >= f.origin - 1e-12
     assert corners.max() <= f.origin + f.period + 1e-12
     assert geometry.rectangle_density(f, spec, 128) == val
+
+
+def _point_array_window_means(field, anchor_axes, body):
+    """The window means as computed before the per-axis form: the whole
+    anchors x body point array is built and evaluated. Kept as the oracle
+    that geometry._window_means must match bit for bit."""
+    grid = np.meshgrid(*[np.asarray(a, dtype=np.float64) for a in anchor_axes], indexing="ij")
+    anchors = np.stack([c.ravel() for c in grid], axis=-1)
+    pts = anchors[:, None, :] + body[None, :, :]
+    if field.dim == 1:
+        pts = pts[..., 0]
+    return fields.evaluate(field, pts).mean(axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_window_search_matches_the_point_array_reference(data):
+    """gcc_constant and rectangle_density_inf return the same bits, and the
+    same argmin rectangle, as when every window mean builds its points:
+    random 1d and 2d fields, periodic and truncated."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 600), label="grid")
+    period = data.draw(st.floats(0.5, 50.0), label="period")
+    truncated = data.draw(st.booleans(), label="truncated")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vals = rng.random((grid,) * dim)
+    if truncated:
+        f = fields.ObservationField(dim, period, grid, vals, origin=-period / 2.0,
+                                    family={"name": "half-strip-comb"})
+    else:
+        origin = data.draw(st.floats(-10.0, 10.0), label="origin")
+        f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
+                              values=vals)
+    L = period * data.draw(st.floats(0.05, 0.6), label="L / period")
+    n_anchor = data.draw(st.integers(8, 10), label="anchor grid")
+    n_samples = data.draw(st.integers(2, 300), label="n_samples")
+    lams = data.draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2), label="lams")
+    beta = data.draw(st.floats(0.0, 1.0), label="beta")
+
+    def run():
+        out = []
+        for call in (lambda: geometry.gcc_constant(f, L, direction_grid_size=8,
+                                                    anchor_grid_size=n_anchor, n_samples=n_samples),
+                     lambda: geometry.rectangle_density_inf(f, beta, L, lams, direction_grid_size=6,
+                                                            anchor_grid_size=n_anchor,
+                                                            n_samples=n_samples)):
+            try:
+                out.append(call())
+            except ValueError as exc:  # no window fits a truncated box
+                out.append(str(exc))
+        return out
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_window_means", _point_array_window_means)
+        want = run()
+    assert got == want
+
+
+def test_rectangle_grid_routes_every_point_through_evaluate(monkeypatch):
+    """The grid phase still calls geometry.evaluate, with a result of the
+    full (anchors, anchors, body) shape per (rectangle, angle), so a
+    tracer that wraps that name counts every point; each descent probe
+    then evaluates one body."""
+    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=64, delta=0.4)
+    shapes = []
+    real = geometry.evaluate
+
+    def spy(field, points):
+        out = real(field, points)
+        shapes.append(np.shape(out))
+        return out
+
+    monkeypatch.setattr(geometry, "evaluate", spy)
+    lams, n_dirs, n_anchor, n_samples = [1.0, 3.0], 5, 6, 200
+    geometry.rectangle_density_inf(f, 0.5, 0.8, lams, direction_grid_size=n_dirs,
+                                   anchor_grid_size=n_anchor, n_samples=n_samples)
+    grid_calls = len(lams) * n_dirs
+    for j, lam in enumerate(lams):
+        spec = geometry.RectangleSpec(geometry.Direction(0.0), (0.0, 0.0), 0.8, lam, 0.5)
+        for a in range(n_dirs):
+            theta = geometry.Direction(math.pi * a / n_dirs)
+            k = len(geometry._rect_body(theta, spec.side_s, spec.side_t, n_samples, 2))
+            shape = shapes[j * n_dirs + a]
+            assert shape == (n_anchor, n_anchor, k)
+            assert math.prod(shape) == n_anchor ** 2 * k
+    probes = shapes[grid_calls:]
+    assert probes and all(len(s) == 3 and s[:2] == (1, 1) for s in probes)
+
+
+_FIELD_2D = fields.make_field("periodic-square", dim=2, period=1.0, grid=32, delta=0.5)
+_PROFILE = geometry.CombProfile(geometry.Direction(0.0), 0.5, np.ones(8), 0.125)
+_RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, 0.5, [1.0], anchor_grid_size=0),
+     "anchor_grid_size"),
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, 0.5, [1.0], direction_grid_size=0),
+     "direction_grid_size"),
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, 0.5, [1.0], n_samples=0), "n_samples"),
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.nan, [1.0]), "L"),
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.inf, [1.0]), "L"),
+    (lambda: geometry.rectangle_density(_FIELD_2D, _RECT, n_samples=0), "n_samples"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, angles=[]), "angles"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, angles=[0.1], anchor_grid_size=0),
+     "anchor_grid_size"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, n_samples=1), "n_samples"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, direction_grid_size=4), "direction_grid_size"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, anchor_grid_size=4), "anchor_grid_size"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, math.nan), "L"),
+    (lambda: geometry.gcc_constant(_FIELD_2D, -1.0), "L"),
+    (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, n_x=0), "n_x"),
+    (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, samples_per_unit=0),
+     "samples_per_unit"),
+    (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), math.nan), "M"),
+    (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, x_extent=0.0),
+     "x_extent"),
+    (lambda: geometry.relative_density_1d(_PROFILE, math.nan), "L"),
+    (lambda: geometry.relative_density_1d(_PROFILE, 0.0), "L"),
+    (lambda: geometry.line_average(_FIELD_2D, geometry.LineSegment((0.0, 0.0),
+                                                                    geometry.Direction(0.0), 0.5),
+                                   n_samples=1), "n_samples"),
+])
+def test_geometry_rejects_bad_input(call, name):
+    """Each bad size or length raises a ValueError that names it."""
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call()

@@ -1,10 +1,10 @@
 """Print a sha256 for every report the benchmark operations and the demos write.
 
-    python3 tools/report_digest.py [--keep DIR] > digest.txt
+    python3 tools/report_digest.py [--seed N] [--keep DIR] > digest.txt
 
 Run from any directory; obslab is imported from this checkout's src/.
-Every operation of every bench/workloads.py workload runs once (seed 1,
-untraced, checked against bench/reference.json), then each demo in
+Every operation of every bench/workloads.py workload runs once (seed N,
+default 1, untraced, checked against bench/reference.json), then each demo in
 demos/ runs in a fresh working directory. Each line is
 
     <op> TAB <file> TAB <sha256>
@@ -12,7 +12,9 @@ demos/ runs in a fresh working directory. Each line is
 with one line per file the operation wrote and one for what it printed
 ("stdout"). A workload operation that writes no file is also digested by
 the repr of its return value ("return"). Run the script on two checkouts and diff
-the outputs to see which report bytes a change moved. With --keep DIR
+the outputs to see which report bytes a change moved; a seed not used
+while writing a change holds it to the same numbers on fields it was
+not tuned on. With --keep DIR
 each operation's files and printed output (stdout.txt) are also saved
 under DIR/<op>/, the op label made a path, so the reports of two
 checkouts can be compared value by value. The exit code is 1 if any
@@ -37,8 +39,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 
-SEED = 1
-
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -62,13 +62,13 @@ def _run(label: str, folder: Path, fn, keep: Path | None):
     return result, bool(files)
 
 
-def digest_workloads(scratch: Path, keep: Path | None) -> int:
+def digest_workloads(scratch: Path, keep: Path | None, seed: int) -> int:
     ref = workloads.load_reference()
     failed = 0
     for name, make_ops in workloads.WORKLOADS.items():
         out = scratch / name
         out.mkdir()
-        for op in make_ops(SEED, out, None, ref):
+        for op in make_ops(seed, out, None, ref):
             label = f"{name}: {op.label}"
             result, wrote = _run(label, out, op.run, keep)
             if not wrote:
@@ -99,6 +99,8 @@ def digest_demos(scratch: Path, keep: Path | None) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seed", type=int, default=1, metavar="N",
+                   help="seed of the workload operations (default 1)")
     p.add_argument("--keep", type=Path, metavar="DIR",
                    help="also save every report and printed output under DIR (must not exist)")
     args = p.parse_args(argv)
@@ -106,7 +108,7 @@ def main(argv=None) -> int:
     if keep is not None and keep.exists():
         p.error(f"--keep {keep} exists")
     with tempfile.TemporaryDirectory(prefix="report_digest_") as tmp:
-        failed = digest_workloads(Path(tmp), keep)
+        failed = digest_workloads(Path(tmp), keep, args.seed)
         digest_demos(Path(tmp), keep)
     return 1 if failed else 0
 
