@@ -87,7 +87,8 @@ FIELD_FLAGS = (
 
 def _load_sections(args, options) -> tuple[dict, dict]:
     """[field] and [<command>] sections of the --config file, the latter
-    keyed by option dest."""
+    keyed by option dest; a relative grid_file is taken from the config's
+    directory."""
     if not args.config:
         return {}, {}
     path = Path(args.config)
@@ -100,6 +101,8 @@ def _load_sections(args, options) -> tuple[dict, dict]:
         section = dict(cp[args.command]) if cp.has_section(args.command) else {}
     except configparser.Error as exc:
         raise ValueError(f"malformed config file: {exc}") from None
+    if field.get("grid_file"):
+        field["grid_file"] = str(path.parent / field["grid_file"])
     dests = {cp.optionxform(dest): dest for dest, *_ in options}
     unknown = sorted(set(section) - set(dests))
     if unknown:
@@ -126,10 +129,6 @@ def _build_field(args, section: dict, dim: int, grid: int):
         flag = getattr(args, f"field_{key}")
         if flag is not None:
             opts[key] = str(flag)
-    if "grid_file" in opts and args.config:
-        p = Path(opts["grid_file"])
-        if not p.is_absolute():
-            opts["grid_file"] = str(Path(args.config).parent / p)
     merged = configparser.ConfigParser(interpolation=None)  # values are final, '%' included
     merged["field"] = opts
     return fields.field_from_config(merged)
@@ -138,7 +137,10 @@ def _build_field(args, section: dict, dim: int, grid: int):
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("OBSLAB_OUT") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot make the output directory: {exc.strerror}") from None
     return path
 
 

@@ -433,7 +433,10 @@ def save_grid(field: ObservationField, path) -> None:
 def load_grid(path) -> ObservationField:
     """Read a raw grid file written by save_grid."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read grid file: {exc.strerror}") from None
     if raw[:4] != _GRID_MAGIC or len(raw) < 4 + 28:
         raise ValueError(f"{path}: not a grid file (bad magic or short header)")
     version, dim, grid, period, origin = struct.unpack("<IIIdd", raw[4 : 4 + 28])

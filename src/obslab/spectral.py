@@ -28,19 +28,20 @@ exp(-i pi k.s/N) of the reflection x -> s - x, which then fixes the
 cosine-like vectors and negates the sine-like ones: the form splits into
 an even and an odd block of about half the order, solved one by one.
 
-The uncertainty compression is solved over the blocks of _mask_blocks,
-each densely or iteratively by its own order against DENSE_RANK_LIMIT:
-two transpose blocks on a transpose-invariant field and mask, else one
-identity block, the compression itself.
+The uncertainty compression is solved over the blocks of _mask_blocks
+(two transpose blocks on a transpose-invariant field and mask, else one
+identity block), matrix-free above DENSE_RANK_LIMIT (_iterative_pair).
 
-The dense uncertainty and resolvent solves stay on eigh, unlike the
-Gramian blocks of evolution, which go to Cholesky shift-invert Lanczos
-(_shift_invert_lanczos, also the iterative path here). That keeps the
-uncertainty and resolvent constants bit-for-bit as they were. Moving
-the dense uncertainty blocks is left to a change that may move those
-bits: on the 2d ball blocks of order 1079 and 1042 (grid 64, radius 26)
-Cholesky Lanczos at tolerance 1e-10 took 0.19-0.31 s per block against
-0.31-0.47 s for eigh and agreed to 3.3e-15 relative (2 cores, OpenBLAS).
+Every dense uncertainty block, and every Gramian block of evolution,
+goes to _lowest_pair. Its caller bounds the form by 0 <= G <= g (g =
+max w, or T max a for the Gramian) and passes sigma = -SHIFT_EPS g, so
+G - sigma I is positive definite: it is Cholesky-factored once (a
+quarter of the flops of a tridiagonalization), and shift-invert Lanczos
+finds the largest eigenvalue mu of its inverse, lam = sigma + 1/mu.
+Orders up to DENSE_EIGH_LIMIT (ARPACK needs >= 3) and the zero form
+(sigma = 0) go to eigh. The two agree to 1e-13 relative on the
+benchmark's blocks. The resolvent's top eigenpair, of a form with no
+such bound, stays on eigh.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ import scipy.sparse.linalg
 from .fields import ObservationField, lattice_symmetries
 
 DENSE_RANK_LIMIT = 2000
+# block orders up to this go to eigh, which is as fast there (measured
+# crossover 130-230 on smooth fields, 2 cores, OpenBLAS)
+DENSE_EIGH_LIMIT = 160
+SHIFT_EPS = 1e-6
+# a Ritz tolerance of 0 (machine precision) stalls for 1000 restarts on
+# clustered bottoms, such as a field zero on a strip; the Gramian divides it
+# by max(1, T), so its residual, at most tol ||G - sigma I||, stays near it
+LANCZOS_TOL = 1e-10
 DENSE_LATTICE_LIMIT = 8192
 RESIDUAL_FLOOR = 1e-10
 KERNEL_TOL = 1e-9
@@ -257,19 +266,29 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
     return matvec
 
 
-def _smallest_pair(dense, matvec, r):
-    """Smallest eigenpair of a Hermitian r x r operator.
+def _lowest_pair(G, sigma, tol):
+    """Smallest eigenpair of the dense Hermitian G >= 0 by eigh, or by Lanczos
+    at tolerance tol on (G - sigma I)^-1, sigma < 0 (module docstring)."""
+    n = G.shape[0]
+    if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
+        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
+    else:
+        F = G.copy(order="F")
+        F[np.diag_indices(n)] -= sigma
+        factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
+        vals, vecs = _shift_invert_lanczos(
+            n, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
+            k=1, tol=tol)
+    return float(vals[0]), vecs[:, 0]
 
-    Dense (dense() builds the matrix) up to DENSE_RANK_LIMIT; above it,
-    shift-invert Lanczos on matvec at a small negative shift, so the inner
+
+def _iterative_pair(matvec, r):
+    """Smallest eigenpair of a Hermitian r x r operator given by matvec,
+    by shift-invert Lanczos at a small negative shift, so the inner
     conjugate-gradient solves stay well conditioned even when the operator
     is nearly singular. A block of Ritz pairs is requested because the
     smallest eigenvalues of concentration operators cluster.
     """
-    if r <= DENSE_RANK_LIMIT:
-        vals, vecs = scipy.linalg.eigh(dense(), subset_by_index=[0, 0])
-        return float(vals[0]), vecs[:, 0]
-    op = scipy.sparse.linalg.LinearOperator((r, r), matvec=matvec, dtype=complex)
     sigma = -1e-2
     shifted = scipy.sparse.linalg.LinearOperator(
         (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
@@ -280,26 +299,26 @@ def _smallest_pair(dense, matvec, r):
             raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
         return x
 
-    vals, vecs = _shift_invert_lanczos(op, sigma, solve, k=4, tol=1e-9)
+    vals, vecs = _shift_invert_lanczos(r, sigma, solve, k=4, tol=1e-9)
     i = int(np.argmin(vals))
     return float(vals[i]), vecs[:, i]
 
 
-def _shift_invert_lanczos(op, sigma, solve, k, tol):
-    """The k eigenpairs of a Hermitian operator nearest sigma, by Lanczos
-    on (op - sigma)^-1, which solve applies; op gives only the order and
-    dtype. Needs k < order - 1. If Lanczos stops unconverged, the Ritz
-    pairs it has are returned and the caller's residual check judges them.
+def _shift_invert_lanczos(r, sigma, solve, k, tol):
+    """The k eigenpairs nearest sigma of a complex Hermitian operator A of
+    order r, by Lanczos on (A - sigma)^-1, which solve applies. Needs
+    k < r - 1. If Lanczos stops unconverged, the Ritz pairs it has are
+    returned and the caller's residual check judges them.
     """
-    r = op.shape[0]
     opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
     # a fixed Gaussian start makes reruns bit-identical; a structured
     # start such as ones would be orthogonal to odd eigenvectors
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     try:
+        # shift-invert eigsh reads only the order and dtype of A from opinv
         return scipy.sparse.linalg.eigsh(
-            op, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=tol, maxiter=1000,
+            opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=tol, maxiter=1000,
             v0=v0, rng=np.random.default_rng(0))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if exc.eigenvalues is None or not len(exc.eigenvalues):
@@ -342,9 +361,11 @@ def _smallest_eig(field, mask, weight):
     its own order) and its eigenvector lifted back to the mask; the least
     block minimum wins, and the residual is taken on the full mask.
     """
+    w = _weight_values(field, weight)
     matvec = _sandwich_matvec(field, mask, weight)
-    table = _coefficient_table(_weight_values(field, weight))
+    table = _coefficient_table(w)
     idx = mask.indices()
+    sigma = -SHIFT_EPS * float(np.max(w))
 
     def block_smallest(i, alpha, j, beta):
         def lift(x):
@@ -357,8 +378,8 @@ def _smallest_eig(field, mask, weight):
             y = matvec(lift(x))
             return alpha * y[i] + beta * y[j]
 
-        c, x = _smallest_pair(lambda: _pair_form(table, idx[i], alpha, idx[j], beta),
-                              block_matvec, len(i))
+        c, x = (_lowest_pair(_pair_form(table, idx[i], alpha, idx[j], beta), sigma, LANCZOS_TOL)
+                if len(i) <= DENSE_RANK_LIMIT else _iterative_pair(block_matvec, len(i)))
         return c, lift(x)
 
     c, v = min((block_smallest(*b) for b in _mask_blocks(field, mask)), key=lambda pair: pair[0])

@@ -323,6 +323,51 @@ def test_grid_file_path_with_percent_sign(tmp_path):
     assert code == 0
 
 
+def _grid_file_setup(tmp_path, monkeypatch, field_lines=()):
+    """Work in tmp_path, with data.ogrd (delta 0.3) there and another
+    data.ogrd (delta 0.5) and the config sub/c.ini in a subdirectory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for folder, delta in ((tmp_path, 0.3), (tmp_path / "sub", 0.5)):
+        fields.save_grid(fields.make_field("periodic-square", dim=1, period=2 * math.pi,
+                                           grid=64, delta=delta), folder / "data.ogrd")
+    field = ["[field]", "family = custom-grid", *field_lines] if field_lines else []
+    (tmp_path / "sub" / "c.ini").write_text(
+        "\n".join([*field, "[uncertainty]", "mask = ball", "radius = 3", ""]))
+    return ["uncertainty", "--config", "sub/c.ini", "--out", "out"]
+
+
+@pytest.mark.parametrize("extra, field_lines, source", [
+    (["--field-family", "custom-grid", "--grid-file", "data.ogrd"], (), "data.ogrd"),
+    ([], ["grid_file = data.ogrd"], str(Path("sub") / "data.ogrd")),
+    (["--grid-file", "data.ogrd"], ["grid_file = absent.ogrd"], "data.ogrd"),
+])
+def test_grid_file_flag_is_relative_to_working_dir(tmp_path, monkeypatch, extra, field_lines,
+                                                   source):
+    """A --grid-file flag is read from the working directory, a config
+    grid_file from the config file's directory, whichever the other is."""
+    argv = _grid_file_setup(tmp_path, monkeypatch, field_lines)
+    assert run(argv + extra) == 0
+    payload = json.loads((tmp_path / "out" / "uncertainty_report.json").read_text())
+    assert payload["config"]["field"]["family"]["source"] == source
+
+
+@pytest.mark.parametrize("extra, field_lines, named", [
+    (["--field-family", "custom-grid", "--grid-file", "absent.ogrd"], (), "absent.ogrd"),
+    (["--field-family", "custom-grid", "--grid-file", "sub"], (), "sub"),
+    (["--field-family", "custom-grid", "--grid-file", "data.ogrd", "--out", "data.ogrd"], (),
+     "data.ogrd"),
+    ([], ["grid_file = absent.ogrd"], str(Path("sub") / "absent.ogrd")),
+])
+def test_bad_paths_exit_code(tmp_path, monkeypatch, capsys, extra, field_lines, named):
+    """A missing grid file, a grid file that is a directory, an --out that
+    is a regular file and a missing config grid_file exit 2 and name the
+    path."""
+    argv = _grid_file_setup(tmp_path, monkeypatch, field_lines)
+    assert run(argv + extra) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+
 def test_list_families_prints_defaults(capsys):
     assert run(["list-families"]) == 0
     out = capsys.readouterr().out

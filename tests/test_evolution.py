@@ -158,7 +158,7 @@ def _block_solver_hook(after):
 
 # DENSE_EIGH_LIMIT = 2 sends every block of order >= 3 to Lanczos, so the
 # small fields below exercise both block solvers
-LIMITS = [2, evolution.DENSE_EIGH_LIMIT]
+LIMITS = [2, spectral.DENSE_EIGH_LIMIT]
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,7 +183,7 @@ def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, 
         solved.append((float(vals[0]), vecs[:, 0]))
         return vals, vecs
 
-    with _block_solver_hook(capture), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
+    with _block_solver_hook(capture), mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit):
         rep = evolution.observability_gramian(f, beta, T, K)
     assert rep.rank == mask.rank
     assert rep.lam_min == pytest.approx(want, rel=1e-12)
@@ -221,11 +221,11 @@ def test_gramian_solves_two_transpose_blocks():
     orders = []
 
     def count(a, vals, vecs):
-        orders.append(np.shape(a)[0])
+        orders.append(a.shape[0])
         return vals, vecs
 
     for limit in LIMITS:
-        with _block_solver_hook(count), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
+        with _block_solver_hook(count), mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit):
             del orders[:]
             evolution.cost_curve(sym, 1.0, T_list, K)
             assert orders == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2] * len(T_list)
@@ -252,7 +252,7 @@ def test_gramian_residual_is_checked(tmp_path, capsys):
     plain_1d = fields.mollify(fields.make_field("periodic-square", dim=1, period=2.0 * math.pi,
                                                 grid=64, delta=0.3), 0.1)
     for limit in LIMITS:
-        with _block_solver_hook(perturbed), mock.patch.object(evolution, "DENSE_EIGH_LIMIT", limit):
+        with _block_solver_hook(perturbed), mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit):
             for f in (plain_1d, _random_2d(16, 2)):
                 with pytest.raises(RuntimeError, match="residual"):
                     evolution.observability_gramian(f, 0.5, 0.7, 4.0)
@@ -294,14 +294,14 @@ def test_lanczos_blocks_match_dense_eigenvalues(kind, grid, seed, beta, K, T):
     f = _lanczos_case(kind, grid, seed)
     mask = spectral.build_mask(grid, 2, f.period, "ball", radius=K)
     blocks = spectral._mask_blocks(f, mask)
-    assert min(len(b[0]) for b in blocks) > evolution.DENSE_EIGH_LIMIT
+    assert min(len(b[0]) for b in blocks) > spectral.DENSE_EIGH_LIMIT
     *_, G = _dense_gramian(f, beta, T, K)
     want = max(float(np.linalg.eigvalsh(G)[0]), 0.0)
     lanczos = []
     eigsh = scipy.sparse.linalg.eigsh
 
     def counted(a, *args, **kwargs):
-        lanczos.append(np.shape(a)[0])
+        lanczos.append(a.shape[0])
         return eigsh(a, *args, **kwargs)
 
     with mock.patch.object(scipy.sparse.linalg, "eigsh", counted):

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from obslab import cli, fields, spectral
@@ -116,10 +118,17 @@ def test_uncertainty_constant_constant_field():
     assert rep.residual < 1e-10
 
 
-def test_uncertainty_constant_vanishing_field():
-    rep = spectral.uncertainty_constant(_const(value=0.0), spectral.build_mask(
-        64, 1, 2.0 * math.pi, "ball", radius=4.0))
+def test_uncertainty_constant_vanishing_field(monkeypatch):
+    mask = spectral.build_mask(64, 1, 2.0 * math.pi, "ball", radius=4.0)
+    rep = spectral.uncertainty_constant(_const(value=0.0), mask)
     assert rep.c == pytest.approx(0.0, abs=1e-12)
+    assert rep.value == math.inf
+    # above DENSE_EIGH_LIMIT the zero weight (shift 0) still goes to eigh
+    monkeypatch.setattr(spectral, "DENSE_EIGH_LIMIT", 2)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+    rep = spectral.uncertainty_constant(_const(value=0.0), mask)
+    assert rep.rank == 9
+    assert rep.c == 0.0
     assert rep.value == math.inf
 
 
@@ -459,14 +468,27 @@ def test_flip_symmetric_resolvent_matches_complex_reference(field_and_s, gamma, 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(12, 20), st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt", "full"]),
-       st.floats(2.0, 4.5), st.floats(3.0, 4.0), st.floats(0.5, 1.5))
-def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, lam, delta):
+       st.floats(2.0, 4.5), st.floats(3.0, 4.0), st.floats(0.5, 1.5),
+       st.sampled_from([2, spectral.DENSE_EIGH_LIMIT]))
+def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, lam, delta, limit):
+    """The folded blocks match eigvalsh of the full compression, through
+    eigh or, with DENSE_EIGH_LIMIT = 2, every block of order >= 3 through
+    Cholesky shift-invert Lanczos; the absolute term is the backward error
+    of both solvers, n eps ||Pi M_w Pi||, with ||Pi M_w Pi|| <= max w."""
     u = np.random.default_rng(seed).uniform(0.2, 1.0, size=(grid, grid))
     f = fields.make_field("custom-grid", dim=2, period=2.0 * math.pi, grid=grid,
                           values=(u + u.T) / 2.0)
     masks = [spectral.build_mask(grid, 2, f.period, "ball", radius=radius),
              spectral.build_mask(grid, 2, f.period, "annulus", lam=lam, delta=delta, beta=0.0),
              spectral.build_mask(grid, 2, f.period, "sector", angle=0.3, eps0=0.4)]
+    max_w = float(np.max(spectral._weight_values(f, weight)))
+    lanczos = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(a, *args, **kwargs):
+        lanczos.append(a.shape[0])
+        return eigsh(a, *args, **kwargs)
+
     for mask, n_blocks in zip(masks, (2, 2, 1)):
         blocks = spectral._mask_blocks(f, mask)
         assert len(blocks) == n_blocks
@@ -475,8 +497,12 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
             assert np.array_equal(i, np.arange(mask.rank)) and np.array_equal(i, j)
             assert np.all(alpha == 0.5) and np.all(beta == 0.5)
         want = scipy.linalg.eigvalsh(spectral.compression_matrix(f, mask, weight))[0]
-        rep = spectral.uncertainty_constant(f, mask, weight)
-        assert rep.c == pytest.approx(want, rel=1e-12)
+        del lanczos[:]
+        with mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit), \
+                mock.patch.object(scipy.sparse.linalg, "eigsh", counted):
+            rep = spectral.uncertainty_constant(f, mask, weight)
+        assert lanczos == [len(b[0]) for b in blocks if len(b[0]) > limit]
+        assert rep.c == pytest.approx(want, rel=1e-12, abs=1e-14 * max_w)
         assert rep.residual < 1e-10
 
 
