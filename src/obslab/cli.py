@@ -3,10 +3,11 @@
 Each subcommand builds a field, runs one experiment family, echoes a
 summary line per sweep point, and writes a JSON report plus CSV tables
 into the output directory (flag --out, else the OBSLAB_OUT environment
-variable, else the working directory). Options may come from an INI
-config file; explicit flags win over config values. Exit codes: 0
-success, 1 a mathematical check failed, 2 usage or config error, 3
-numerical failure in an eigensolver.
+variable, else the working directory), which is made before the
+experiment runs. Options may come from an INI config file; explicit
+flags win over config values. Exit codes: 0 success, 1 a mathematical
+check failed, 2 usage or config error, 3 numerical failure in an
+eigensolver, or a certify measuring process that died.
 
 Every subcommand option is declared once, as a (dest, type, default,
 help) entry of its command's table. The entry registers the flag
@@ -154,7 +155,7 @@ CERTIFY_OPTIONS = (
 )
 
 
-def cmd_certify(args, field) -> int:
+def cmd_certify(args, field, out) -> int:
     report = covering.comb_gcc_certify(field, args.rho, args.lambdas, gamma=args.gamma,
                                        fail_fast=args.fail_fast, n_offsets=args.n_offsets,
                                        samples_per_unit=args.samples_per_unit)
@@ -165,7 +166,6 @@ def cmd_certify(args, field) -> int:
               f"measured={rec['n_measured']} measurements={rec['n_measurements']} "
               f"pass={rec['all_pass']} symmetry={symmetry}")
     config = {**_values(args, CERTIFY_OPTIONS), "field": field.describe()}
-    out = _out_dir(args)
     payload = {"passed": report.passed, "symmetry": report.symmetry, "per_lambda": report.per_lambda}
     reports.write_json(out / "certify_report.json", reports.report_envelope("certify", config, payload))
     rows = []
@@ -186,7 +186,7 @@ COVER_OPTIONS = (
 )
 
 
-def cmd_cover(args, field) -> int:
+def cmd_cover(args, field, out) -> int:
     cov = covering.default_covering_builder(field, args.rho, args.gamma)(args.lam)
     ver = covering.verify_covering(cov)
     print(f"[cover] lam={args.lam:g} entries={ver.n_entries} covers={ver.covers} "
@@ -198,7 +198,6 @@ def cmd_cover(args, field) -> int:
                          "n_entries": ver.n_entries, "worst_margin": ver.worst_margin,
                          "gaps": ver.gaps, "ok": ver.ok},
     }
-    out = _out_dir(args)
     reports.write_json(out / "cover_report.json", reports.report_envelope("cover", config, payload))
     return 0 if ver.ok else 1
 
@@ -218,7 +217,7 @@ UNCERTAINTY_OPTIONS = (
 )
 
 
-def cmd_uncertainty(args, field) -> int:
+def cmd_uncertainty(args, field, out) -> int:
     kind, sigma, radius, lambdas, zetas = args.mask, args.sigma, args.radius, args.lambdas, args.zetas
 
     def one_mask(**params):
@@ -250,7 +249,6 @@ def cmd_uncertainty(args, field) -> int:
         label = mask.params.get("lam", mask.params.get("zeta", mask.params.get("radius", "")))
         print(f"[uncertainty] {kind}={label} rank={rep.rank} c={rep.c:.6g} C={rep.value:.6g}")
     config = {**_values(args, UNCERTAINTY_OPTIONS), "field": field.describe()}
-    out = _out_dir(args)
     payload = {"reports": [r.to_dict() for r in reps]}
     reports.write_json(out / "uncertainty_report.json",
                        reports.report_envelope("uncertainty", config, payload))
@@ -268,7 +266,7 @@ RESOLVENT_OPTIONS = (
 )
 
 
-def cmd_resolvent(args, field) -> int:
+def cmd_resolvent(args, field, out) -> int:
     lambdas = args.lambdas
     if args.m is None:
         args.m = spectral.calibrate_m(field, args.gamma, args.lam0)
@@ -288,7 +286,6 @@ def cmd_resolvent(args, field) -> int:
             payload["fit"] = {"slope": float(slope), "intercept": float(intercept)}
         else:
             payload["fit"] = {"slope": None, "reason": "non-finite M in sweep"}
-    out = _out_dir(args)
     reports.write_json(out / "resolvent_report.json",
                        reports.report_envelope("resolvent", config, payload))
     reports.write_csv(out / "resolvent_sweep.csv", reports.SPECTRAL_SWEEP_HEADER,
@@ -305,7 +302,7 @@ OBSERVE_OPTIONS = (
 )
 
 
-def cmd_observe(args, field) -> int:
+def cmd_observe(args, field, out) -> int:
     beta, K, T_list, miller = args.beta, args.cutoff, args.T_list, args.miller
     reps = evolution.cost_curve(field, beta, T_list, K)
     rows = []
@@ -332,7 +329,6 @@ def cmd_observe(args, field) -> int:
         if not fit["passed"]:
             status = 1
     config = {**_values(args, OBSERVE_OPTIONS), "field": field.describe()}
-    out = _out_dir(args)
     reports.write_json(out / "observe_report.json",
                        reports.report_envelope("observe", config, payload))
     reports.write_csv(out / "observe_sweep.csv",
@@ -362,7 +358,7 @@ CONSTRUCT_DEMO_OPTIONS = (
 )
 
 
-def cmd_construct_demo(args, field) -> int:
+def cmd_construct_demo(args, field, out) -> int:
     M, n_balls = args.M, args.n_balls
     Y = random_ball_system(np.random.default_rng(args.seed), args.W, args.delta, n_balls)
     wmin, wat = Y.window_min_measure(M)
@@ -393,7 +389,6 @@ def cmd_construct_demo(args, field) -> int:
         "t_range": [float(sm.t_scales.min()), float(sm.t_scales.max())],
         "derivative_bounds": fd,
     }
-    out = _out_dir(args)
     reports.write_json(out / "construct_report.json",
                        reports.report_envelope("construct-demo", config, payload))
     stride = max(1, len(sm.x) // 2000)
@@ -402,7 +397,7 @@ def cmd_construct_demo(args, field) -> int:
     return 0 if passed else 1
 
 
-def cmd_list_families(args, field) -> int:
+def cmd_list_families(args, field, out) -> int:
     catalog = fields.family_catalog()
     for name, info in sorted(catalog.items()):
         params = ", ".join(f"{k} (required)" if v is None else f"{k}={v}"
@@ -459,13 +454,14 @@ def main(argv=None) -> int:
         return 2
     func, _, options, box = COMMANDS[args.command]
     try:
-        field = None
+        field = out = None
         if options is not None:
             field_section, section = _load_sections(args, options)
             _resolve(args, options, section)
             if box is not None:
                 field = _build_field(args, field_section, *box)
-        return func(args, field)
+            out = _out_dir(args)
+        return func(args, field, out)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -21,11 +21,31 @@ eps = 2/(lam^gamma T), which is still no smaller than the rational
 approximation radius (so the caps cover) while keeping eps*M <= 12/lam^gamma
 for every entry; the wider choice would overshoot the budget on the
 shortest comb directions.
+
+comb_gcc_certify measures one window infimum per symmetry orbit of
+entries. For each lam it lists the scan's orbits not yet in the cache, in
+scan order, and measures them on a fork-started process pool with one
+worker per usable core (never more workers than orbits). Each worker
+inherits the field and the pending entries at fork; a task is one
+position in that list and its result one float. Tasks are submitted a
+few per worker ahead of the scan and their results consumed in scan
+order, so the cache, the records and the counts are those of a serial
+scan, and a fail_fast scan stops without queueing the rest. The pool is
+shut down before the call returns, and a worker that dies raises
+BrokenProcessPool, a RuntimeError. With one usable core, inside a
+daemonic process, while another thread runs, or where fork is
+unavailable, the same scan measures in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import multiprocessing
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -498,6 +518,66 @@ def _measure_entry(
     )
 
 
+TASKS_AHEAD = 4  # tasks queued per worker ahead of the scan
+
+_pending = None  # (field, n_offsets, samples_per_unit, entries) in a measuring worker
+
+
+def _worker_count() -> int:
+    """Processes that measure at once: the usable cores, or 1 where no
+    worker can be forked safely: a daemonic process may have no children,
+    a fork taken while another thread holds a lock leaves that lock held
+    in the child, and some platforms have no fork."""
+    if (multiprocessing.current_process().daemon or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _init_worker(pending) -> None:
+    global _pending
+    _pending = pending
+
+
+def _measure_pending(k: int) -> float:
+    field, n_offsets, samples_per_unit, entries = _pending
+    return _measure_entry(field, entries[k], n_offsets, samples_per_unit)
+
+
+def _measurements(field, entries, n_offsets: int, samples_per_unit: float):
+    """Measured constants of entries, yielded in order.
+
+    With more than one worker the entries are measured on a fork-started
+    pool, TASKS_AHEAD tasks per worker ahead of the consumer; closing the
+    generator cancels what is queued and waits for the workers to exit.
+    """
+    workers = min(_worker_count(), len(entries))
+    if workers <= 1:
+        yield from (_measure_entry(field, e, n_offsets, samples_per_unit) for e in entries)
+        return
+    # imported here: only a pool needs it, and an import costs every CLI start
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and scipy again
+    # (about 0.5 s) and be sent the field by pickle
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker,
+                               initargs=((field, n_offsets, samples_per_unit, entries),))
+    try:
+        tasks = iter(range(len(entries)))
+        window = deque(pool.submit(_measure_pending, k)
+                       for k in itertools.islice(tasks, TASKS_AHEAD * workers))
+        while window:
+            value = window.popleft().result()
+            window.extend(pool.submit(_measure_pending, k) for k in itertools.islice(tasks, 1))
+            yield value
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def comb_gcc_certify(
     field: ObservationField,
     rho: float,
@@ -520,7 +600,8 @@ def comb_gcc_certify(
     n_measured counts the entries scanned and n_measurements the
     measurements taken during that scan. With fail_fast, entries are
     scanned in (T, angle) order and the scan stops at the first failure
-    for that lam.
+    for that lam. The orbits are measured on every usable core (see the
+    module docstring); the report is the same as with one.
     """
     lambda_list = list(lambda_list)
     if not lambda_list:
@@ -544,37 +625,43 @@ def comb_gcc_certify(
                 cov.entries[i].angle,
             ),
         )
+        keys = [_orbit_key(cov.entries[i], maps) for i in order]
+        pending = {}
+        for i, key in zip(order, keys):
+            if key not in cache:
+                pending.setdefault(key, cov.entries[i])
         records = []
         lam_pass = ver.ok
         stopped = False
         taken = len(cache)
-        for i in order:
-            e = cov.entries[i]
-            key = _orbit_key(e, maps)
-            if key not in cache:
-                cache[key] = _measure_entry(field, e, n_offsets, samples_per_unit)
-            measured = cache[key]
-            ok = measured > e.certificate.eta_floor
-            records.append(
-                {
-                    "angle": e.angle,
-                    "p": e.rational.p if e.rational else None,
-                    "q": e.rational.q if e.rational else None,
-                    "T": e.rational.T if e.rational else None,
-                    "kind": e.certificate.kind,
-                    "M": e.certificate.M,
-                    "L": e.certificate.L,
-                    "eps": e.eps,
-                    "floor": e.certificate.eta_floor,
-                    "measured": measured,
-                    "pass": bool(ok),
-                }
-            )
-            if not ok:
-                lam_pass = False
-                if fail_fast:
-                    stopped = True
-                    break
+        with contextlib.closing(_measurements(field, list(pending.values()), n_offsets,
+                                              samples_per_unit)) as measurements:
+            for i, key in zip(order, keys):
+                e = cov.entries[i]
+                if key not in cache:
+                    cache[key] = next(measurements)
+                measured = cache[key]
+                ok = measured > e.certificate.eta_floor
+                records.append(
+                    {
+                        "angle": e.angle,
+                        "p": e.rational.p if e.rational else None,
+                        "q": e.rational.q if e.rational else None,
+                        "T": e.rational.T if e.rational else None,
+                        "kind": e.certificate.kind,
+                        "M": e.certificate.M,
+                        "L": e.certificate.L,
+                        "eps": e.eps,
+                        "floor": e.certificate.eta_floor,
+                        "measured": measured,
+                        "pass": bool(ok),
+                    }
+                )
+                if not ok:
+                    lam_pass = False
+                    if fail_fast:
+                        stopped = True
+                        break
         worst = None
         if records:
             worst = min(range(len(records)), key=lambda j: records[j]["measured"] - records[j]["floor"])

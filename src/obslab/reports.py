@@ -17,8 +17,13 @@ import numpy as np
 
 from . import __version__
 
+_PLAIN = (type(None), bool, int, float, str)
+
+
 def to_jsonable(obj):
     """Recursively convert dataclasses, arrays and numpy scalars for JSON."""
+    if type(obj) in _PLAIN:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return to_jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -41,12 +46,13 @@ def report_envelope(kind: str, config: dict, payload: dict) -> dict:
     return {
         "tool": {"name": "obslab", "version": __version__},
         "kind": kind,
-        "config": to_jsonable(config),
-        "report": to_jsonable(payload),
+        "config": config,
+        "report": payload,
     }
 
 
 def write_json(path, payload) -> None:
+    """Write payload, converted once by to_jsonable, as sorted-key JSON."""
     text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
     Path(path).write_text(text)
 

@@ -368,6 +368,17 @@ def test_bad_paths_exit_code(tmp_path, monkeypatch, capsys, extra, field_lines, 
     assert capsys.readouterr().err.startswith(f"error: {named}: ")
 
 
+def test_unusable_out_is_refused_before_the_run(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("")
+    code = run(["certify", "--out", str(target), "--field-grid", "16", "--rho", "2",
+                "--lambdas", "10000", "--n-offsets", "4", "--samples-per-unit", "4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "[certify]" not in captured.out
+    assert captured.err.startswith(f"error: {target}: ")
+
+
 def test_list_families_prints_defaults(capsys):
     assert run(["list-families"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,8 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -307,6 +311,9 @@ def test_certify_fail_fast_stops_early():
 
 
 def _counting_measurements(monkeypatch):
+    """Record every _measure_entry call made in this process; with one
+    worker every measurement is made here."""
+    monkeypatch.setattr(covering, "_worker_count", lambda: 1)
     calls = []
     measure = covering._measure_entry
 
@@ -358,6 +365,80 @@ def test_certify_without_symmetry_measures_each_direction_pair(monkeypatch):
         keys.add((e["kind"], key, e["M"], e["L"]))
     assert len(calls) == len(keys)
     assert 2 * len(keys) == rep.per_lambda[0]["n_entries"]
+
+
+@contextlib.contextmanager
+def _deadline(seconds=120):
+    """Raise TimeoutError in this process if the block runs too long, so a
+    pool that hangs fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _pool_and_in_process(monkeypatch, workers, field, *args, **kwargs):
+    """comb_gcc_certify on a pool of workers, then in this process."""
+    calls = _counting_measurements(monkeypatch)
+    monkeypatch.setattr(covering, "_worker_count", lambda: workers)
+    with _deadline():
+        pooled = covering.comb_gcc_certify(field, *args, **kwargs)
+    assert calls == []  # the workers measured
+    monkeypatch.setattr(covering, "_worker_count", lambda: 1)
+    serial = covering.comb_gcc_certify(field, *args, **kwargs)
+    assert len(calls) == sum(pl["n_measurements"] for pl in serial.per_lambda)
+    return pooled, serial
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_certify_pool_matches_in_process(monkeypatch, workers):
+    """Results are consumed in scan order, so the cache shared across lam
+    values, every record and every count come out as in one process, also
+    with more workers than cores."""
+    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=64, delta=0.3)
+    pooled, serial = _pool_and_in_process(monkeypatch, workers, f, 2.0, [10000.0, 40000.0],
+                                          n_offsets=4, samples_per_unit=4.0)
+    assert pooled.per_lambda == serial.per_lambda
+    assert pooled.passed == serial.passed
+    assert [pl["n_measurements"] for pl in pooled.per_lambda] == [97, 96]
+    assert multiprocessing.active_children() == []
+
+
+def test_certify_pool_fail_fast_matches_in_process(monkeypatch):
+    f = fields.make_field("half-strip-comb", dim=2, period=16.0, grid=256)
+    pooled, serial = _pool_and_in_process(monkeypatch, 2, f, 0.5, [2560000.0], fail_fast=True,
+                                          n_offsets=8, samples_per_unit=8.0)
+    assert pooled.per_lambda == serial.per_lambda
+    (rec,) = pooled.per_lambda
+    assert rec["stopped_early"]
+    assert rec["n_measurements"] < 10 and rec["n_measured"] < rec["n_entries"]
+    assert multiprocessing.active_children() == []
+
+
+def _boom(*args):
+    raise ValueError("boom")
+
+
+def _die(*args):
+    os._exit(7)
+
+
+@pytest.mark.parametrize("measure, error", [(_boom, ValueError), (_die, RuntimeError)])
+def test_certify_pool_worker_failure_reaches_the_caller(monkeypatch, measure, error):
+    """A measurement that raises re-raises in the caller; a worker that
+    dies breaks the pool (a RuntimeError) instead of hanging the scan."""
+    monkeypatch.setattr(covering, "_measure_entry", measure)
+    monkeypatch.setattr(covering, "_worker_count", lambda: 2)
+    f = fields.make_field("constant", dim=2, period=1.0, grid=16, value=1.0)
+    with _deadline(), pytest.raises(error):
+        covering.comb_gcc_certify(f, 2.0, [10000.0], n_offsets=4, samples_per_unit=4.0)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("kwargs", [dict(lambda_list=[]), dict(n_offsets=0),
