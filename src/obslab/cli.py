@@ -1,13 +1,14 @@
 """Config-driven command-line front-end.
 
-Each subcommand builds a field, runs one experiment family, echoes a
-summary line per sweep point, and writes a JSON report plus CSV tables
-into the output directory (flag --out, else the OBSLAB_OUT environment
-variable, else the working directory), which is made before the
-experiment runs. Options may come from an INI config file; explicit
-flags win over config values. Exit codes: 0 success, 1 a mathematical
-check failed, 2 usage or config error, 3 numerical failure in an
-eigensolver, or a certify measuring process that died.
+Each subcommand runs one experiment family, echoes a summary line per
+sweep point, and returns its exit status, report payload and CSV table
+(file name, header, rows). main() alone parses every option, builds the
+field, makes the output directory (--out, else $OBSLAB_OUT, else the
+working directory) before the run and writes the reports there after it.
+Options may come from an INI config file; explicit flags win over config
+values. Exit codes: 0 success, 1 a mathematical check failed, 2 usage or
+config error, 3 numerical failure in an eigensolver, or a certify
+measuring process that died.
 
 Every subcommand option is declared once, as a (dest, type, default,
 help) entry of its command's table. The entry registers the flag
@@ -40,6 +41,13 @@ def _floats(text: str) -> list[float]:
     values = [_real(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise ValueError("expected at least one number")
+    return values
+
+
+def _three_floats(text: str) -> list[float]:
+    values = _floats(text)
+    if len(values) != 3:
+        raise ValueError(f"expected three numbers, got {len(values)}")
     return values
 
 
@@ -119,10 +127,6 @@ def _resolve(args, options, section: dict) -> None:
             setattr(args, dest, type_(section[dest]) if dest in section else default)
 
 
-def _values(args, options) -> dict:
-    return {dest: getattr(args, dest) for dest, *_ in options}
-
-
 def _build_field(args, section: dict, dim: int, grid: int):
     """Field from the config [field] section with flag overrides on top."""
     opts = {"family": "constant", "dim": str(dim), "grid": str(grid), "period": "1.0", **section}
@@ -136,8 +140,7 @@ def _build_field(args, section: dict, dim: int, grid: int):
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("OBSLAB_OUT") or "."
-    path = Path(out)
+    path = Path(args.out or os.environ.get("OBSLAB_OUT") or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -155,7 +158,7 @@ CERTIFY_OPTIONS = (
 )
 
 
-def cmd_certify(args, field, out) -> int:
+def cmd_certify(args, field):
     report = covering.comb_gcc_certify(field, args.rho, args.lambdas, gamma=args.gamma,
                                        fail_fast=args.fail_fast, n_offsets=args.n_offsets,
                                        samples_per_unit=args.samples_per_unit)
@@ -165,18 +168,11 @@ def cmd_certify(args, field, out) -> int:
         print(f"[certify] lam={rec['lam']:g} entries={rec['n_entries']} "
               f"measured={rec['n_measured']} measurements={rec['n_measurements']} "
               f"pass={rec['all_pass']} symmetry={symmetry}")
-    config = {**_values(args, CERTIFY_OPTIONS), "field": field.describe()}
     payload = {"passed": report.passed, "symmetry": report.symmetry, "per_lambda": report.per_lambda}
-    reports.write_json(out / "certify_report.json", reports.report_envelope("certify", config, payload))
-    rows = []
-    for rec in report.per_lambda:
-        for e in rec["entries"]:
-            rows.append([rec["lam"], e["angle"], e["p"], e["q"], e["T"], e["kind"],
-                         e["M"], e["L"], e["eps"], e["floor"], e["measured"], e["pass"]])
-    reports.write_csv(out / "certify_entries.csv",
-                      ["lam", "angle", "p", "q", "T", "kind", "M", "L", "eps", "floor", "measured", "pass"],
-                      rows)
-    return 0 if report.passed else 1
+    rows = [{"lam": rec["lam"], **e} for rec in report.per_lambda for e in rec["entries"]]
+    # each lam's scan records at least one entry, so rows[0] exists
+    table = ("certify_entries.csv", list(rows[0]), [list(row.values()) for row in rows])
+    return (0 if report.passed else 1), payload, table
 
 
 COVER_OPTIONS = (
@@ -186,20 +182,13 @@ COVER_OPTIONS = (
 )
 
 
-def cmd_cover(args, field, out) -> int:
+def cmd_cover(args, field):
     cov = covering.default_covering_builder(field, args.rho, args.gamma)(args.lam)
     ver = covering.verify_covering(cov)
     print(f"[cover] lam={args.lam:g} entries={ver.n_entries} covers={ver.covers} "
           f"budget_ok={ver.budget_ok} worst_margin={ver.worst_margin:.6g}")
-    config = {**_values(args, COVER_OPTIONS), "field": field.describe()}
-    payload = {
-        "covering": covering.covering_to_dict(cov),
-        "verification": {"covers": ver.covers, "budget_ok": ver.budget_ok,
-                         "n_entries": ver.n_entries, "worst_margin": ver.worst_margin,
-                         "gaps": ver.gaps, "ok": ver.ok},
-    }
-    reports.write_json(out / "cover_report.json", reports.report_envelope("cover", config, payload))
-    return 0 if ver.ok else 1
+    payload = {"covering": covering.covering_to_dict(cov), "verification": {**vars(ver), "ok": ver.ok}}
+    return (0 if ver.ok else 1), payload, None
 
 
 UNCERTAINTY_OPTIONS = (
@@ -217,7 +206,7 @@ UNCERTAINTY_OPTIONS = (
 )
 
 
-def cmd_uncertainty(args, field, out) -> int:
+def cmd_uncertainty(args, field):
     kind, sigma, radius, lambdas, zetas = args.mask, args.sigma, args.radius, args.lambdas, args.zetas
 
     def one_mask(**params):
@@ -248,13 +237,9 @@ def cmd_uncertainty(args, field, out) -> int:
         reps.append(rep)
         label = mask.params.get("lam", mask.params.get("zeta", mask.params.get("radius", "")))
         print(f"[uncertainty] {kind}={label} rank={rep.rank} c={rep.c:.6g} C={rep.value:.6g}")
-    config = {**_values(args, UNCERTAINTY_OPTIONS), "field": field.describe()}
     payload = {"reports": [r.to_dict() for r in reps]}
-    reports.write_json(out / "uncertainty_report.json",
-                       reports.report_envelope("uncertainty", config, payload))
-    reports.write_csv(out / "uncertainty_sweep.csv", reports.SPECTRAL_SWEEP_HEADER,
-                      reports.spectral_sweep_rows(reps))
-    return 0
+    return 0, payload, ("uncertainty_sweep.csv", reports.SPECTRAL_SWEEP_HEADER,
+                        reports.spectral_sweep_rows(reps))
 
 
 RESOLVENT_OPTIONS = (
@@ -266,7 +251,7 @@ RESOLVENT_OPTIONS = (
 )
 
 
-def cmd_resolvent(args, field, out) -> int:
+def cmd_resolvent(args, field):
     lambdas = args.lambdas
     if args.m is None:
         args.m = spectral.calibrate_m(field, args.gamma, args.lam0)
@@ -274,46 +259,43 @@ def cmd_resolvent(args, field, out) -> int:
     for rep in reps:
         print(f"[resolvent] lam={rep.extra['lam']:g} M={rep.value:.6g} "
               f"kernel_dim={rep.extra['kernel_dim']}")
-    config = {**_values(args, RESOLVENT_OPTIONS), "field": field.describe()}
     payload = {"reports": [r.to_dict() for r in reps]}
     if args.fit:
         vals = [r.value for r in reps]
         if any(lam <= 0 for lam in lambdas):
             payload["fit"] = {"slope": None,
                               "reason": "fit needs positive lambdas"}
+        elif len(set(lambdas)) < 2:
+            payload["fit"] = {"slope": None, "reason": "fit needs at least two distinct lambdas"}
         elif all(math.isfinite(v) and v > 0 for v in vals):
             slope, intercept = np.polyfit(np.log(lambdas), np.log(vals), 1)
             payload["fit"] = {"slope": float(slope), "intercept": float(intercept)}
         else:
             payload["fit"] = {"slope": None, "reason": "non-finite M in sweep"}
-    reports.write_json(out / "resolvent_report.json",
-                       reports.report_envelope("resolvent", config, payload))
-    reports.write_csv(out / "resolvent_sweep.csv", reports.SPECTRAL_SWEEP_HEADER,
-                      reports.spectral_sweep_rows(reps))
-    return 0
+    return 0, payload, ("resolvent_sweep.csv", reports.SPECTRAL_SWEEP_HEADER,
+                        reports.spectral_sweep_rows(reps))
 
 
 OBSERVE_OPTIONS = (
     ("beta", _real, 1.0, "dispersion exponent in [0, 1]"),
     ("cutoff", _real, 16.0, "frequency cutoff K"),
     ("T_list", _floats, [0.1, 0.2, 0.4, 0.8], "observation times"),
-    ("miller", str, None, "M,m,eps for a predicted-cost comparison"),
+    ("miller", _three_floats, None, "M,m,eps for a predicted-cost comparison"),
     ("envelope_eps", _real, None, "fit log kappa against T^(2-4/eps)"),
 )
 
 
-def cmd_observe(args, field, out) -> int:
+def cmd_observe(args, field):
     beta, K, T_list, miller = args.beta, args.cutoff, args.T_list, args.miller
+    if args.envelope_eps is not None:
+        evolution.check_envelope_sweep(args.envelope_eps, T_list)
     reps = evolution.cost_curve(field, beta, T_list, K)
-    rows = []
     for rep in reps:
         print(f"[observe] T={rep.T:g} lam_min={rep.lam_min:.6g} kappa={rep.kappa:.6g} "
               f"nodes={rep.n_nodes}")
-        rows.append([rep.T, rep.K, rep.n_nodes, rep.lam_min, rep.kappa])
     payload = {"reports": [r.to_dict() for r in reps]}
-    status = 0
     if miller is not None:
-        M_res, m_res, eps = _floats(miller)
+        M_res, m_res, eps = miller
         comparison = []
         for rep in reps:
             pred = evolution.miller_cost(M_res, m_res, rep.T, eps)
@@ -324,16 +306,11 @@ def cmd_observe(args, field, out) -> int:
                              "C_eps": 1.0, "comparison": comparison,
                              "fitted_c": max(ratios) if ratios else None}
     if args.envelope_eps is not None:
-        fit = evolution._envelope_fit(args.envelope_eps, T_list, [r.kappa for r in reps], beta)
-        payload["envelope"] = fit
-        if not fit["passed"]:
-            status = 1
-    config = {**_values(args, OBSERVE_OPTIONS), "field": field.describe()}
-    reports.write_json(out / "observe_report.json",
-                       reports.report_envelope("observe", config, payload))
-    reports.write_csv(out / "observe_sweep.csv",
-                      ["T", "K", "n_nodes", "lam_min", "kappa"], rows)
-    return status
+        payload["envelope"] = evolution._envelope_fit(args.envelope_eps, T_list,
+                                                      [r.kappa for r in reps], beta)
+    rows = [[r.T, r.K, r.n_nodes, r.lam_min, r.kappa] for r in reps]
+    status = 1 if "envelope" in payload and not payload["envelope"]["passed"] else 0
+    return status, payload, ("observe_sweep.csv", ["T", "K", "n_nodes", "lam_min", "kappa"], rows)
 
 
 def random_ball_system(rng: np.random.Generator, W: float, delta: float, n_balls: int) -> construct.BallSystem:
@@ -358,7 +335,7 @@ CONSTRUCT_DEMO_OPTIONS = (
 )
 
 
-def cmd_construct_demo(args, field, out) -> int:
+def cmd_construct_demo(args, field):
     M, n_balls = args.M, args.n_balls
     Y = random_ball_system(np.random.default_rng(args.seed), args.W, args.delta, n_balls)
     wmin, wat = Y.window_min_measure(M)
@@ -379,7 +356,6 @@ def cmd_construct_demo(args, field, out) -> int:
     passed = all(checks.values())
     print(f"[construct-demo] balls={n_balls} cells={len(sm.t_scales)} eta={sm.eta:.6g} "
           f"density={density:.6g} passed={passed}")
-    config = _values(args, CONSTRUCT_DEMO_OPTIONS)
     payload = {
         "checks": checks, "passed": passed, "eta": sm.eta, "rho": rho,
         "window_min_measure": wmin, "window_argmin": wat,
@@ -389,35 +365,35 @@ def cmd_construct_demo(args, field, out) -> int:
         "t_range": [float(sm.t_scales.min()), float(sm.t_scales.max())],
         "derivative_bounds": fd,
     }
-    reports.write_json(out / "construct_report.json",
-                       reports.report_envelope("construct-demo", config, payload))
     stride = max(1, len(sm.x) // 2000)
-    reports.write_csv(out / "construct_profile.csv", ["x", "a"],
-                      [[float(x), float(v)] for x, v in zip(sm.x[::stride], sm.values[::stride])])
-    return 0 if passed else 1
+    profile = [[float(x), float(v)] for x, v in zip(sm.x[::stride], sm.values[::stride])]
+    return (0 if passed else 1), payload, ("construct_profile.csv", ["x", "a"], profile)
 
 
-def cmd_list_families(args, field, out) -> int:
+def cmd_list_families(args, field):
     catalog = fields.family_catalog()
     for name, info in sorted(catalog.items()):
         params = ", ".join(f"{k} (required)" if v is None else f"{k}={v}"
                            for k, v in info["params"].items()) or "none"
         print(f"{name}: {info['doc']} (dims: {info['dims']}; parameters: {params})")
-    return 0
+    return 0, None, None
 
 
-# name: (function, help, option table, (default dim, default grid) of its field)
+# name: (function, help, option table, (default dim, default grid) of its field, report file)
 COMMANDS = {
     "certify": (cmd_certify, "measure every entry of an effective covering",
-                CERTIFY_OPTIONS, (2, 256)),
-    "cover": (cmd_cover, "build and verify an effective covering", COVER_OPTIONS, (2, 256)),
+                CERTIFY_OPTIONS, (2, 256), "certify_report.json"),
+    "cover": (cmd_cover, "build and verify an effective covering", COVER_OPTIONS, (2, 256),
+              "cover_report.json"),
     "uncertainty": (cmd_uncertainty, "uncertainty constants on frequency masks",
-                    UNCERTAINTY_OPTIONS, (1, 512)),
-    "resolvent": (cmd_resolvent, "resolvent constant sweep M(lambda)", RESOLVENT_OPTIONS, (1, 512)),
-    "observe": (cmd_observe, "observability Gramian cost sweep", OBSERVE_OPTIONS, (1, 512)),
+                    UNCERTAINTY_OPTIONS, (1, 512), "uncertainty_report.json"),
+    "resolvent": (cmd_resolvent, "resolvent constant sweep M(lambda)", RESOLVENT_OPTIONS,
+                  (1, 512), "resolvent_report.json"),
+    "observe": (cmd_observe, "observability Gramian cost sweep", OBSERVE_OPTIONS, (1, 512),
+                "observe_report.json"),
     "construct-demo": (cmd_construct_demo, "smooth minorant of a random ball system",
-                       CONSTRUCT_DEMO_OPTIONS, None),
-    "list-families": (cmd_list_families, "catalog of built-in field families", None, None),
+                       CONSTRUCT_DEMO_OPTIONS, None, "construct_report.json"),
+    "list-families": (cmd_list_families, "catalog of built-in field families", None, None, None),
 }
 
 
@@ -428,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "principles, and Schrödinger observability on the torus.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (_, help_, options, box) in COMMANDS.items():
+    for name, (_, help_, options, box, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         if options is None:
             continue
@@ -452,7 +428,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    func, _, options, box = COMMANDS[args.command]
+    func, _, options, box, report_file = COMMANDS[args.command]
     try:
         field = out = None
         if options is not None:
@@ -461,7 +437,18 @@ def main(argv=None) -> int:
             if box is not None:
                 field = _build_field(args, field_section, *box)
             out = _out_dir(args)
-        return func(args, field, out)
+        status, payload, table = func(args, field)
+        if payload is not None:
+            # read after the run: resolvent and construct-demo fill in m and rho
+            config = {dest: getattr(args, dest) for dest, *_ in options}
+            if field is not None:
+                config["field"] = field.describe()
+            reports.write_json(out / report_file,
+                               reports.report_envelope(args.command, config, payload))
+            if table is not None:
+                csv_file, header, rows = table
+                reports.write_csv(out / csv_file, header, rows)
+        return status
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -229,6 +229,9 @@ def farey_directions(cap_T: float) -> list[RationalDirection]:
     return out
 
 
+MAX_COVERING_SIZE = 100_000  # lattice points a covering may scan, or entries it may hold
+
+
 def periodic_effective_covering(
     delta_level: float, rho: float, lam: float, gamma: float = 0.25
 ) -> EffectiveCovering:
@@ -251,6 +254,10 @@ def periodic_effective_covering(
     if lam < lam0 * (1.0 - 1e-12):
         raise ValueError(f"lam = {lam} below the admissible floor lam0 = (20/rho)^4 = {lam0}")
     cap = lam ** gamma
+    n_scan = (2 * math.floor(2.0 * cap) + 1) ** 2  # what farey_directions(2 cap) visits
+    if n_scan > MAX_COVERING_SIZE:
+        raise ValueError(f"the covering at lam = {lam:g}, gamma = {gamma:g} scans {n_scan} "
+                         f"lattice points, more than MAX_COVERING_SIZE = {MAX_COVERING_SIZE}")
     T0 = 1.0 / delta_level
     entries = []
     for rat in farey_directions(2.0 * cap):
@@ -309,6 +316,9 @@ def product_effective_covering(
     a_lo, a_hi = w1, math.pi / 2.0 - w1
     if a_lo < a_hi:
         n = int(math.ceil((a_hi - a_lo) / (2.0 * w2)))
+        if 4 + 4 * n > MAX_COVERING_SIZE:
+            raise ValueError(f"the product covering at lam = {lam:g}, rho = {rho:g} holds {4 + 4 * n} "
+                             f"entries, more than MAX_COVERING_SIZE = {MAX_COVERING_SIZE}")
         base = a_lo + (2.0 * np.arange(n) + 1.0) * w2
         for ang in base:
             for quadrant in range(4):
@@ -610,13 +620,13 @@ def comb_gcc_certify(
         raise ValueError(f"need n_offsets >= 1 and samples_per_unit > 0, "
                          f"got {n_offsets} and {samples_per_unit}")
     build = default_covering_builder(field, rho, gamma)
+    coverings = [build(lam) for lam in lambda_list]  # refuse any lam before measuring
     symmetry = lattice_symmetries(field)
     maps = _orbit_maps(symmetry)
     cache: dict = {}
     per_lambda = []
     all_pass = True
-    for lam in lambda_list:
-        cov = build(lam)
+    for lam, cov in zip(lambda_list, coverings):
         ver = verify_covering(cov)
         order = sorted(
             range(len(cov.entries)),

@@ -188,18 +188,23 @@ def arb_time_shape_check(field: ObservationField, eps_decay: float, T_list, cuto
     quality reaches R^2 >= 0.9. Alternative exponents, when given, are
     fitted on the same sweep for comparison.
     """
-    if not 0.0 < eps_decay <= 1.0:
-        raise ValueError("eps_decay must lie in (0, 1]")
+    check_envelope_sweep(eps_decay, T_list)
     if beta is None:
         beta = 2.0 / (2.0 / eps_decay - 1.0) - 1.0
     reports = cost_curve(field, beta, T_list, cutoff_K)
     return _envelope_fit(eps_decay, T_list, [r.kappa for r in reports], beta, alt_exponents)
 
 
-def _envelope_fit(eps_decay: float, T_list, kappas, beta: float, alt_exponents=()) -> dict:
-    """The arb_time_shape_check fit of one measured (T, kappa) sweep."""
+def check_envelope_sweep(eps_decay: float, T_list) -> None:
+    """Refuse, before any Gramian, an envelope fit that no sweep could make."""
     if not 0.0 < eps_decay <= 1.0:
         raise ValueError("eps_decay must lie in (0, 1]")
+    if len(set(T_list)) < 2:
+        raise ValueError(f"the envelope fit needs at least two distinct T, got {len(set(T_list))}")
+
+
+def _envelope_fit(eps_decay: float, T_list, kappas, beta: float, alt_exponents=()) -> dict:
+    """The arb_time_shape_check fit of one measured (T, kappa) sweep."""
     if any(not math.isfinite(k) for k in kappas):
         raise ValueError("cost is infinite at some T; the envelope fit needs finite costs")
     fit = fit_log_cost(T_list, kappas, 2.0 - 4.0 / eps_decay)

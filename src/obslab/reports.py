@@ -32,12 +32,8 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # numpy integer, float and bool scalars
+        return obj.item()
     return obj
 
 

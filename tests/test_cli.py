@@ -477,7 +477,7 @@ BAD_VALUE_RUNS = {
     "observe": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
                  "--cutoff", "4", "--T-list", "0.5 1.0"],
                 {"--beta": float, "--cutoff": float, "--T-list": float,
-                 "--envelope-eps": float}),
+                 "--envelope-eps": float, "--miller": float}),
 }
 # resolvent spectral parameters below the spectrum are valid input
 NEGATIVE_IS_VALID = {("resolvent", "--lambdas")}
@@ -522,6 +522,84 @@ def test_bad_numeric_flag_values_exit_2(tmp_path_factory, argv):
     assert code == 2
     assert "error:" in stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
+
+
+# a cheap run of each command, and the files it writes into --out
+WRITER_RUNS = {
+    "certify": (BAD_VALUE_RUNS["certify"][0], {"certify_report.json", "certify_entries.csv"}),
+    "cover": (BAD_VALUE_RUNS["cover"][0], {"cover_report.json"}),
+    "uncertainty": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
+                     "--mask", "ball", "--radius", "3"],
+                    {"uncertainty_report.json", "uncertainty_sweep.csv"}),
+    "resolvent": (BAD_VALUE_RUNS["resolvent"][0] + ["--m", "0.5"],
+                  {"resolvent_report.json", "resolvent_sweep.csv"}),
+    "observe": (BAD_VALUE_RUNS["observe"][0], {"observe_report.json", "observe_sweep.csv"}),
+    "construct-demo": (["--W", "10", "--n-balls", "100"],
+                       {"construct_report.json", "construct_profile.csv"}),
+    "list-families": ([], set()),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_writes_its_reports(tmp_path, monkeypatch, command):
+    """Each command writes exactly its report and table; the report's kind
+    is the command, and its config holds each option plus the field."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OBSLAB_OUT", raising=False)
+    _, _, options, box, _ = cli.COMMANDS[command]
+    base, files = WRITER_RUNS[command]
+    argv = [command, *base] + (["--out", "out"] if options is not None else [])
+    assert run(argv) in (0, 1)
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {str(Path("out") / name) for name in files}
+    if options is None:
+        return
+    (report_file,) = [name for name in files if name.endswith(".json")]
+    envelope = json.loads((tmp_path / "out" / report_file).read_text())
+    assert envelope["kind"] == command
+    assert set(envelope["config"]) == {dest for dest, *_ in options} | ({"field"} if box else set())
+
+
+@pytest.mark.parametrize("value", ["1,2", "a,b,c"])
+def test_bad_miller_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys, value):
+    calls = []
+    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    base, _ = BAD_VALUE_RUNS["observe"]
+    with pytest.raises(SystemExit) as exc:
+        run(["observe", *base, "--miller", value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --miller: " in capsys.readouterr().err
+    assert calls == []
+
+
+def test_observe_records_miller_as_numbers(tmp_path):
+    base, _ = BAD_VALUE_RUNS["observe"]
+    assert run(["observe", *base, "--miller", "0.01 2 0.1", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "observe_report.json").read_text())["config"]
+    assert config["miller"] == [0.01, 2.0, 0.1]
+
+
+@pytest.mark.parametrize("T_list", ["0.5", "0.5 0.5"])
+def test_envelope_with_one_distinct_time_exits_2_before_any_gramian(tmp_path, monkeypatch,
+                                                                    capsys, T_list):
+    calls = []
+    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    base, _ = BAD_VALUE_RUNS["observe"]
+    code = run(["observe", *base, "--T-list", T_list, "--envelope-eps", "0.5",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "at least two distinct T" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("lambdas", ["64", "64,64"])
+def test_resolvent_fit_needs_two_distinct_lambdas(tmp_path, lambdas):
+    base, _ = BAD_VALUE_RUNS["resolvent"]
+    code = run(["resolvent", *base, "--m", "0.5", "--lambdas", lambdas, "--fit",
+                "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "resolvent_report.json").read_text())["report"]
+    assert report["fit"] == {"slope": None, "reason": "fit needs at least two distinct lambdas"}
 
 
 def test_readme_commands_parse():

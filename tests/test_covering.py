@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from obslab import covering, fields, geometry
+from obslab import cli, covering, fields, geometry
 
 
 def test_rational_direction_properties():
@@ -450,3 +450,28 @@ def test_certify_rejects_empty_or_degenerate_inputs(kwargs):
     args = {"rho": 2.0, "lambda_list": [10000.0], **kwargs}
     with pytest.raises(ValueError):
         covering.comb_gcc_certify(f, **args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--lam", "1e30"],
+    ["certify", "--lambdas", "160000,1e30", "--n-offsets", "4", "--samples-per-unit", "4"],
+])
+def test_unbounded_covering_is_refused_up_front(tmp_path, capsys, argv):
+    """A covering whose lattice scan could not finish exits 2 and names
+    lam, gamma and the count; certify refuses it before measuring the
+    admissible lam that precedes it."""
+    field = ["--field-family", "periodic-square", "--field-grid", "32", "--rho", "1"]
+    with _deadline(10):
+        code = cli.main(argv + field + ["--out", str(tmp_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "lam = 1e+30, gamma = 0.25 scans 16000000150085449 lattice points" in err
+    assert "[certify]" not in out
+
+
+def test_product_covering_with_too_many_entries_is_refused():
+    # delta1 + delta2 = 1.001 makes the diagonal GCC caps about 3e-5 wide
+    f = fields.make_field("product", dim=2, period=1.0, grid=16,
+                          intervals_x="0:0.5", intervals_y="0:0.501")
+    with pytest.raises(ValueError, match="lam = 1e[+]09, rho = 1 holds 137036 entries"):
+        covering.default_covering_builder(f, 1.0)(1e9)

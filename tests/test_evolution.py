@@ -103,6 +103,15 @@ def test_arb_time_shape_check_validation():
                                        beta=0.5)
 
 
+@pytest.mark.parametrize("T_list", [[0.5], [0.5, 0.5]])
+def test_envelope_check_needs_two_distinct_times(monkeypatch, T_list):
+    calls = []
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="at least two distinct T"):
+        evolution.arb_time_shape_check(_const(), 0.5, T_list, 8.0)
+    assert calls == []
+
+
 def test_gramian_report_to_dict():
     rep = evolution.observability_gramian(_const(), 0.5, 0.5, 4.0)
     d = rep.to_dict()

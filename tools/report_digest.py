@@ -1,24 +1,26 @@
-"""Print a sha256 for every report the benchmark operations and the demos write.
+"""Print a sha256 for every report the benchmark operations, the CLI and the demos write.
 
     python3 tools/report_digest.py [--seed N] [--keep DIR] > digest.txt
 
 Run from any directory; obslab is imported from this checkout's src/.
 Every operation of every bench/workloads.py workload runs once (seed N,
-default 1, untraced, checked against bench/reference.json), then each demo in
-demos/ runs in a fresh working directory. Each line is
+default 1, untraced, checked against bench/reference.json), then one CLI
+run of each subcommand or option no operation uses (CLI_RUNS, each expected
+to exit 0), then each demo in demos/; the last two each run in a fresh
+working directory. Each line is
 
     <op> TAB <file> TAB <sha256>
 
 with one line per file the operation wrote and one for what it printed
-("stdout"). A workload operation that writes no file is also digested by
-the repr of its return value ("return"). Run the script on two checkouts and diff
-the outputs to see which report bytes a change moved; a seed not used
-while writing a change holds it to the same numbers on fields it was
-not tuned on. With --keep DIR
-each operation's files and printed output (stdout.txt) are also saved
-under DIR/<op>/, the op label made a path, so the reports of two
-checkouts can be compared value by value. The exit code is 1 if any
-operation's check failed, else 0.
+("stdout"). A workload operation or CLI run that writes no file is also
+digested by the repr of its return value ("return"). Run the script on
+two checkouts and diff the outputs to see which report bytes a change
+moved; a seed not used while writing a change holds it to the same
+numbers on fields it was not tuned on. With --keep DIR each operation's
+files and printed output (stdout.txt) are also saved under DIR/<op>/,
+the op label made a path, so the reports of two checkouts can be
+compared value by value. The exit code is 1 if any
+operation's check failed or a CLI run exited non-zero, else 0.
 """
 
 from __future__ import annotations
@@ -38,6 +40,23 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from obslab import cli  # noqa: E402
+
+SQUARE_1D = ["--field-family", "periodic-square", "--field-dim", "1",
+             "--field-period", "6.283185307179586", "--field-delta", "0.3",
+             "--field-mollify", "0.05"]
+# the subcommands and options that no workload operation runs
+CLI_RUNS = {
+    "cover": ["cover", "--field-family", "periodic-square", "--field-dim", "2",
+              "--field-grid", "200", "--field-period", "1", "--field-delta", "0.3",
+              "--rho", "0.5", "--lam", "2560000", "--out", "."],
+    "list-families": ["list-families"],
+    "observe --miller": ["observe", *SQUARE_1D, "--field-grid", "256", "--beta", "0.5",
+                         "--cutoff", "24", "--T-list", "1.0 2.0 4.0",
+                         "--miller", "0.01,2.0,0.1", "--out", "."],
+    "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
+                                "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
+}
 
 
 def _sha(data: bytes) -> str:
@@ -84,17 +103,34 @@ def digest_workloads(scratch: Path, keep: Path | None, seed: int) -> int:
     return failed
 
 
-def digest_demos(scratch: Path, keep: Path | None) -> None:
+def _run_in(folder: Path, label: str, fn, keep: Path | None):
+    """_run with folder, made fresh, as the working directory."""
+    folder.mkdir()
     here = os.getcwd()
+    os.chdir(folder)
+    try:
+        return _run(label, folder, fn, keep)
+    finally:
+        os.chdir(here)
+
+
+def digest_cli(scratch: Path, keep: Path | None) -> int:
+    failed = 0
+    for k, (name, argv) in enumerate(CLI_RUNS.items()):
+        label = f"cli: {name}"
+        rc, wrote = _run_in(scratch / f"cli{k}", label, lambda: cli.main(argv), keep)
+        if not wrote:
+            print(f"{label}\treturn\t{_sha(repr(rc).encode())}")
+        if rc != 0:
+            print(f"{label}: exit code {rc}", file=sys.stderr)
+            failed += 1
+    return failed
+
+
+def digest_demos(scratch: Path, keep: Path | None) -> None:
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        cwd = scratch / demo.stem
-        cwd.mkdir()
-        os.chdir(cwd)
-        try:
-            _run(f"demo: {demo.name}", cwd, lambda: runpy.run_path(str(demo), run_name="__main__"),
-                 keep)
-        finally:
-            os.chdir(here)
+        _run_in(scratch / demo.stem, f"demo: {demo.name}",
+                lambda: runpy.run_path(str(demo), run_name="__main__"), keep)
 
 
 def main(argv=None) -> int:
@@ -109,6 +145,7 @@ def main(argv=None) -> int:
         p.error(f"--keep {keep} exists")
     with tempfile.TemporaryDirectory(prefix="report_digest_") as tmp:
         failed = digest_workloads(Path(tmp), keep, args.seed)
+        failed += digest_cli(Path(tmp), keep)
         digest_demos(Path(tmp), keep)
     return 1 if failed else 0
 
