@@ -44,10 +44,12 @@ def _floats(text: str) -> list[float]:
     return values
 
 
-def _three_floats(text: str) -> list[float]:
+def _miller(text: str) -> list[float]:
+    """M, m, eps: three numbers with M >= 0, m > 0 and eps > 0."""
     values = _floats(text)
     if len(values) != 3:
         raise ValueError(f"expected three numbers, got {len(values)}")
+    evolution.check_miller(*values)
     return values
 
 
@@ -124,7 +126,10 @@ def _resolve(args, options, section: dict) -> None:
     """Set each option on args: flag if given, else config value, else default."""
     for dest, type_, default, _ in options:
         if getattr(args, dest) is None:
-            setattr(args, dest, type_(section[dest]) if dest in section else default)
+            try:
+                setattr(args, dest, type_(section[dest]) if dest in section else default)
+            except ValueError as exc:
+                raise ValueError(f"[{args.command}] {dest}: {exc}") from None
 
 
 def _build_field(args, section: dict, dim: int, grid: int):
@@ -214,13 +219,9 @@ def cmd_uncertainty(args, field):
 
     runs = []
     if kind == "rectangle":
-        if sigma is None:
-            raise ValueError("rectangle masks need --sigma")
         for z in (zetas if zetas is not None else [0.0]):
             runs.append(one_mask(zeta=z, sigma=sigma))
     elif kind == "ball":
-        if radius is None:
-            raise ValueError("ball masks need --radius")
         runs.append(one_mask(radius=radius))
     else:
         base = {}
@@ -280,7 +281,7 @@ OBSERVE_OPTIONS = (
     ("beta", _real, 1.0, "dispersion exponent in [0, 1]"),
     ("cutoff", _real, 16.0, "frequency cutoff K"),
     ("T_list", _floats, [0.1, 0.2, 0.4, 0.8], "observation times"),
-    ("miller", _three_floats, None, "M,m,eps for a predicted-cost comparison"),
+    ("miller", _miller, None, "M,m,eps for a predicted-cost comparison (M >= 0, m > 0, eps > 0)"),
     ("envelope_eps", _real, None, "fit log kappa against T^(2-4/eps)"),
 )
 
@@ -434,6 +435,10 @@ def main(argv=None) -> int:
         if options is not None:
             field_section, section = _load_sections(args, options)
             _resolve(args, options, section)
+            # uncertainty's ball and rectangle masks need one more option
+            needed = {"ball": "radius", "rectangle": "sigma"}.get(getattr(args, "mask", None))
+            if needed and getattr(args, needed) is None:
+                raise ValueError(f"{args.mask} masks need --{needed}")
             if box is not None:
                 field = _build_field(args, field_section, *box)
             out = _out_dir(args)

@@ -145,14 +145,19 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     return [observability_gramian(field, beta, float(T), cutoff_K) for T in T_list]
 
 
-def miller_cost(M_res: float, m_res: float, T: float, eps: float) -> float | None:
-    """Predicted cost m T / (T^2 - M (pi^2 + eps)); None below the time
-    threshold. The prefactor C_eps is not computable and is reported as 1,
-    so the prediction is a shape, not a calibrated value."""
+def check_miller(M_res: float, m_res: float, eps: float) -> None:
+    """Refuse Miller constants outside M >= 0, m > 0, eps > 0."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if M_res < 0 or m_res <= 0:
         raise ValueError("need M >= 0 and m > 0")
+
+
+def miller_cost(M_res: float, m_res: float, T: float, eps: float) -> float | None:
+    """Predicted cost m T / (T^2 - M (pi^2 + eps)); None below the time
+    threshold. The prefactor C_eps is not computable and is reported as 1,
+    so the prediction is a shape, not a calibrated value."""
+    check_miller(M_res, m_res, eps)
     gap = T * T - M_res * (math.pi ** 2 + eps)
     if gap <= 0:
         return None

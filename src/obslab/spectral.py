@@ -16,17 +16,17 @@ sampled lattice, A the Fourier multiplier |xi|^gamma; exact kernel modes
 of A - lam are deflated through a Schur complement and the value is
 infinite when the form I - m M_a is positive on some kernel vector.
 
-The resolvent works in a real Fourier basis of the full lattice: e_k
-for each self-conjugate k (k = -k mod N on every axis) and, for each
-pair {k, -k}, the cosine (e_k + e_-k)/sqrt2 and sine i(e_k - e_-k)/sqrt2
-vectors. The field is real and |xi|^gamma is even, so M_a is a real
-symmetric matrix there, A - lam stays diagonal and its kernel stays a
-coordinate subset: the complex Hermitian problem is solved as a real
-symmetric one of the same order. When the field has a flip on every
-axis (fields.lattice_symmetries), the pairs are twisted by the phase
-exp(-i pi k.s/N) of the reflection x -> s - x, which then fixes the
-cosine-like vectors and negates the sine-like ones: the form splits into
-an even and an odd block of about half the order, solved one by one.
+The resolvent is solved matrix-free on the real samples x of the full
+lattice, where I - m M_a is the multiplication by q = 1 - m a and
+|A - lam|^-1 is a real even Fourier multiplier s, set to 0 on the kernel
+K of A - lam. The form of resolvent_constant is
+  W x = s(q (s x)) - Z diag(1/e) Z^T x,
+s applied as irfftn(s rfftn(x)) with norm="ortho". The second term is
+the Schur correction over the kernel: e are the negative eigenvalues of
+the kernel form B^T diag(q) B on a real orthonormal basis B of the
+kernel modes (_kernel_basis), and Z = s(q B V) with V their
+eigenvectors. The top eigenpair of W is found by Lanczos with full
+reorthogonalization (_top_lanczos), which needs no N x N array.
 
 The uncertainty compression is solved over the blocks of _mask_blocks
 (two transpose blocks on a transpose-invariant field and mask, else one
@@ -40,8 +40,7 @@ quarter of the flops of a tridiagonalization), and shift-invert Lanczos
 finds the largest eigenvalue mu of its inverse, lam = sigma + 1/mu.
 Orders up to DENSE_EIGH_LIMIT (ARPACK needs >= 3) and the zero form
 (sigma = 0) go to eigh. The two agree to 1e-13 relative on the
-benchmark's blocks. The resolvent's top eigenpair, of a form with no
-such bound, stays on eigh.
+benchmark's blocks.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ SHIFT_EPS = 1e-6
 # by max(1, T), so its residual, at most tol ||G - sigma I||, stays near it
 LANCZOS_TOL = 1e-10
 DENSE_LATTICE_LIMIT = 8192
+RESOLVENT_TOL = 1e-14
 RESIDUAL_FLOOR = 1e-10
 KERNEL_TOL = 1e-9
 
@@ -412,20 +412,16 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
 
 
 def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
-               beta: np.ndarray, real: bool = False) -> np.ndarray:
+               beta: np.ndarray) -> np.ndarray:
     """Pi M_w Pi in an orthonormal basis of two-point vectors
     alpha_r e_k + beta_r e_k', k = pts[r], k' = pts2[r]; table is
     _coefficient_table(w).
 
     Entry (r, s) is 2 conj(alpha_r) [alpha_s w^(k_r - k_s) + beta_s
     w^(k_r - k'_s)]. These two terms stand for all four of the exact entry
-    in the bases built on it:
-      real Fourier bases (k' = -k, beta = conj(alpha), w real): the other
-        two terms are their conjugates, and the entry is the real part
-        (real=True returns it as float64);
-      the blocks of _mask_blocks (k' = k or the transpose of k, beta =
-        +-alpha real, w transpose-invariant when k' != k): the other two
-        terms equal these.
+    in the blocks of _mask_blocks (k' = k or the transpose of k, beta =
+    +-alpha real, w transpose-invariant when k' != k): the other two terms
+    equal these.
     Rows are filled in blocks, so no rank x rank index temporary is
     allocated.
     """
@@ -433,137 +429,131 @@ def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
     powers = radix ** np.arange(pts.shape[1] - 1, -1, -1)
     key, key2 = pts @ powers - shift, pts2 @ powers - shift
     n = key.size
-    out = np.empty((n, n), dtype=np.float64 if real else complex)
+    out = np.empty((n, n), dtype=complex)
     step = max(1, (1 << 16) // n)
     for r0 in range(0, n, step):
         blk = slice(r0, r0 + step)
         a = np.conj(alpha[blk])[:, None]
         row = key[blk, None] + shift
-        rows = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
-        out[blk] = rows.real if real else rows
+        out[blk] = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
     return out
 
 
-def _real_fourier_basis(grid: int, dim: int, s=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (pts, alpha) of a real Fourier basis of the full lattice:
-    vector r of a block is alpha_r e_k + conj(alpha_r) e_-k, k = pts[r].
-
-    With no reflection (s None) there is one block. alpha is 1/2 at a
-    self-conjugate k (the vector is e_k itself), 1/sqrt2 for the cosine
-    and i/sqrt2 for the sine vector of a pair {k, -k}. The cosine and
-    self-conjugate vectors come first, then the sines, each in flat
-    lattice order.
-
-    With the point reflection x -> s - x (one shift per axis), each pair
-    is twisted by phi_k = exp(-i pi k.s / grid): its even vector has
-    alpha = phi_k/sqrt2 and its odd vector i phi_k/sqrt2. The reflection
-    fixes the first and negates the second, so the even block (even
-    vectors and the self-conjugate k with exp(2 pi i k.s / grid) = 1) and
-    the odd block (odd vectors and the other self-conjugate k) are
-    returned apart, each in flat lattice order.
-    """
-    shape = (grid,) * dim
-    pts = np.indices(shape).reshape(dim, -1).T
-    flat = np.arange(pts.shape[0])
+def _kernel_basis(ker: np.ndarray) -> np.ndarray:
+    """Real orthonormal basis (n x kdim) on the flattened samples of the
+    span of e_k, k in the boolean lattice set ker, which must be closed
+    under k -> -k: e_k itself at a self-conjugate k, and sqrt2 Re e_k and
+    sqrt2 Im e_k for each pair {k, -k}."""
+    grid, shape = ker.shape[0], ker.shape
+    pts = np.argwhere(ker)
+    flat = np.ravel_multi_index(tuple(pts.T), shape)
     neg = np.ravel_multi_index(tuple(np.mod(-pts, grid).T), shape)
-    pair, fixed = flat < neg, flat == neg
-    if s is None:
-        cos = pair | fixed
-        alpha = np.concatenate([np.where(fixed[cos], 0.5, math.sqrt(0.5)),
-                                np.full(int(pair.sum()), 1j * math.sqrt(0.5))])
-        return [(np.concatenate([pts[cos], pts[pair]]), alpha)]
-    ks = pts @ np.asarray(s) % (2 * grid)  # k.s mod 2 grid fixes phi_k
-    twist = np.exp(-1j * math.pi * ks / grid) * math.sqrt(0.5)
-    odd_fixed = fixed & (2 * ks // grid % 2 == 1)
-    blocks = [(pts[sel], np.where(fixed[sel], 0.5, unit * twist[sel]))
-              for sel, unit in ((pair | (fixed & ~odd_fixed), 1.0), (pair | odd_fixed, 1j))]
-    return [b for b in blocks if b[0].size]
+    rep, pair = flat <= neg, flat < neg
+    # k.x mod grid keeps the phase exact on large lattices
+    phase = (2.0 * math.pi / grid) * (pts[rep] @ np.indices(shape).reshape(ker.ndim, -1) % grid)
+    scale = np.where(pair[rep], math.sqrt(2.0), 1.0)[:, None]
+    rows = np.concatenate([scale * np.cos(phase), math.sqrt(2.0) * np.sin(phase[pair[rep]])])
+    return rows.T / math.sqrt(ker.size)
 
 
-def _resolvent_form(field: ObservationField, m: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (Q, |xi|) of I - m M_a, one per block of the real Fourier
-    basis, with |xi| at the block's basis points. The basis is twisted by
-    the point reflection x -> s - x when fields.lattice_symmetries finds a
-    flip i -> (s_k - i) mod grid on every axis k."""
+def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
+    """Top eigenpair of a real symmetric operator by Lanczos from start,
+    with full reorthogonalization and no restarts. It stops when the top
+    Ritz residual |beta_j y_j| is at most tol * max(1, |theta|), or after
+    cap steps (the order of the operator's range, where the Krylov space
+    is exhausted and theta is exact)."""
+    # np.empty commits only the rows that are written
+    basis = np.empty((cap, start.size))
+    alpha, beta = [], []
+    v = start / np.linalg.norm(start)
+    for j in range(cap):
+        basis[j] = v
+        w = matvec(v)
+        alpha.append(float(v @ w))
+        seen = basis[:j + 1]
+        for _ in range(2):  # classical Gram-Schmidt twice is enough
+            w -= seen.T @ (seen @ w)
+        b = float(np.linalg.norm(w))
+        theta, y = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta),
+                                                 select="i", select_range=(j, j))
+        if b * abs(y[-1, 0]) <= tol * max(1.0, abs(theta[0])) or j + 1 == cap:
+            break
+        beta.append(b)
+        v = w / b
+    return float(theta[0]), seen.T @ y[:, 0]
+
+
+def _resolvent_weight(field: ObservationField, m: float) -> np.ndarray:
+    """q = 1 - m a on the samples, once the lattice passes the size guard."""
     if m <= 0:
         raise ValueError("m must be positive")
     n = field.grid ** field.dim
     if n > DENSE_LATTICE_LIMIT:
         raise ValueError(
-            f"the dense resolvent on n = {n} lattice points needs about {3 * 8 * n * n / 1e9:.1f} GB"
-            f" for three n x n float64 matrices; the limit is {DENSE_LATTICE_LIMIT} points")
-    flips = {g["axis"]: g["s"] for g in lattice_symmetries(field) if g["kind"] == "flip"}
-    s = [flips[k] for k in range(field.dim)] if len(flips) == field.dim else None
-    table = _coefficient_table(field.values)
-    absxi = _abs_xi(field.grid, field.dim, field.period)
-    blocks = []
-    for pts, alpha in _real_fourier_basis(field.grid, field.dim, s):
-        Q = _pair_form(table, pts, alpha, np.mod(-pts, field.grid), np.conj(alpha), real=True)
-        Q *= -m
-        Q[np.diag_indices(len(pts))] += 1.0
-        blocks.append((Q, absxi[tuple(pts.T)]))
-    return blocks
+            f"the resolvent on n = {n} lattice points may need about {8 * n * n / 1e9:.1f} GB"
+            f" for a Lanczos basis of up to n float64 rows of length n; the limit is"
+            f" {DENSE_LATTICE_LIMIT} points")
+    return 1.0 - m * field.values
 
 
-def _resolvent_at(field: ObservationField, blocks, gamma: float, lam: float,
+def _resolvent_operator(q: np.ndarray, s: np.ndarray, qBV: np.ndarray, e: np.ndarray):
+    """W (module docstring) as a matvec on the flattened samples, with s
+    on the rfft half-lattice and qBV = q B V over the negative kernel
+    eigenvalues e; and a fixed Gaussian start projected off the kernel,
+    so reruns are bit-identical."""
+    shape, axes = q.shape, tuple(range(-q.ndim, 0))
+
+    def multiplier(f, x):
+        """The Fourier multiplier f on samples x of shape (..., *shape)."""
+        return np.fft.irfftn(f * np.fft.rfftn(x, axes=axes, norm="ortho"), s=shape, axes=axes,
+                             norm="ortho")
+
+    Z = multiplier(s, qBV.T.reshape((-1,) + shape)).reshape(e.size, q.size).T
+
+    def matvec(x):
+        return multiplier(s, q * multiplier(s, x.reshape(shape))).ravel() - Z @ ((Z.T @ x) / e)
+
+    return matvec, multiplier(s != 0, np.random.default_rng(0).standard_normal(shape)).ravel()
+
+
+def _resolvent_at(field: ObservationField, q: np.ndarray, gamma: float, lam: float,
                   m: float) -> SpectralReport:
-    """M at one lam from the blocks of I - m M_a built by _resolvent_form."""
+    """M at one lam, with q = 1 - m a from _resolvent_weight."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    parts = []
-    for Q, absxi in blocks:
-        dvec = absxi ** gamma - lam
-        ker = np.abs(dvec) <= KERNEL_TOL * max(1.0, abs(lam))
-        parts.append((Q, dvec, np.flatnonzero(ker), np.flatnonzero(~ker)))
-    n = sum(Q.shape[0] for Q, _ in blocks)
-    extra = {"kernel_dim": sum(k_idx.size for _, _, k_idx, _ in parts), "lam": lam,
-             "gamma": gamma, "m": m}
+    dvec = np.abs(_abs_xi(field.grid, field.dim, field.period) ** gamma - lam)
+    ker = dvec <= KERNEL_TOL * max(1.0, abs(lam))
+    n, kdim = q.size, int(np.count_nonzero(ker))
     # the full lattice, as FrequencyMask.describe() writes a ball of radius inf
     full = {"grid": field.grid, "dim": field.dim, "period": field.period, "kind": "ball",
             "params": {"radius": float("inf")}, "rank": n}
 
     def report(value, c, residual=0.0):
         return SpectralReport(
-            kind="resolvent-M", value=value, c=c, residual=residual, rank=n,
-            mask=full, field=field.describe(), extra=extra,
+            kind="resolvent-M", value=value, c=c, residual=residual, rank=n, mask=full,
+            field=field.describe(), extra={"kernel_dim": kdim, "lam": lam, "gamma": gamma, "m": m},
         )
 
-    # every block's kernel is tested before any block is solved, so the
-    # verdict does not depend on the block order
-    kernels = [scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)]) if k_idx.size else None
-               for Q, _, k_idx, _ in parts]
-    tops = [eig[0][-1] for eig in kernels if eig is not None]
-    if tops and max(tops) > 1e-12:
-        return report(float("inf"), float(max(tops)))
-    for (Q, _, k_idx, p_idx), eig in zip(parts, kernels):
-        if eig is not None:
-            e, V = eig
-            null = np.abs(e) <= 1e-12
-            if null.any() and np.any(
-                    np.linalg.norm(V[:, null].T @ Q[np.ix_(k_idx, p_idx)], axis=1) > 1e-10):
-                return report(float("inf"), 0.0)
-    M, residual = -math.inf, 0.0
-    for (Q, dvec, k_idx, p_idx), eig in zip(parts, kernels):
-        if not p_idx.size:
-            continue
-        W = Q[np.ix_(p_idx, p_idx)]
-        if eig is not None:
-            e, V = eig
-            neg = e < -1e-12
-            X = V[:, neg].T @ Q[np.ix_(k_idx, p_idx)]
-            W -= (X.T / e[neg]) @ X
-        scale = 1.0 / np.abs(dvec[p_idx])
-        W *= scale[:, None]
-        W *= scale[None, :]
-        top = W.shape[0] - 1
-        vals, vecs = scipy.linalg.eigh(W, subset_by_index=[top, top], driver="evx")
-        block_M, v = float(vals[0]), vecs[:, 0]
-        block_residual = float(np.linalg.norm(W @ v - block_M * v))
-        if block_residual > 1e-8 * max(1.0, abs(block_M)):
-            raise RuntimeError(f"top eigenpair of a resolvent block did not converge; residual "
-                               f"{block_residual} at M = {block_M}")
-        if block_M > M:
-            M, residual = block_M, block_residual
+    B = _kernel_basis(ker)
+    qB = q.reshape(-1, 1) * B
+    e, V = scipy.linalg.eigh(B.T @ qB)
+    if kdim and e[-1] > 1e-12:
+        return report(float("inf"), float(e[-1]))
+    # a null kernel vector must not couple to the rest of the lattice
+    coupling = qB @ V[:, np.abs(e) <= 1e-12]
+    if np.any(np.linalg.norm(coupling - B @ (B.T @ coupling), axis=0) > 1e-10):
+        return report(float("inf"), 0.0)
+    # |A - lam|^-1 off the kernel on the rfft half-lattice, the first
+    # grid // 2 + 1 entries of the last axis
+    half = (Ellipsis, slice(0, field.grid // 2 + 1))
+    s = np.divide(1.0, dvec[half], out=np.zeros(dvec[half].shape), where=~ker[half])
+    neg = e < -1e-12
+    matvec, start = _resolvent_operator(q, s, qB @ V[:, neg], e[neg])
+    M, v = _top_lanczos(matvec, start, n - kdim, RESOLVENT_TOL)
+    residual = float(np.linalg.norm(matvec(v) - M * v))
+    if residual > 1e-8 * max(1.0, abs(M)):
+        raise RuntimeError(f"top eigenpair of the resolvent form did not converge; residual "
+                           f"{residual} at M = {M}")
     M = max(M, 0.0)
     return report(M, M, residual)
 
@@ -571,22 +561,18 @@ def _resolvent_at(field: ObservationField, blocks, gamma: float, lam: float,
 def resolvent_constant(field: ObservationField, gamma: float, lam: float, m: float) -> SpectralReport:
     """Smallest M with ||u||^2 <= M ||(A - lam) u||^2 + m <a u, u>.
 
-    A = |xi|^gamma on the full frequency lattice. The form I - m M_a is
-    assembled in the real Fourier basis of the module docstring, where it
-    is real symmetric and A - lam is diagonal: one block, or the even and
-    odd blocks of the twisted basis when the field has a flip on every
-    axis. Kernel modes of A - lam, |A - lam| <= KERNEL_TOL * max(1, |lam|),
-    are deflated: the value is inf if the form is positive on the kernel
-    of any block (c is then the largest kernel eigenvalue over all
-    blocks), or null with coupling there; otherwise each block's kernel is
-    eliminated by a Schur complement S, and M is the largest top
-    eigenvalue of D^-1 S D^-1 over the blocks, D = |A - lam| off the
-    kernel. kernel_dim counts the kernel of every block. A top eigenpair
-    whose residual exceeds 1e-8 * max(1, |M|) raises RuntimeError. The
-    lattice may have at most DENSE_LATTICE_LIMIT points in all, whatever
-    the blocks; larger ones raise ValueError.
+    A = |xi|^gamma on the full frequency lattice. Kernel modes of A - lam,
+    |A - lam| <= KERNEL_TOL * max(1, |lam|), are deflated: the value is
+    inf if the form I - m M_a is positive on the kernel (c is then its
+    largest kernel eigenvalue), or null there with coupling to the rest;
+    otherwise the kernel is eliminated by a Schur complement S, and M is
+    the top eigenvalue of W = D^-1 S D^-1, D = |A - lam| off the kernel,
+    found matrix-free by Lanczos (module docstring). kernel_dim counts the
+    kernel. A top eigenpair whose residual exceeds 1e-8 * max(1, |M|)
+    raises RuntimeError. Lattices of more than DENSE_LATTICE_LIMIT points
+    raise ValueError.
     """
-    return _resolvent_at(field, _resolvent_form(field, m), gamma, lam, m)
+    return _resolvent_at(field, _resolvent_weight(field, m), gamma, lam, m)
 
 
 def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
@@ -609,6 +595,6 @@ def calibrate_m(field: ObservationField, gamma: float, lam0: float) -> float:
 
 
 def resolvent_sweep(field: ObservationField, gamma: float, lambdas, m: float) -> list[SpectralReport]:
-    """resolvent_constant across a lam list, assembling the form once."""
-    blocks = _resolvent_form(field, m)
-    return [_resolvent_at(field, blocks, gamma, float(lam), m) for lam in lambdas]
+    """resolvent_constant across a lam list."""
+    q = _resolvent_weight(field, m)
+    return [_resolvent_at(field, q, gamma, float(lam), m) for lam in lambdas]

@@ -265,6 +265,17 @@ def test_bad_config_key_or_value_exit_code(tmp_path, capsys, line):
     assert not (tmp_path / "certify_report.json").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("fail_fast = maybe", "[certify] fail_fast: not a boolean: 'maybe'"),
+    ("n_offsets = four", "[certify] n_offsets: invalid literal for int()"),
+    ("gamma = nan", "[certify] gamma: expected a finite number, got 'nan'"),
+])
+def test_bad_config_value_names_section_and_key(tmp_path, capsys, line, message):
+    cfg = _half_strip_config(tmp_path, [line])
+    assert run(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_config_keys_match_mixed_case_dests(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -350,6 +361,21 @@ def test_grid_file_flag_is_relative_to_working_dir(tmp_path, monkeypatch, extra,
     assert run(argv + extra) == 0
     payload = json.loads((tmp_path / "out" / "uncertainty_report.json").read_text())
     assert payload["config"]["field"]["family"]["source"] == source
+
+
+@pytest.mark.parametrize("mask, needed", [("ball", "--radius"), ("rectangle", "--sigma")])
+def test_mask_without_its_option_exits_2_before_the_field(tmp_path, monkeypatch, capsys, mask,
+                                                         needed):
+    """The missing mask option is reported, not the unreadable grid file,
+    because no field is built."""
+    monkeypatch.chdir(tmp_path)
+    code = run(["uncertainty", "--field-family", "custom-grid", "--grid-file", "absent.ogrd",
+                "--mask", mask, "--out", "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {mask} masks need {needed}" in err
+    assert "absent.ogrd" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra, field_lines, named", [
@@ -560,15 +586,30 @@ def test_every_command_writes_its_reports(tmp_path, monkeypatch, command):
     assert set(envelope["config"]) == {dest for dest, *_ in options} | ({"field"} if box else set())
 
 
-@pytest.mark.parametrize("value", ["1,2", "a,b,c"])
+@pytest.mark.parametrize("value", ["1,2", "a,b,c", "-1,2,0.1", "0.01,0,0.1", "0.01,2,0"])
 def test_bad_miller_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys, value):
     calls = []
     monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
     base, _ = BAD_VALUE_RUNS["observe"]
     with pytest.raises(SystemExit) as exc:
-        run(["observe", *base, "--miller", value, "--out", str(tmp_path)])
+        run(["observe", *base, f"--miller={value}", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "argument --miller: " in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "argument --miller: " in err
+    assert "[observe]" not in out
+    assert calls == []
+
+
+def test_bad_miller_in_config_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[observe]\nmiller = -1, 2, 0.1\n")
+    base, _ = BAD_VALUE_RUNS["observe"]
+    assert run(["observe", *base, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "[observe] miller: need M >= 0 and m > 0" in err
+    assert "[observe]" not in out
     assert calls == []
 
 

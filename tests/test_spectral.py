@@ -236,86 +236,28 @@ def _full_mask(field):
                                   np.ones((field.grid,) * field.dim, dtype=bool))
 
 
-def _basis_matrix(grid, dim, s=None):
-    """Columns alpha e_k + conj(alpha) e_-k of the real Fourier basis, block
-    after block, in the flat lattice order of compression_matrix on the
-    full lattice; and the block sizes."""
-    blocks = spectral._real_fourier_basis(grid, dim, s)
-    pts = np.concatenate([p for p, _ in blocks])
-    alpha = np.concatenate([a for _, a in blocks])
-    shape = (grid,) * dim
-    flat = np.ravel_multi_index(tuple(pts.T), shape)
-    neg = np.ravel_multi_index(tuple(np.mod(-pts, grid).T), shape)
-    cols = np.arange(len(pts))
-    T = np.zeros((grid ** dim, grid ** dim), dtype=complex)
-    np.add.at(T, (flat, cols), alpha)
-    np.add.at(T, (neg, cols), np.conj(alpha))
-    return T, [len(p) for p, _ in blocks]
+@pytest.mark.parametrize("grid, dim, radius", [(16, 1, 5.0), (15, 1, 7.0), (8, 2, 2.0),
+                                              (7, 2, 3.0)])
+def test_kernel_basis_spans_the_kernel_modes(grid, dim, radius):
+    """B is real and orthonormal, and on the orthonormal Fourier
+    coefficients it is supported on the kernel set, so B B^T is the
+    orthogonal projector onto span{e_k : k in ker}."""
+    absxi = spectral._abs_xi(grid, dim, 2.0 * math.pi)
+    ker = (absxi >= radius - 1.5) & (absxi <= radius)  # a closed band, even in k
+    B = spectral._kernel_basis(ker)
+    assert B.dtype == np.float64 and B.shape == (grid ** dim, np.count_nonzero(ker))
+    assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-14)
+    coef = np.fft.fftn(B.T.reshape((-1,) + (grid,) * dim), axes=tuple(range(1, dim + 1)),
+                       norm="ortho").reshape(B.shape[1], -1)
+    assert np.abs(coef[:, ~ker.ravel()]).max() < 1e-13
+    assert np.allclose(np.sum(np.abs(coef) ** 2, axis=0), ker.ravel(), atol=1e-13)
 
 
-def _real_forms(field, s=None):
-    """M_a on each block of the real Fourier basis, through the one
-    two-point assembly the resolvent uses."""
-    table = spectral._coefficient_table(field.values)
-    return [spectral._pair_form(table, pts, alpha, np.mod(-pts, field.grid), np.conj(alpha),
-                                real=True)
-            for pts, alpha in spectral._real_fourier_basis(field.grid, field.dim, s)]
-
-
-@pytest.mark.parametrize("grid, dim", [(16, 1), (15, 1), (8, 2)])
-def test_real_compression_is_the_complex_one_in_the_real_basis(grid, dim):
-    f = _random_field(dim, grid)
-    T, sizes = _basis_matrix(grid, dim)
-    assert sizes == [grid ** dim]
-    assert np.allclose(T.conj().T @ T, np.eye(grid ** dim), atol=1e-14)
-    complex_form = T.conj().T @ spectral.compression_matrix(f, _full_mask(f)) @ T
-    [real_form] = _real_forms(f)
-    assert real_form.dtype == np.float64
-    assert np.allclose(real_form, complex_form.real, atol=1e-14)
-    assert np.abs(complex_form.imag).max() < 1e-14
-    # an odd grid has k = 0 as its only self-conjugate point
-    n_self = np.count_nonzero(spectral._real_fourier_basis(grid, dim)[0][1] == 0.5)
-    assert n_self == (1 if grid % 2 else 2 ** dim)
-
-
-def _reflect(values, s):
-    """values at x -> s - x (mod grid) on every axis."""
-    idx = [np.mod(si - np.arange(values.shape[0]), values.shape[0]) for si in s]
-    return values[np.ix_(*idx)]
-
-
-@pytest.mark.parametrize("grid, s", [(16, (5,)), (16, (0,)), (15, (4,)), (15, (7,)),
-                                     (8, (3, 0)), (8, (1, 6)), (7, (2, 5))])
-def test_twisted_basis_splits_a_reflection_symmetric_form(grid, s):
-    dim = len(s)
-    u = _random_field(dim, grid).values
-    f = fields.make_field("custom-grid", dim=dim, period=2.0 * math.pi, grid=grid,
-                          values=(u + _reflect(u, s)) / 2.0)
-    T, sizes = _basis_matrix(grid, dim, s)
-    assert len(sizes) == 2 and sum(sizes) == grid ** dim
-    assert np.allclose(T.conj().T @ T, np.eye(grid ** dim), atol=1e-14)
-    # on the samples (F[x, k] = e_k(x)) the reflection fixes the even
-    # block's vectors and negates the odd block's
-    n = grid ** dim
-    F = np.fft.ifftn(np.eye(n).reshape((n,) + (grid,) * dim),
-                     axes=tuple(range(1, dim + 1))).reshape(n, n).T * math.sqrt(n)
-    samples = F @ T
-    assert np.allclose(_reflect(samples.reshape((grid,) * dim + (n,)), s).reshape(n, n),
-                       samples * np.repeat([1.0, -1.0], sizes), atol=1e-13)
-    complex_form = T.conj().T @ spectral.compression_matrix(f, _full_mask(f)) @ T
-    assert np.abs(complex_form.imag).max() < 1e-14
-    even, odd = _real_forms(f, s)
-    n0 = sizes[0]
-    assert np.abs(complex_form[:n0, n0:]).max() < 1e-14
-    assert np.allclose(even, complex_form[:n0, :n0].real, atol=1e-14)
-    assert np.allclose(odd, complex_form[n0:, n0:].real, atol=1e-14)
-
-
-def _complex_resolvent_reference(field, gamma, lam, m, kernel_tol=1e-9):
-    """The resolvent constant on the complex full-lattice compression:
-    kernel test, null-coupling test, Schur complement, D^-1 scaling, top
-    eigenvalue. Returns (M, kernel dimension, the largest |eigenvalue| of
-    D^-1 S D^-1), the last being the scale of any dense solver's error."""
+def _complex_deflated_form(field, gamma, lam, m, kernel_tol=1e-9):
+    """D^-1 S D^-1 on the complex full-lattice compression, over the
+    lattice points off the kernel of A - lam (kernel test, null-coupling
+    test, Schur complement, D^-1 scaling), or None when the kernel test
+    gives M = inf; and the kernel as a flat boolean mask."""
     C_a = spectral.compression_matrix(field, _full_mask(field), "sqrt")
     n = C_a.shape[0]
     dvec = spectral._abs_xi(field.grid, field.dim, field.period).ravel() ** gamma - lam
@@ -326,17 +268,26 @@ def _complex_resolvent_reference(field, gamma, lam, m, kernel_tol=1e-9):
         Q01 = Q[np.ix_(k_idx, p_idx)]
         e, V = scipy.linalg.eigh(Q[np.ix_(k_idx, k_idx)])
         if e[-1] > 1e-12:
-            return math.inf, int(ker.sum()), math.inf
+            return None, ker
         null = np.abs(e) <= 1e-12
         if null.any() and np.any(np.linalg.norm(V[:, null].conj().T @ Q01, axis=1) > 1e-10):
-            return math.inf, int(ker.sum()), math.inf
+            return None, ker
         Vn = V[:, e < -1e-12]
         S = Q[np.ix_(p_idx, p_idx)] - (Q01.conj().T @ Vn) @ np.diag(1.0 / e[e < -1e-12]) \
             @ (Vn.conj().T @ Q01)
         d1 = dvec[p_idx]
     else:
         S, d1 = Q, dvec
-    W = S / np.abs(d1)[:, None] / np.abs(d1)[None, :]
+    return S / np.abs(d1)[:, None] / np.abs(d1)[None, :], ker
+
+
+def _complex_resolvent_reference(field, gamma, lam, m):
+    """The resolvent constant of _complex_deflated_form by a dense solver.
+    Returns (M, kernel dimension, the largest |eigenvalue| of
+    D^-1 S D^-1), the last being the scale of any solver's error."""
+    W, ker = _complex_deflated_form(field, gamma, lam, m)
+    if W is None:
+        return math.inf, int(ker.sum()), math.inf
     e = scipy.linalg.eigvalsh(W)
     return max(float(e[-1]), 0.0), int(ker.sum()), float(np.abs(e).max())
 
@@ -370,14 +321,9 @@ def test_resolvent_constant_matches_complex_reference(make, gamma, lam, m, kdim)
 
 def test_dense_resolvent_size_guard(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("a block of the oversized form was assembled")
-    monkeypatch.setattr(spectral, "_real_fourier_basis", never)
-    monkeypatch.setattr(spectral, "_pair_form", never)
-    # the constant field has a flip on both axes, so it would split into
-    # blocks; the guard still bounds the full lattice
-    f = _const(dim=2, grid=128, period=1.0)
-    assert {g["kind"] for g in fields.lattice_symmetries(f)} == {"transpose", "flip"}
-    for field in (f, _random_field(2, 128)):
+        raise AssertionError("the operator of an oversized lattice was built")
+    monkeypatch.setattr(spectral, "_resolvent_operator", never)
+    for field in (_const(dim=2, grid=128, period=1.0), _random_field(2, 128)):
         with pytest.raises(ValueError, match=r"n = 16384 .* GB"):
             spectral.resolvent_constant(field, 1.5, 64.0, 0.5)
         with pytest.raises(ValueError, match="16384"):
@@ -394,22 +340,20 @@ def test_iterative_uncertainty_is_deterministic(monkeypatch):
     assert first.residual == second.residual
 
 
-def _perturbed_top_eigh(monkeypatch):
-    """scipy.linalg.eigh returning a perturbed top eigenvector."""
-    eigh = scipy.linalg.eigh
+def _perturbed_top_pair(monkeypatch):
+    """spectral._top_lanczos returning a perturbed top eigenvector."""
+    top = spectral._top_lanczos
 
-    def perturbed(a, *args, **kwargs):
-        vals, vecs = eigh(a, *args, **kwargs)
-        if kwargs.get("driver") == "evx":
-            vecs = vecs + 1e-3
-            vecs /= np.linalg.norm(vecs, axis=0)
-        return vals, vecs
+    def perturbed(*args, **kwargs):
+        theta, v = top(*args, **kwargs)
+        v = v + 1e-3
+        return theta, v / np.linalg.norm(v)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    monkeypatch.setattr(spectral, "_top_lanczos", perturbed)
 
 
 def test_resolvent_residual_is_checked(monkeypatch, tmp_path, capsys):
-    _perturbed_top_eigh(monkeypatch)
+    _perturbed_top_pair(monkeypatch)
     with pytest.raises(RuntimeError, match="residual"):
         spectral.resolvent_constant(_ps_mollified(), 1.5, 50.0, 2.0)
     code = cli.main(["resolvent", "--out", str(tmp_path), "--field-family", "periodic-square",
@@ -425,25 +369,36 @@ def _flip_symmetric_1d(values, s):
     return fields.make_field("custom-grid", dim=1, period=2.0 * math.pi, grid=v.size, values=v)
 
 
-def test_flip_symmetric_resolvent_solves_two_blocks(monkeypatch):
-    """Two top-eigenpair solves per lam, each through the module attribute
-    scipy.linalg.eigh (a bare `from scipy.linalg import eigh` would hide
-    them from this count and from any wrapper of that attribute)."""
-    f = _flip_symmetric_1d(_random_field(1, 64).values, 5)
-    assert fields.lattice_symmetries(f) == [{"kind": "flip", "axis": 0, "s": 5}]
-    orders = []
-    eigh = scipy.linalg.eigh
+@pytest.mark.parametrize("grid, dim, gamma, lam", [(16, 1, 2.0, 16.0), (15, 1, 2.0, 25.0),
+                                                 (8, 2, 2.0, 5.0)])
+def test_resolvent_operator_is_the_deflated_form(monkeypatch, grid, dim, gamma, lam):
+    """On the orthonormal Fourier coefficients, the operator that Lanczos
+    receives is D^-1 S D^-1 of the complex compression off the kernel,
+    and zero on and into the kernel; its start lies off the kernel."""
+    f = _random_field(dim, grid)
+    m = spectral.calibrate_m(f, gamma, 2.0 * lam)
+    seen = []
+    top = spectral._top_lanczos
 
-    def counted(a, *args, **kwargs):
-        orders.append(np.shape(a)[0])
-        return eigh(a, *args, **kwargs)
+    def recorded(matvec, start, *args):
+        seen.append((matvec, start))
+        return top(matvec, start, *args)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
-    lambdas = [50.0, 90.0, 300.0]  # |xi|^1.5 = lam has no integer root: no kernel
-    reps = spectral.resolvent_sweep(f, 1.5, lambdas, 2.0)
-    assert [r.extra["kernel_dim"] for r in reps] == [0, 0, 0]
-    assert len(orders) == 2 * len(lambdas)
-    assert orders[:2] == [32, 32]
+    monkeypatch.setattr(spectral, "_top_lanczos", recorded)
+    spectral.resolvent_constant(f, gamma, lam, m)
+    [(matvec, start)] = seen
+    W, ker = _complex_deflated_form(f, gamma, lam, m)
+    assert W is not None and ker.any()
+    n = grid ** dim
+    samples = np.column_stack([matvec(x) for x in np.eye(n)])
+    F = np.fft.fftn(np.eye(n).reshape((n,) + (grid,) * dim), axes=tuple(range(1, dim + 1)),
+                    norm="ortho").reshape(n, n).T
+    form = F @ samples @ F.conj().T
+    scale = np.abs(W).max()
+    assert np.abs(form[np.ix_(~ker, ~ker)] - W).max() < 1e-13 * scale
+    assert np.abs(form[ker]).max() < 1e-13 * scale
+    assert np.abs(form[:, ker]).max() < 1e-13 * scale
+    assert np.abs((F @ start)[ker]).max() < 1e-13 * np.linalg.norm(start)
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,6 +418,30 @@ def test_flip_symmetric_resolvent_matches_complex_reference(field_and_s, gamma, 
     else:
         # a dense solver resolves a small top eigenvalue only to eps times
         # the largest one (0/1-valued fields reach M/scale ~ 1e-6)
+        assert rep.value == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+           lambda dim: st.tuples(st.just(dim), st.integers(6, 40) if dim == 1 else st.integers(4, 10))),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.5, 2.5), st.integers(0, 20), st.integers(0, 20),
+       st.booleans(), st.floats(0.2, 8.0))
+def test_resolvent_matches_complex_reference_without_symmetry(dim_grid, seed, gamma, k1, k2,
+                                                              on_lattice, m):
+    dim, grid = dim_grid
+    f = fields.make_field("custom-grid", dim=dim, period=2.0 * math.pi, grid=grid,
+                          values=np.random.default_rng(seed).uniform(0.0, 1.0, (grid,) * dim))
+    assert fields.lattice_symmetries(f) == []
+    # |xi| of a lattice point (k1, k2), or a radius between lattice points
+    top = grid // 2 + 1
+    r = 1 + k1 % (grid // 2) if dim == 1 else math.hypot(k1 % top, k2 % top)
+    lam = r ** gamma if on_lattice else (r + 0.37) ** gamma
+    want, want_kdim, scale = _complex_resolvent_reference(f, gamma, lam, m)
+    rep = spectral.resolvent_constant(f, gamma, lam, m)
+    assert rep.extra["kernel_dim"] == want_kdim
+    if math.isinf(want) or want == 0.0:
+        assert rep.value == want
+    else:
         assert rep.value == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
 
 

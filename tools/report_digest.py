@@ -1,6 +1,7 @@
 """Print a sha256 for every report the benchmark operations, the CLI and the demos write.
 
     python3 tools/report_digest.py [--seed N] [--keep DIR] > digest.txt
+    python3 tools/report_digest.py --compare DIR_A DIR_B
 
 Run from any directory; obslab is imported from this checkout's src/.
 Every operation of every bench/workloads.py workload runs once (seed N,
@@ -21,6 +22,16 @@ files and printed output (stdout.txt) are also saved under DIR/<op>/,
 the op label made a path, so the reports of two checkouts can be
 compared value by value. The exit code is 1 if any
 operation's check failed or a CLI run exited non-zero, else 0.
+
+--compare DIR_A DIR_B reads two --keep directories and prints, for each
+file in either, the largest relative difference |a - b| / max(|a|, |b|)
+of any numeric leaf and where it is; then, for each kind of leaf that
+moved, its largest difference (a kind is a JSON path with list indices
+dropped, or a token's position in its line); then one line per
+non-numeric difference (a changed string, key or shape, or a file in one
+directory only). JSON files are compared leaf by leaf; CSV and printed
+output token by token, each number a leaf and the text between numbers
+another.
 """
 
 from __future__ import annotations
@@ -29,7 +40,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import re
 import runpy
 import shutil
 import sys
@@ -133,13 +147,82 @@ def digest_demos(scratch: Path, keep: Path | None) -> None:
                 lambda: runpy.run_path(str(demo), run_name="__main__"), keep)
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf of a JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _file_leaves(path: Path) -> dict:
+    if path.suffix == ".json":
+        return dict(_leaves(json.loads(path.read_text())))
+    leaves = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        leaves[f"line {n} text"] = NUMBER.sub("#", line)
+        for i, token in enumerate(NUMBER.findall(line)):
+            leaves[f"line {n} number {i}"] = float(token)
+    return leaves
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(dir_a: Path, dir_b: Path) -> None:
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    for rel in sorted(files(dir_a) | files(dir_b)):
+        if not (dir_a / rel).is_file() or not (dir_b / rel).is_file():
+            print(f"{rel}\tonly in {dir_a if (dir_a / rel).is_file() else dir_b}")
+            continue
+        a, b = _file_leaves(dir_a / rel), _file_leaves(dir_b / rel)
+        worst, where, by_kind, other = 0.0, "", {}, []
+        for key in list(a) + [k for k in b if k not in a]:
+            x, y = a.get(key), b.get(key)
+            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+            if numeric and key in a and key in b:
+                diff = _relative(float(x), float(y))
+                kind = re.sub(r"\[\d+\]", "[]", re.sub(r"^line \d+ ", "", key))
+                by_kind[kind] = max(by_kind.get(kind, 0.0), diff)
+                if diff > worst:
+                    worst, where = diff, key
+            elif key not in a or key not in b or x != y:
+                other.append(f"{key}: {x!r} -> {y!r}" if key in a and key in b
+                             else f"{key}: only in {dir_a if key in a else dir_b}")
+        print(f"{rel}\tmax relative difference {worst:.3g}" + (f" at {where}" if where else ""))
+        for kind, diff in sorted(by_kind.items(), key=lambda item: -item[1]):
+            if diff > 0:
+                print(f"{rel}\t  {diff:.3g}\t{kind}")
+        for line in other:
+            print(f"{rel}\tdiffers\t{line}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=1, metavar="N",
                    help="seed of the workload operations (default 1)")
     p.add_argument("--keep", type=Path, metavar="DIR",
                    help="also save every report and printed output under DIR (must not exist)")
+    p.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                   help="compare the reports of two --keep directories instead of running")
     args = p.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     keep = args.keep.resolve() if args.keep else None
     if keep is not None and keep.exists():
         p.error(f"--keep {keep} exists")
