@@ -253,6 +253,33 @@ def test_kernel_basis_spans_the_kernel_modes(grid, dim, radius):
     assert np.allclose(np.sum(np.abs(coef) ** 2, axis=0), ker.ravel(), atol=1e-13)
 
 
+@pytest.mark.parametrize("grid, dim", [(16, 1), (15, 1), (8, 2)])
+def test_real_compression_is_the_complex_one_in_the_real_basis(grid, dim):
+    """On the whole lattice _kernel_basis is a real orthonormal basis of the
+    samples, and the kernel form B^T diag(q) B that the resolvent builds in
+    it is I - m M_a of the complex compression in that basis."""
+    f = _random_field(dim, grid)
+    n = grid ** dim
+    B = spectral._kernel_basis(np.ones((grid,) * dim, dtype=bool))
+    assert B.shape == (n, n)
+    F = np.fft.fftn(np.eye(n).reshape((n,) + (grid,) * dim), axes=tuple(range(1, dim + 1)),
+                    norm="ortho").reshape(n, n).T
+    T = F @ B
+    assert np.allclose(T.conj().T @ T, np.eye(n), atol=1e-13)
+    m = 1.5
+    Q = np.eye(n) - m * spectral.compression_matrix(f, _full_mask(f))
+    complex_form = T.conj().T @ Q @ T
+    q = spectral._resolvent_weight(f, m).reshape(-1, 1)
+    real_form = B.T @ (q * B)
+    assert real_form.dtype == np.float64
+    assert np.allclose(real_form, complex_form.real, atol=1e-13)
+    assert np.abs(complex_form.imag).max() < 1e-13
+    # a self-conjugate k gives a column of constant modulus; an odd grid
+    # has k = 0 as its only one
+    n_self = np.count_nonzero(np.all(np.isclose(np.abs(B), 1.0 / math.sqrt(n)), axis=0))
+    assert n_self == (1 if grid % 2 else 2 ** dim)
+
+
 def _complex_deflated_form(field, gamma, lam, m, kernel_tol=1e-9):
     """D^-1 S D^-1 on the complex full-lattice compression, over the
     lattice points off the kernel of A - lam (kernel test, null-coupling
