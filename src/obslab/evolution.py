@@ -15,15 +15,29 @@ the observability cost on the truncated data class; since the true cost
 is an infimum over all of L^2, reported costs are lower bounds of the
 continuum cost.
 
-The Gramian is solved over the blocks of spectral._mask_blocks. omega =
+The trapezoid nodes t_n and weights are symmetric about T/2, so with
+D = diag(exp(i omega_k T/2)) the Gramian is G = D (C_a o K) D*, where
+the centred kernel K_kl = sum_n w_n cos((omega_k - omega_l)(t_n - T/2))
+is real (two real GEMMs, _centred_kernel). D is unitary and diagonal, so
+C_a o K has the spectrum of G and its eigenvectors are D* times G's;
+every solve is of C_a o K.
+
+That form is solved over the blocks of spectral._mask_blocks. omega =
 |xi|^(beta+1) is invariant under the transpose k' = (k2, k1), so on a
 transpose-invariant 2d field every term of a block entry, in the bases
-e_k + e_k' and e_k - e_k', shares the time kernel at (omega_k, omega_l):
-the block is the two-point form of C_a times that kernel, entry by
-entry, and the full rank x rank Gramian is never formed. A field with no
-such symmetry is one identity block, C_a itself times the kernel. Each
-block goes to spectral._lowest_pair at sigma = -SHIFT_EPS T max(a) (the
-weights sum to T, so 0 <= G <= T max(a)), tolerance LANCZOS_TOL / max(1, T).
+e_k + e_k' and e_k - e_k', shares the kernel at (omega_k, omega_l): the
+block is the two-point form of C_a times that kernel, entry by entry,
+and the full rank x rank Gramian is never formed. A field with no such
+symmetry is one identity block. Every field is real, so conjugation J,
+J e_k = e_-k, commutes with C_a; K is real and omega(-k) = omega(k), so
+J commutes with C_a o K too, and as the ball is closed under k -> -k, J
+maps each block to itself. J is antiunitary with J^2 = 1, so each block
+is a real symmetric matrix on a J-invariant basis of cosine and sine
+pairs (_real_form; Dyson, J. Math. Phys. 3, 1962). That real form of
+C_a is built once per T sweep and multiplied by K at each T. Each block
+goes to spectral._lowest_pair at sigma = -SHIFT_EPS T max(a) (the
+weights sum to T, so 0 <= G <= T max(a)), tolerance
+LANCZOS_TOL / max(1, T).
 """
 
 from __future__ import annotations
@@ -78,71 +92,142 @@ class GramianReport:
 
 def observability_gramian(field: ObservationField, beta: float, T: float,
                           cutoff_K: float) -> GramianReport:
-    """Smallest Gramian eigenvalue on the data class spec u ⊂ {|xi| <= K}.
-
-    Composite trapezoid in time on max(nyquist_nodes, 33) nodes with
-    weights summing to T, so a field identically 1 gives lam_min = T
-    exactly. Masks of rank above DENSE_LATTICE_LIMIT are rejected before
-    any rank x rank allocation. Each block of spectral._mask_blocks is
-    solved on its own by spectral._lowest_pair, at sigma = -SHIFT_EPS T
-    max(a) (module docstring). Memory peaks while a block is
-    assembled: the block, its time kernel and three block x n_nodes
-    exponential tables, all complex128; the factor later takes the
-    kernel's place. lam_min is the least block
-    minimum and the residual that block's, ||G v - lam v|| on the
-    unshifted G. An eigenpair whose residual exceeds 1e-8 * max(1, T)
-    raises RuntimeError (||G|| <= T max a).
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_nodes = max(nyquist_nodes(beta, T, cutoff_K), 33)
-    mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
-    r = mask.rank
-    if r > DENSE_LATTICE_LIMIT:
-        raise ValueError(
-            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
-            f" {16 * (2 * r * r + 3 * r * n_nodes) / 1e9:.1f} GB to assemble a rank x rank block"
-            f" on {n_nodes} time nodes (the block, its time kernel and three rank x n_nodes"
-            f" tables, complex128); the limit is rank {DENSE_LATTICE_LIMIT}")
-    omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
-    nodes = np.linspace(0.0, T, n_nodes)
-    w = np.full(n_nodes, T / (n_nodes - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-
-    table = _coefficient_table(field.values)
-    idx = mask.indices()
-    sigma = -SHIFT_EPS * T * float(np.max(field.values))
-
-    def block_smallest(i, alpha, j, beta2):
-        """Smallest eigenpair of one block: its two-point form of C_a times
-        the trapezoid time kernel at the block's omega, entry by entry."""
-        G = _pair_form(table, idx[i], alpha, idx[j], beta2)
-        E = np.exp(1j * np.outer(omega[i], nodes))
-        G *= (E * w) @ E.conj().T
-        lam, v = _lowest_pair(G, sigma, LANCZOS_TOL / max(1.0, T))
-        residual = float(np.linalg.norm(G @ v - lam * v))
-        if residual > 1e-8 * max(1.0, T):
-            raise RuntimeError(f"smallest Gramian eigenpair did not converge; residual {residual}"
-                               f" at T = {T}")
-        return lam, residual
-
-    lam_min, residual = min((block_smallest(*b) for b in _mask_blocks(field, mask)),
-                            key=lambda pair: pair[0])
-    lam_min = max(lam_min, 0.0)
-    kappa = float("inf") if lam_min <= KAPPA_FLOOR else 1.0 / lam_min
-    return GramianReport(
-        T=T, beta=beta, K=cutoff_K, n_nodes=n_nodes, quadrature="trapezoid",
-        rank=mask.rank, lam_min=lam_min, kappa=kappa, residual=residual,
-        field=field.describe(),
-    )
+    """Smallest Gramian eigenvalue on the data class spec u ⊂ {|xi| <= K}:
+    cost_curve at the one time T."""
+    return cost_curve(field, beta, [T], cutoff_K)[0]
 
 
 def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) -> list[GramianReport]:
-    """observability_gramian across a T sweep, one report per T."""
-    return [observability_gramian(field, beta, float(T), cutoff_K) for T in T_list]
+    """observability_gramian across a T sweep, one report per T.
+
+    Composite trapezoid in time on max(nyquist_nodes, 33) nodes with
+    weights summing to T, so a field identically 1 gives lam_min = T
+    exactly. Every argument is checked, and masks of rank above
+    DENSE_LATTICE_LIMIT are rejected, before any form is assembled. The
+    real form of C_a on each block (_real_form) is built once for the
+    sweep; at each T it is multiplied by the centred time kernel and
+    solved by spectral._lowest_pair at sigma = -SHIFT_EPS T max(a)
+    (module docstring). Memory peaks in that solve of a block of order
+    n: the block's real form of C_a, its Gramian and the Gramian's
+    Cholesky copy, 3 n^2 float64 (the kernel's three n/2 x n_nodes time
+    tables come and go before it). lam_min is the least block minimum and
+    the residual that block's, ||G v - lam v||. An eigenpair whose
+    residual exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T
+    max a).
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
+    T_list = [float(T) for T in T_list]
+    if any(T <= 0 for T in T_list):
+        raise ValueError("T must be positive")
+    n_nodes = [max(nyquist_nodes(beta, T, cutoff_K), 33) for T in T_list]
+    mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
+    r = mask.rank
+    if r > DENSE_LATTICE_LIMIT:
+        n = max(n_nodes)
+        raise ValueError(
+            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
+            f" {8 * (3 * r * r + 1.5 * r * n) / 1e9:.1f} GB to solve a rank x rank block on {n}"
+            f" time nodes (its real form of C_a, its Gramian, a Cholesky copy and three"
+            f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_LATTICE_LIMIT}")
+    idx = mask.indices()
+    omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
+    at = np.empty(mask.mask.shape, dtype=np.intp)
+    at[mask.mask] = np.arange(r)
+    neg = at[tuple((-idx % field.grid).T)]
+    table = _coefficient_table(field.values)
+    forms = [_real_form(table, idx, neg, *b) for b in _mask_blocks(field, mask)]
+    a_max = float(np.max(field.values))
+
+    def report(T, n):
+        # nodes t - T/2 and weights are symmetric about 0, so the kernel
+        # sum_n w_n exp(i (omega_k - omega_l) s_n) is its cosine sum
+        s = np.linspace(-0.5 * T, 0.5 * T, n)
+        w = np.full(n, T / (n - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        sigma = -SHIFT_EPS * T * a_max
+
+        def block_smallest(R, pos, expand):
+            G = _centred_kernel(omega[pos], s, w)[np.ix_(expand, expand)]
+            G *= R
+            lam, v = _lowest_pair(G, sigma, LANCZOS_TOL / max(1.0, T))
+            residual = float(np.linalg.norm(G @ v - lam * v))
+            if residual > 1e-8 * max(1.0, T):
+                raise RuntimeError(f"smallest Gramian eigenpair did not converge; residual"
+                                   f" {residual} at T = {T}")
+            return lam, residual
+
+        lam_min, residual = min((block_smallest(*f) for f in forms), key=lambda pair: pair[0])
+        lam_min = max(lam_min, 0.0)
+        kappa = float("inf") if lam_min <= KAPPA_FLOOR else 1.0 / lam_min
+        return GramianReport(
+            T=T, beta=beta, K=cutoff_K, n_nodes=n, quadrature="trapezoid", rank=r,
+            lam_min=lam_min, kappa=kappa, residual=residual, field=field.describe(),
+        )
+
+    return [report(T, n) for T, n in zip(T_list, n_nodes)]
+
+
+def _centred_kernel(omega, s, w):
+    """The time kernel sum_n w_n cos((omega_k - omega_l) s_n) on nodes s
+    centred on T/2, by two real GEMMs."""
+    phase = np.outer(omega, s)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    return (cos * w) @ cos.T + (sin * w) @ sin.T
+
+
+def _conjugate_pairs(neg, i, alpha, j, beta):
+    """A block of _mask_blocks under conjugation J, J e_k = e_-k, which
+    commutes with C_a and with the centred kernel on a real field.
+
+    Block vector f_a = alpha_a e_k + beta_a e_k' (k, k' at mask positions
+    i[a], j[a]; neg[p] is the position of the negative of the point at p)
+    has J f_a = alpha_a e_-k + beta_a e_-k' = +-f_b for one block vector
+    b, its partner. Returns rep, the a with a < b; own, the a with b = a;
+    and for each own the phase, 1 or i, that makes phase f_a J-invariant
+    (i exactly when -k = k' != k and beta_a = -alpha_a, so J f_a = -f_a).
+    """
+    row = np.empty(neg.size, dtype=np.intp)
+    row[j] = np.arange(j.size)
+    row[i] = np.arange(i.size)
+    pos = np.arange(i.size)
+    partner = row[neg[i]]
+    own = np.flatnonzero(partner == pos)
+    odd = (neg[i[own]] == j[own]) & (alpha[own] * beta[own] < 0)
+    return np.flatnonzero(pos < partner), own, np.where(odd, 1j, 1.0)
+
+
+def _real_form(table, idx, neg, i, alpha, j, beta):
+    """One block of C_a as a real symmetric matrix R, with the mask
+    positions pos whose omega the time kernel reads and the index expand
+    that spreads a kernel on pos over R's rows.
+
+    The basis is (f_a + J f_a)/sqrt2 and i (f_a - J f_a)/sqrt2 for a in
+    rep, then phase f_c for c in own (_conjugate_pairs), all J-invariant,
+    so every entry of C_a between them is real. With X = C[rep, rep] and
+    Y = C[rep, J rep] (J f_a is a two-point vector on the negated points)
+    the pairs give [[Re(X + Y), -Im(X - Y)], [Im(X + Y), Re(X - Y)]].
+    Both vectors of a pair have f_a's omega, so a kernel on the rep and
+    own points multiplies all of R through expand.
+    """
+    rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
+    rows = np.concatenate([rep, own])
+    na, m = rep.size, rows.size
+    # columns: f_rep, f_own, then J f_rep, with f_rep's coefficients
+    W = _pair_form(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
+                   np.concatenate([alpha[rows], alpha[rep]]),
+                   idx[np.concatenate([j[rows], neg[j[rep]]])],
+                   np.concatenate([beta[rows], beta[rep]]), n_rows=m)
+    Z = math.sqrt(2.0) * W[:na, na:m] * phase
+    S = (np.conj(phase)[:, None] * W[na:, na:m] * phase).real
+    X, Y = W[:na, :na], W[:na, m:]
+    P, M = X + Y, X - Y
+    # freed before R is built, so no more than two R-sized arrays are held
+    del W, X, Y
+    R = np.block([[P.real, -M.imag, Z.real], [P.imag, M.real, Z.imag], [Z.real.T, Z.imag.T, S]])
+    return R, i[rows], np.concatenate([np.arange(na), np.arange(m)])
 
 
 def check_miller(M_res: float, m_res: float, eps: float) -> None:

@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 _GRID_MAGIC = b"OGRD"
 _GRID_VERSION = 1
@@ -402,16 +401,37 @@ def mollify(field: ObservationField, radius: float) -> ObservationField:
             field.dim, field.period, field.grid, field.values.copy(),
             field.origin, dict(field.family), field.modulus,
         )
-    size = 2 * w + 1
     vals = field.values
     for axis in range(field.dim):
-        vals = ndimage.uniform_filter1d(vals, size=size, axis=axis, mode="wrap")
+        vals = _box_mean(vals, 2 * w + 1, axis)
     vals = np.clip(vals, 0.0, 1.0)
     fam = dict(field.family)
     fam["mollify"] = w * field.h
     return ObservationField(
         field.dim, field.period, field.grid, vals, field.origin, fam, w * field.h
     )
+
+
+def _box_mean(vals: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Periodic mean over windows of an odd size along axis, with the
+    operation order of scipy.ndimage.uniform_filter1d(mode="wrap"), so
+    the values are bit-identical: each line's first window is summed left
+    to right, then each next window sum is the last one plus (new - old),
+    and each sum is divided by size. A window wider than the line wraps
+    round it more than once; it is summed a period at a time, so memory
+    stays at a few copies of vals."""
+    n, lead = vals.shape[axis], size // 2
+
+    def wrapped(start, stop):
+        """Offsets start..stop - 1 of each line wrapped from -lead."""
+        return np.take(vals, np.arange(start - lead, stop - lead) % n, axis=axis)
+
+    total = np.zeros_like(wrapped(0, 1))
+    for start in range(0, size, n):
+        chunk = np.concatenate([total, wrapped(start, min(start + n, size))], axis=axis)
+        total = np.take(np.add.accumulate(chunk, axis=axis), [-1], axis=axis)
+    steps = np.concatenate([total, wrapped(size, size + n - 1) - wrapped(0, n - 1)], axis=axis)
+    return np.add.accumulate(steps, axis=axis) / size
 
 
 def save_grid(field: ObservationField, path) -> None:

@@ -32,9 +32,12 @@ The uncertainty compression is solved over the blocks of _mask_blocks
 (two transpose blocks on a transpose-invariant field and mask, else one
 identity block), matrix-free above DENSE_RANK_LIMIT (_iterative_pair).
 
-Every dense uncertainty block, and every Gramian block of evolution,
-goes to _lowest_pair. Its caller bounds the form by 0 <= G <= g (g =
-max w, or T max a for the Gramian) and passes sigma = -SHIFT_EPS g, so
+Every dense uncertainty block, a complex Hermitian _pair_form, and
+every Gramian block of evolution, a real symmetric form on cosine and
+sine pairs that evolution._real_form builds from one rectangular
+_pair_form, goes to _lowest_pair, which solves each in its own
+arithmetic. Its caller bounds the form by 0 <= G <= g (g = max w, or
+T max a for the Gramian) and passes sigma = -SHIFT_EPS g, so
 G - sigma I is positive definite: it is Cholesky-factored once (a
 quarter of the flops of a tridiagonalization), and shift-invert Lanczos
 finds the largest eigenvalue mu of its inverse, lam = sigma + 1/mu.
@@ -267,8 +270,9 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
 
 
 def _lowest_pair(G, sigma, tol):
-    """Smallest eigenpair of the dense Hermitian G >= 0 by eigh, or by Lanczos
-    at tolerance tol on (G - sigma I)^-1, sigma < 0 (module docstring)."""
+    """Smallest eigenpair of the dense Hermitian (or real symmetric) G >= 0
+    by eigh, or by Lanczos at tolerance tol on (G - sigma I)^-1, sigma < 0
+    (module docstring), in G's own arithmetic."""
     n = G.shape[0]
     if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
         vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
@@ -278,7 +282,7 @@ def _lowest_pair(G, sigma, tol):
         factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
         vals, vecs = _shift_invert_lanczos(
             n, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
-            k=1, tol=tol)
+            k=1, tol=tol, dtype=G.dtype)
     return float(vals[0]), vecs[:, 0]
 
 
@@ -304,17 +308,20 @@ def _iterative_pair(matvec, r):
     return float(vals[i]), vecs[:, i]
 
 
-def _shift_invert_lanczos(r, sigma, solve, k, tol):
-    """The k eigenpairs nearest sigma of a complex Hermitian operator A of
-    order r, by Lanczos on (A - sigma)^-1, which solve applies. Needs
-    k < r - 1. If Lanczos stops unconverged, the Ritz pairs it has are
-    returned and the caller's residual check judges them.
+def _shift_invert_lanczos(r, sigma, solve, k, tol, dtype=complex):
+    """The k eigenpairs nearest sigma of a Hermitian operator A of order r
+    (complex, or real symmetric when dtype is real), by Lanczos on
+    (A - sigma)^-1, which solve applies. Needs k < r - 1. If Lanczos stops
+    unconverged, the Ritz pairs it has are returned and the caller's
+    residual check judges them.
     """
-    opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=complex)
+    opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=dtype)
     # a fixed Gaussian start makes reruns bit-identical; a structured
     # start such as ones would be orthogonal to odd eigenvectors
     rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    v0 = rng.standard_normal(r)
+    if np.dtype(dtype).kind == "c":
+        v0 = v0 + 1j * rng.standard_normal(r)
     try:
         # shift-invert eigsh reads only the order and dtype of A from opinv
         return scipy.sparse.linalg.eigsh(
@@ -412,27 +419,29 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
 
 
 def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
-               beta: np.ndarray) -> np.ndarray:
-    """Pi M_w Pi in an orthonormal basis of two-point vectors
-    alpha_r e_k + beta_r e_k', k = pts[r], k' = pts2[r]; table is
-    _coefficient_table(w).
+               beta: np.ndarray, n_rows: int | None = None) -> np.ndarray:
+    """Pi M_w Pi between two-point vectors alpha_r e_k + beta_r e_k',
+    k = pts[r], k' = pts2[r], orthonormal within a block; table is
+    _coefficient_table(w). Rows are the first n_rows vectors (all of
+    them by default), columns all of them.
 
     Entry (r, s) is 2 conj(alpha_r) [alpha_s w^(k_r - k_s) + beta_s
     w^(k_r - k'_s)]. These two terms stand for all four of the exact entry
-    in the blocks of _mask_blocks (k' = k or the transpose of k, beta =
-    +-alpha real, w transpose-invariant when k' != k): the other two terms
-    equal these.
-    Rows are filled in blocks, so no rank x rank index temporary is
+    when beta = +-alpha real with one sign for every vector, and k' = k or
+    the transpose of k with w transpose-invariant (a block of _mask_blocks,
+    or the conjugates of its vectors): the other two terms equal these.
+    Rows are filled in blocks, so no rows x columns index temporary is
     allocated.
     """
     table, radix, shift = table
     powers = radix ** np.arange(pts.shape[1] - 1, -1, -1)
     key, key2 = pts @ powers - shift, pts2 @ powers - shift
     n = key.size
-    out = np.empty((n, n), dtype=complex)
+    rows = n if n_rows is None else n_rows
+    out = np.empty((rows, n), dtype=complex)
     step = max(1, (1 << 16) // n)
-    for r0 in range(0, n, step):
-        blk = slice(r0, r0 + step)
+    for r0 in range(0, rows, step):
+        blk = slice(r0, min(r0 + step, rows))
         a = np.conj(alpha[blk])[:, None]
         row = key[blk, None] + shift
         out[blk] = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])

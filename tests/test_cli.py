@@ -299,15 +299,30 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 
 
 def test_linalg_error_exit_code(tmp_path, monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
-    monkeypatch.setattr(scipy.linalg, "eigh", boom)
-    code = run(["resolvent", "--out", str(tmp_path),
-                "--field-family", "constant", "--field-dim", "1",
-                "--field-grid", "64", "--field-period", str(2 * math.pi),
-                "--gamma", "1.5", "--lambdas", "20 40", "--m", "0.5"])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    """A LinAlgError from the solver that the answer rests on is a
+    numerical failure, exit code 3: the Cholesky factor of an observe
+    Gramian block above DENSE_EIGH_LIMIT (rank 201, one identity block),
+    and the resolvent's tridiagonal eigensolve."""
+    runs = {
+        "cho_factor": ["observe", "--field-family", "constant", "--field-dim", "1",
+                       "--field-grid", "512", "--cutoff", "100", "--T-list", "0.5"],
+        "eigh_tridiagonal": ["resolvent", "--field-family", "constant", "--field-dim", "1",
+                             "--field-grid", "64", "--gamma", "1.5", "--lambdas", "20 40",
+                             "--m", "0.5"],
+    }
+    for solver, argv in runs.items():
+        calls = []
+
+        def boom(*args, **kwargs):
+            calls.append(solver)
+            raise np.linalg.LinAlgError(f"{solver} failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg, solver, boom)
+            code = run(argv + ["--out", str(tmp_path), "--field-period", str(2 * math.pi)])
+        assert calls == [solver]
+        assert code == 3
+        assert f"numerical failure: {solver} failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family, key, value", [("periodic-square", "delta", 0.5),
@@ -448,9 +463,9 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
                 "--cutoff", "60", "--T-list", "0.5"])
     assert code == 2
     err = capsys.readouterr().err
-    # the assembly peak, 16 * (2 r^2 + 3 r n_nodes) B at r = 11289 and
+    # the solve's peak, 8 * (3 r^2 + 1.5 r n_nodes) B at r = 11289 and
     # n_nodes = 1147 (beta 1, T 0.5, K 60)
-    assert "rank 11289" in err and "4.7 GB" in err and "1147 time nodes" in err
+    assert "rank 11289" in err and "3.2 GB" in err and "1147 time nodes" in err
     assert calls == []
 
 
@@ -589,7 +604,7 @@ def test_every_command_writes_its_reports(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("value", ["1,2", "a,b,c", "-1,2,0.1", "0.01,0,0.1", "0.01,2,0"])
 def test_bad_miller_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys, value):
     calls = []
-    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
     base, _ = BAD_VALUE_RUNS["observe"]
     with pytest.raises(SystemExit) as exc:
         run(["observe", *base, f"--miller={value}", "--out", str(tmp_path)])
@@ -602,7 +617,7 @@ def test_bad_miller_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys, va
 
 def test_bad_miller_in_config_exits_2_before_any_gramian(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
     cfg = tmp_path / "c.ini"
     cfg.write_text("[observe]\nmiller = -1, 2, 0.1\n")
     base, _ = BAD_VALUE_RUNS["observe"]
@@ -624,7 +639,7 @@ def test_observe_records_miller_as_numbers(tmp_path):
 def test_envelope_with_one_distinct_time_exits_2_before_any_gramian(tmp_path, monkeypatch,
                                                                     capsys, T_list):
     calls = []
-    monkeypatch.setattr(evolution, "observability_gramian", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
     base, _ = BAD_VALUE_RUNS["observe"]
     code = run(["observe", *base, "--T-list", T_list, "--envelope-eps", "0.5",
                 "--out", str(tmp_path)])

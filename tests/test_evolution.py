@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obslab import cli, evolution, fields, spectral
 
@@ -148,6 +148,34 @@ def _random_2d(grid, seed, mollify=0.0, symmetric=True):
     return fields.mollify(f, mollify) if mollify else f
 
 
+def _real_basis(mask, block):
+    """The columns (mask vectors) of the real basis that evolution._real_form
+    puts on one block of _mask_blocks: (f_a + J f_a)/sqrt2 and
+    i (f_a - J f_a)/sqrt2 for each representative a, then phase f_c for
+    each self-paired c, with J e_k = e_-k found by matching lattice points."""
+    i, alpha, j, beta = block
+    idx = mask.indices()
+    neg = np.array([np.flatnonzero((idx == (-k) % mask.grid).all(axis=1))[0] for k in idx])
+    rep, own, phase = evolution._conjugate_pairs(neg, i, alpha, j, beta)
+
+    def vectors(a, at):
+        F = np.zeros((mask.rank, a.size), dtype=complex)
+        np.add.at(F, (at[i[a]], np.arange(a.size)), alpha[a])
+        np.add.at(F, (at[j[a]], np.arange(a.size)), beta[a])
+        return F
+
+    f, Jf = vectors(rep, np.arange(mask.rank)), vectors(rep, neg)
+    return np.hstack([(f + Jf) / math.sqrt(2.0), 1j * (f - Jf) / math.sqrt(2.0),
+                      vectors(own, np.arange(mask.rank)) * phase])
+
+
+def _lift(mask, beta, T, block, x):
+    """The real-basis eigenvector x of one block as an eigenvector of the
+    full complex Gramian: through the basis, then D = diag(exp(i omega T/2))."""
+    omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
+    return np.exp(0.5j * omega * T) * (_real_basis(mask, block) @ x)
+
+
 @contextlib.contextmanager
 def _block_solver_hook(after):
     """Route the results of both block solvers, scipy.linalg.eigh (orders up
@@ -198,14 +226,58 @@ def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, 
     assert rep.lam_min == pytest.approx(want, rel=1e-12)
     # lift each block's eigenvector to the mask and test the least on the full G
     assert len(solved) == len(blocks)
-    lifted = []
-    for (lam, x), (i, alpha, j, b) in zip(solved, blocks):
-        v = np.zeros(mask.rank, dtype=complex)
-        v[i] = alpha * x
-        v[j] += b * x
-        lifted.append((lam, v))
-    lam, v = min(lifted, key=lambda pair: pair[0])
+    lam, v = min(((lam, _lift(mask, beta, T, b, x)) for (lam, x), b in zip(solved, blocks)),
+                 key=lambda pair: pair[0])
     assert rep.lam_min == max(lam, 0.0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.linalg.norm(G @ v - lam * v)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(12, 40), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.1, 1.0),
+       st.floats(0.05, 2.0), st.sampled_from(LIMITS))
+def test_real_blocks_match_dense_complex_gramian(dim, grid, seed, symmetric, beta, reach, T,
+                                                 limit):
+    """Each block is solved as a real symmetric matrix: it is the complex
+    Gramian, unrotated by D, on the block's cosine and sine basis, which
+    is orthonormal. lam_min matches eigvalsh of the dense complex Gramian,
+    and the least block's eigenvector, lifted back through the basis and
+    D, solves it. 1d fields have one block; 2d ones two with the transpose
+    and one without; LIMITS sends them to eigh and to Lanczos."""
+    u = np.random.default_rng(seed).uniform(0.2, 1.0, size=(grid,) * dim)
+    f = fields.make_field("custom-grid", dim=dim, period=2.0 * math.pi, grid=grid,
+                          values=(u + u.T) / 2.0 if symmetric else u)
+    # 1d balls reach up to the aliasing radius grid / 2; 2d ones to 5
+    K = 1.0 + reach * (grid / 2.0 - 1.5 if dim == 1 else 4.0)
+    mask = spectral.build_mask(grid, dim, f.period, "ball", radius=K)
+    blocks = spectral._mask_blocks(f, mask)
+    *_, G = _dense_gramian(f, beta, T, K)
+    omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
+    D = np.exp(0.5j * omega * T)
+    H = D.conj()[:, None] * G * D
+    solved = []
+    lowest_pair = evolution._lowest_pair
+
+    def capture(A, *args):
+        lam, x = lowest_pair(A, *args)
+        solved.append((A, lam, x))
+        return lam, x
+
+    with mock.patch.object(evolution, "_lowest_pair", capture), \
+            mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit):
+        rep = evolution.observability_gramian(f, beta, T, K)
+    assert len(solved) == len(blocks)
+    for (A, _, _), block in zip(solved, blocks):
+        Q = _real_basis(mask, block)
+        assert A.dtype == np.float64 and A.shape == (Q.shape[1],) * 2
+        assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-14)
+        assert np.allclose(Q.conj().T @ H @ Q, A, rtol=0.0, atol=1e-13 * T)
+    want = max(float(np.linalg.eigvalsh(G)[0]), 0.0)
+    assert rep.lam_min == pytest.approx(want, rel=1e-12, abs=1e-14 * T)
+    lam, x, block = min(((lam, x, b) for (_, lam, x), b in zip(solved, blocks)),
+                        key=lambda t: t[0])
+    v = _lift(mask, beta, T, block, x)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert float(np.linalg.norm(G @ v - lam * v)) <= 1e-10
 
@@ -213,9 +285,10 @@ def test_transpose_blocks_match_dense_gramian(grid, seed, symmetric, mollified, 
 def test_gramian_solves_two_transpose_blocks():
     """Two eigensolves per T on a transpose-invariant 2d field, of the two
     block orders; one on a 2d field without the transpose and on a 1d
-    field, bit-identical to the dense Gramian through eigh and within
-    rel 1e-12 through Lanczos. Calls are counted through the module
-    attributes scipy.linalg.eigh and scipy.sparse.linalg.eigsh."""
+    field, within rel 1e-12 of the dense Gramian through eigh and through
+    Lanczos, with the lifted eigenvector solving the full Gramian. Calls
+    are counted through the module attributes scipy.linalg.eigh and
+    scipy.sparse.linalg.eigsh."""
     T_list, K = [0.3, 0.9], 5.0
     sym = _random_2d(24, 5, mollify=0.3)
     mask = spectral.build_mask(24, 2, sym.period, "ball", radius=K)
@@ -225,12 +298,13 @@ def test_gramian_solves_two_transpose_blocks():
     assert fields.lattice_symmetries(plain_2d) == []
     plain_1d = fields.mollify(fields.make_field("periodic-square", dim=1, period=2.0 * math.pi,
                                                 grid=128, delta=0.3), 0.05)
-    want = {beta: [_dense_gramian(f, beta, T, K)[:3] for T in T_list]
+    want = {beta: [_dense_gramian(f, beta, T, K) for T in T_list]
             for f, beta in ((plain_2d, 1.0), (plain_1d, 0.5))}
-    orders = []
+    orders, vectors = [], []
 
     def count(a, vals, vecs):
         orders.append(a.shape[0])
+        vectors.append(vecs[:, 0])
         return vals, vecs
 
     for limit in LIMITS:
@@ -239,18 +313,17 @@ def test_gramian_solves_two_transpose_blocks():
             evolution.cost_curve(sym, 1.0, T_list, K)
             assert orders == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2] * len(T_list)
             for f, beta in ((plain_2d, 1.0), (plain_1d, 0.5)):
-                del orders[:]
+                del orders[:], vectors[:]
                 reps = evolution.cost_curve(f, beta, T_list, K)
                 assert orders == [reps[0].rank] * len(T_list)
-                got = [(r.lam_min, r.kappa, r.residual) for r in reps]
-                if limit >= reps[0].rank:
-                    # the same eigh call on the same matrix
-                    assert got == want[beta]
-                    continue
-                for (lam, kappa, residual), (lam0, kappa0, _) in zip(got, want[beta]):
-                    assert lam == pytest.approx(lam0, rel=1e-12)
-                    assert kappa == pytest.approx(kappa0, rel=1e-12)
-                    assert residual <= 1e-10
+                ball = spectral.build_mask(f.grid, f.dim, f.period, "ball", radius=K)
+                (block,) = spectral._mask_blocks(f, ball)
+                for rep, x, T, (lam0, kappa0, _, G) in zip(reps, vectors, T_list, want[beta]):
+                    assert rep.lam_min == pytest.approx(lam0, rel=1e-12)
+                    assert rep.kappa == pytest.approx(kappa0, rel=1e-12)
+                    assert rep.residual <= 1e-10
+                    v = _lift(ball, beta, T, block, x)
+                    assert float(np.linalg.norm(G @ v - rep.lam_min * v)) <= 1e-10
 
 
 def test_gramian_residual_is_checked(tmp_path, capsys):
@@ -294,18 +367,20 @@ def _lanczos_case(kind, grid, seed):
 @given(st.sampled_from(["strip", "cross", "random", "random-symmetric", "constant", "zero"]),
        st.integers(24, 32), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 1.0]),
        st.floats(11.0, 11.9), st.floats(0.05, 2.0))
+# eigvalsh of this Gramian (order 469, lam 1.07e-8) is 1.1e-14 T below its
+# extended-precision Rayleigh quotient; the eigh of _dense_gramian is within 1e-15 T
+@example(kind="strip", grid=24, seed=0, beta=0.5, K=11.5, T=0.05)
 def test_lanczos_blocks_match_dense_eigenvalues(kind, grid, seed, beta, K, T):
     """Every block here is above DENSE_EIGH_LIMIT, so each is solved by
     Cholesky shift-invert Lanczos (the zero field, with nothing to shift
-    by, by eigh). lam_min matches eigvalsh of the dense Gramian; the
-    absolute term is the backward error of both solvers, n eps ||G||,
-    with ||G|| <= T max a."""
+    by, by eigh). lam_min matches the dense Gramian's smallest eigenvalue
+    (_dense_gramian); the absolute term is the backward error of both
+    solvers, with ||G|| <= T max a."""
     f = _lanczos_case(kind, grid, seed)
     mask = spectral.build_mask(grid, 2, f.period, "ball", radius=K)
     blocks = spectral._mask_blocks(f, mask)
     assert min(len(b[0]) for b in blocks) > spectral.DENSE_EIGH_LIMIT
-    *_, G = _dense_gramian(f, beta, T, K)
-    want = max(float(np.linalg.eigvalsh(G)[0]), 0.0)
+    want, *_ = _dense_gramian(f, beta, T, K)
     lanczos = []
     eigsh = scipy.sparse.linalg.eigsh
 

@@ -281,6 +281,33 @@ def test_mollify_preserves_mean_and_range(data):
         assert jump(g.values, axis) <= jump(f.values, axis) + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_mean_is_scipy_uniform_filter_bit_for_bit(data):
+    """The box mean behind mollify equals scipy.ndimage.uniform_filter1d
+    with mode="wrap" exactly, along either axis, on samples of any scale
+    and for half-widths from 1 to more than three grids, so that windows
+    wrap round the grid several times; mollify is that mean on every
+    axis, clipped to [0, 1]."""
+    from scipy import ndimage
+
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = data.draw(st.integers(2, 24), label="grid")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    vals = data.draw(arrays(np.float64, (grid,) * dim, elements=st.floats(-1.0, 1.0)),
+                     label="values") * scale
+    size = 2 * data.draw(st.integers(1, 3 * grid + 1), label="w") + 1
+    for axis in range(dim):
+        want = ndimage.uniform_filter1d(vals, size=size, axis=axis, mode="wrap")
+        assert np.array_equal(fields._box_mean(vals, size, axis), want)
+    f = fields.make_field("custom-grid", dim=dim, period=1.0, grid=grid,
+                          values=_unit_samples(data, dim, grid))
+    want = f.values
+    for axis in range(dim):
+        want = ndimage.uniform_filter1d(want, size=size, axis=axis, mode="wrap")
+    assert np.array_equal(fields.mollify(f, (size // 2) * f.h).values, np.clip(want, 0.0, 1.0))
+
+
 def test_mollify_rejects_bad_radius():
     f = fields.make_field("constant", dim=1, period=1.0, grid=16, value=1.0)
     for radius in (-0.1, math.inf, math.nan):

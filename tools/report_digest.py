@@ -6,9 +6,9 @@
 Run from any directory; obslab is imported from this checkout's src/.
 Every operation of every bench/workloads.py workload runs once (seed N,
 default 1, untraced, checked against bench/reference.json), then one CLI
-run of each subcommand or option no operation uses (CLI_RUNS, each expected
-to exit 0), then each demo in demos/; the last two each run in a fresh
-working directory. Each line is
+run of each subcommand, option or solver path no operation reaches
+(CLI_RUNS, each expected to exit 0), then each demo in demos/; the last
+two each run in a fresh working directory. Each line is
 
     <op> TAB <file> TAB <sha256>
 
@@ -59,7 +59,7 @@ from obslab import cli  # noqa: E402
 SQUARE_1D = ["--field-family", "periodic-square", "--field-dim", "1",
              "--field-period", "6.283185307179586", "--field-delta", "0.3",
              "--field-mollify", "0.05"]
-# the subcommands and options that no workload operation runs
+# the subcommands, options and solver paths that no workload operation runs
 CLI_RUNS = {
     "cover": ["cover", "--field-family", "periodic-square", "--field-dim", "2",
               "--field-grid", "200", "--field-period", "1", "--field-delta", "0.3",
@@ -68,6 +68,9 @@ CLI_RUNS = {
     "observe --miller": ["observe", *SQUARE_1D, "--field-grid", "256", "--beta", "0.5",
                          "--cutoff", "24", "--T-list", "1.0 2.0 4.0",
                          "--miller", "0.01,2.0,0.1", "--out", "."],
+    # rank 201 > DENSE_EIGH_LIMIT: one identity block, Cholesky Lanczos
+    "observe one Lanczos block": ["observe", *SQUARE_1D, "--field-grid", "512", "--beta", "0.5",
+                                  "--cutoff", "100", "--T-list", "0.5 1.0", "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
 }
