@@ -338,9 +338,15 @@ CONSTRUCT_DEMO_OPTIONS = (
 
 def cmd_construct_demo(args, field):
     M, n_balls = args.M, args.n_balls
+    if not M > 0:
+        raise ValueError(f"the window length --M must be positive, got {M}")
     Y = random_ball_system(np.random.default_rng(args.seed), args.W, args.delta, n_balls)
     wmin, wat = Y.window_min_measure(M)
     if args.rho is None:
+        if wmin == 0.0:
+            raise ValueError(
+                f"the window [{wat}, {wat + M}] of length --M {M} holds no ball, so the default"
+                f" rho (0.8 x the least window density) is 0; take a longer --M or more balls")
         args.rho = 0.8 * wmin / M
     rho = args.rho
     sm = construct.smooth_minorant(Y, M, rho)

@@ -99,19 +99,31 @@ class BallSystem:
             raise ValueError("L must be positive")
         if not len(self.centers):
             return 0.0, 0.0
+        crit, vals = self._window_measures(L)
+        i = int(np.argmin(vals))
+        return float(vals[i]), float(crit[i])
+
+    def _window_measures(self, L: float) -> tuple[np.ndarray, np.ndarray]:
+        """The critical offsets t of window_min_measure and |Y cap [t, t + L]|
+        at each, for a nonempty system.
+
+        Offsets are measured in chunks of at most 64 rows, so the chunk x
+        intervals temporaries stay small; each row is summed like a 1-D
+        array, so every value is bit-identical to one window at a time.
+        """
         iv = self.intervals(-self.period, 2.0 * self.period)
         crit = np.concatenate([iv.ravel(), iv.ravel() - L])
         crit = np.unique(np.mod(crit, self.period))
-
-        def measure_at(t):
-            lo, hi = t, t + L
-            a = np.clip(iv[:, 0], lo, hi)
-            b = np.clip(iv[:, 1], lo, hi)
-            return float(np.sum(b - a))
-
-        vals = [measure_at(float(t)) for t in crit]
-        i = int(np.argmin(vals))
-        return vals[i], float(crit[i])
+        vals = np.empty(crit.size)
+        for r0 in range(0, crit.size, 64):
+            lo = crit[r0:r0 + 64, None]
+            hi = lo + L
+            # the clip of each interval to [lo, hi]; np.clip is twice as slow
+            # with broadcast bounds
+            b = np.minimum(np.maximum(iv[:, 1], lo), hi)
+            b -= np.minimum(np.maximum(iv[:, 0], lo), hi)
+            vals[r0:r0 + 64] = np.sum(b, axis=1)
+        return crit, vals
 
 
 @dataclass
@@ -341,10 +353,11 @@ def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
         else:
             raise ValueError("orders up to 3 only")
         allowed = BUMP_C2 ** m / scale ** m
+        max_a, max_A = float(np.max(np.abs(fd_a))), float(np.max(np.abs(fd_A)))
         out[m] = {
-            "max_a": float(np.max(np.abs(fd_a))),
-            "max_A_over_M": float(np.max(np.abs(fd_A))),
+            "max_a": max_a,
+            "max_A_over_M": max_A,
             "allowed": allowed,
-            "ok": bool(np.max(np.abs(fd_a)) <= allowed and np.max(np.abs(fd_A)) <= allowed),
+            "ok": max_a <= allowed and max_A <= allowed,
         }
     return out

@@ -33,11 +33,12 @@ J e_k = e_-k, commutes with C_a; K is real and omega(-k) = omega(k), so
 J commutes with C_a o K too, and as the ball is closed under k -> -k, J
 maps each block to itself. J is antiunitary with J^2 = 1, so each block
 is a real symmetric matrix on a J-invariant basis of cosine and sine
-pairs (_real_form; Dyson, J. Math. Phys. 3, 1962). That real form of
-C_a is built once per T sweep and multiplied by K at each T. Each block
-goes to spectral._lowest_pair at sigma = -SHIFT_EPS T max(a) (the
-weights sum to T, so 0 <= G <= T max(a)), tolerance
-LANCZOS_TOL / max(1, T).
+pairs (Dyson, J. Math. Phys. 3, 1962): spectral._real_form, the form the
+uncertainty solver takes on the same blocks, times K on those pairs.
+That real form of C_a is built once per T sweep and multiplied by K at
+each T. Each block goes to spectral._lowest_pair at
+sigma = -SHIFT_EPS T max(a) (the weights sum to T, so
+0 <= G <= T max(a)), tolerance LANCZOS_TOL / max(1, T).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .fields import ObservationField
 from .spectral import (DENSE_LATTICE_LIMIT, LANCZOS_TOL, SHIFT_EPS, _coefficient_table,
-                       _lowest_pair, _mask_blocks, _pair_form, build_mask)
+                       _lowest_pair, _mask_blocks, _negated_positions, _real_form, build_mask)
 # bound here only so that bench/spans.py can wrap it; no solver calls it
 from .spectral import compression_matrix  # noqa: F401
 
@@ -104,8 +105,8 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     weights summing to T, so a field identically 1 gives lam_min = T
     exactly. Every argument is checked, and masks of rank above
     DENSE_LATTICE_LIMIT are rejected, before any form is assembled. The
-    real form of C_a on each block (_real_form) is built once for the
-    sweep; at each T it is multiplied by the centred time kernel and
+    real form of C_a on each block (spectral._real_form) is built once for
+    the sweep; at each T it is multiplied by the centred time kernel and
     solved by spectral._lowest_pair at sigma = -SHIFT_EPS T max(a)
     (module docstring). Memory peaks in that solve of a block of order
     n: the block's real form of C_a, its Gramian and the Gramian's
@@ -132,9 +133,8 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
             f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_LATTICE_LIMIT}")
     idx = mask.indices()
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
-    at = np.empty(mask.mask.shape, dtype=np.intp)
-    at[mask.mask] = np.arange(r)
-    neg = at[tuple((-idx % field.grid).T)]
+    # a ball is closed under k -> -k
+    neg, _ = _negated_positions(mask)
     table = _coefficient_table(field.values)
     forms = [_real_form(table, idx, neg, *b) for b in _mask_blocks(field, mask)]
     a_max = float(np.max(field.values))
@@ -176,58 +176,6 @@ def _centred_kernel(omega, s, w):
     cos = np.cos(phase)
     sin = np.sin(phase, out=phase)
     return (cos * w) @ cos.T + (sin * w) @ sin.T
-
-
-def _conjugate_pairs(neg, i, alpha, j, beta):
-    """A block of _mask_blocks under conjugation J, J e_k = e_-k, which
-    commutes with C_a and with the centred kernel on a real field.
-
-    Block vector f_a = alpha_a e_k + beta_a e_k' (k, k' at mask positions
-    i[a], j[a]; neg[p] is the position of the negative of the point at p)
-    has J f_a = alpha_a e_-k + beta_a e_-k' = +-f_b for one block vector
-    b, its partner. Returns rep, the a with a < b; own, the a with b = a;
-    and for each own the phase, 1 or i, that makes phase f_a J-invariant
-    (i exactly when -k = k' != k and beta_a = -alpha_a, so J f_a = -f_a).
-    """
-    row = np.empty(neg.size, dtype=np.intp)
-    row[j] = np.arange(j.size)
-    row[i] = np.arange(i.size)
-    pos = np.arange(i.size)
-    partner = row[neg[i]]
-    own = np.flatnonzero(partner == pos)
-    odd = (neg[i[own]] == j[own]) & (alpha[own] * beta[own] < 0)
-    return np.flatnonzero(pos < partner), own, np.where(odd, 1j, 1.0)
-
-
-def _real_form(table, idx, neg, i, alpha, j, beta):
-    """One block of C_a as a real symmetric matrix R, with the mask
-    positions pos whose omega the time kernel reads and the index expand
-    that spreads a kernel on pos over R's rows.
-
-    The basis is (f_a + J f_a)/sqrt2 and i (f_a - J f_a)/sqrt2 for a in
-    rep, then phase f_c for c in own (_conjugate_pairs), all J-invariant,
-    so every entry of C_a between them is real. With X = C[rep, rep] and
-    Y = C[rep, J rep] (J f_a is a two-point vector on the negated points)
-    the pairs give [[Re(X + Y), -Im(X - Y)], [Im(X + Y), Re(X - Y)]].
-    Both vectors of a pair have f_a's omega, so a kernel on the rep and
-    own points multiplies all of R through expand.
-    """
-    rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
-    rows = np.concatenate([rep, own])
-    na, m = rep.size, rows.size
-    # columns: f_rep, f_own, then J f_rep, with f_rep's coefficients
-    W = _pair_form(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
-                   np.concatenate([alpha[rows], alpha[rep]]),
-                   idx[np.concatenate([j[rows], neg[j[rep]]])],
-                   np.concatenate([beta[rows], beta[rep]]), n_rows=m)
-    Z = math.sqrt(2.0) * W[:na, na:m] * phase
-    S = (np.conj(phase)[:, None] * W[na:, na:m] * phase).real
-    X, Y = W[:na, :na], W[:na, m:]
-    P, M = X + Y, X - Y
-    # freed before R is built, so no more than two R-sized arrays are held
-    del W, X, Y
-    R = np.block([[P.real, -M.imag, Z.real], [P.imag, M.real, Z.imag], [Z.real.T, Z.imag.T, S]])
-    return R, i[rows], np.concatenate([np.arange(na), np.arange(m)])
 
 
 def check_miller(M_res: float, m_res: float, eps: float) -> None:

@@ -32,18 +32,29 @@ The uncertainty compression is solved over the blocks of _mask_blocks
 (two transpose blocks on a transpose-invariant field and mask, else one
 identity block), matrix-free above DENSE_RANK_LIMIT (_iterative_pair).
 
-Every dense uncertainty block, a complex Hermitian _pair_form, and
-every Gramian block of evolution, a real symmetric form on cosine and
-sine pairs that evolution._real_form builds from one rectangular
-_pair_form, goes to _lowest_pair, which solves each in its own
-arithmetic. Its caller bounds the form by 0 <= G <= g (g = max w, or
-T max a for the Gramian) and passes sigma = -SHIFT_EPS g, so
-G - sigma I is positive definite: it is Cholesky-factored once (a
-quarter of the flops of a tridiagonalization), and shift-invert Lanczos
-finds the largest eigenvalue mu of its inverse, lam = sigma + 1/mu.
-Orders up to DENSE_EIGH_LIMIT (ARPACK needs >= 3) and the zero form
-(sigma = 0) go to eigh. The two agree to 1e-13 relative on the
-benchmark's blocks.
+Every field is real, so conjugation J, J e_k = e_-k (k mod grid),
+commutes with Pi M_w Pi. On a mask closed under k -> -k (a ball, an
+annulus, a rectangle centred on 0; _negated_positions tests it) J maps
+each block of _mask_blocks to itself, and as J is antiunitary with
+J^2 = 1 the block is a real symmetric matrix on a J-invariant basis of
+cosine and sine pairs (_real_form, built from one rectangular
+_pair_form; Dyson, J. Math. Phys. 3, 1962). _real_lift maps its
+eigenvectors back to the mask. Dense blocks of such masks are solved in
+that real form; those of any other mask (sectors, off-centre
+rectangles) as a complex Hermitian _pair_form. The Gramian blocks of
+evolution are the same real forms times a real time kernel.
+
+Every dense block, real or complex, uncertainty or Gramian, goes to
+_lowest_pair, which solves each in its own arithmetic. Its caller
+bounds the form by 0 <= G <= g (g = max w, or T max a for the Gramian)
+and passes sigma = -SHIFT_EPS g, so G - sigma I is positive definite:
+it is Cholesky-factored once (a quarter of the flops of a
+tridiagonalization), and shift-invert Lanczos finds the largest
+eigenvalue mu of its inverse, lam = sigma + 1/mu.
+Orders up to DENSE_EIGH_LIMIT (ARPACK needs >= 3), the zero form
+(sigma = 0) and a form on which Lanczos resolves no Ritz pair (a bottom
+cluster as narrow as roundoff) go to eigh. The two agree to 1e-13
+relative on the benchmark's blocks.
 """
 
 from __future__ import annotations
@@ -269,20 +280,31 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
     return matvec
 
 
+class LanczosStalled(RuntimeError):
+    """Shift-invert Lanczos stopped with no Ritz pair."""
+
+
 def _lowest_pair(G, sigma, tol):
     """Smallest eigenpair of the dense Hermitian (or real symmetric) G >= 0
     by eigh, or by Lanczos at tolerance tol on (G - sigma I)^-1, sigma < 0
-    (module docstring), in G's own arithmetic."""
+    (module docstring), in G's own arithmetic.
+
+    A bottom cluster whose spread is near roundoff, such as the null
+    space of a field that vanishes on an interval, can keep Lanczos from
+    resolving any Ritz pair to tol; G is then solved by eigh."""
     n = G.shape[0]
-    if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
-        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
-    else:
+    if n > DENSE_EIGH_LIMIT and sigma != 0.0:
         F = G.copy(order="F")
         F[np.diag_indices(n)] -= sigma
         factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
-        vals, vecs = _shift_invert_lanczos(
-            n, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
-            k=1, tol=tol, dtype=G.dtype)
+        try:
+            vals, vecs = _shift_invert_lanczos(
+                n, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
+                k=1, tol=tol, dtype=G.dtype)
+            return float(vals[0]), vecs[:, 0]
+        except LanczosStalled:
+            del F, factor  # the Cholesky copy is not held through eigh
+    vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
     return float(vals[0]), vecs[:, 0]
 
 
@@ -313,7 +335,7 @@ def _shift_invert_lanczos(r, sigma, solve, k, tol, dtype=complex):
     (complex, or real symmetric when dtype is real), by Lanczos on
     (A - sigma)^-1, which solve applies. Needs k < r - 1. If Lanczos stops
     unconverged, the Ritz pairs it has are returned and the caller's
-    residual check judges them.
+    residual check judges them; with none it raises LanczosStalled.
     """
     opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=dtype)
     # a fixed Gaussian start makes reruns bit-identical; a structured
@@ -329,7 +351,7 @@ def _shift_invert_lanczos(r, sigma, solve, k, tol, dtype=complex):
             v0=v0, rng=np.random.default_rng(0))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if exc.eigenvalues is None or not len(exc.eigenvalues):
-            raise RuntimeError("eigensolver did not converge and returned no Ritz pairs") from exc
+            raise LanczosStalled("eigensolver did not converge and returned no Ritz pairs") from exc
         return exc.eigenvalues.real, exc.eigenvectors
 
 
@@ -366,12 +388,15 @@ def _smallest_eig(field, mask, weight):
 
     Each block of _mask_blocks is solved on its own (dense or iterative by
     its own order) and its eigenvector lifted back to the mask; the least
-    block minimum wins, and the residual is taken on the full mask.
+    block minimum wins, and the residual is taken on the full mask. A
+    dense block of a mask closed under k -> -k is solved as its real form
+    (_real_form), any other dense block as its complex _pair_form.
     """
     w = _weight_values(field, weight)
     matvec = _sandwich_matvec(field, mask, weight)
     table = _coefficient_table(w)
     idx = mask.indices()
+    neg, closed = _negated_positions(mask)
     sigma = -SHIFT_EPS * float(np.max(w))
 
     def block_smallest(i, alpha, j, beta):
@@ -385,8 +410,15 @@ def _smallest_eig(field, mask, weight):
             y = matvec(lift(x))
             return alpha * y[i] + beta * y[j]
 
-        c, x = (_lowest_pair(_pair_form(table, idx[i], alpha, idx[j], beta), sigma, LANCZOS_TOL)
-                if len(i) <= DENSE_RANK_LIMIT else _iterative_pair(block_matvec, len(i)))
+        if len(i) > DENSE_RANK_LIMIT:
+            c, x = _iterative_pair(block_matvec, len(i))
+        elif closed:
+            R, *_ = _real_form(table, idx, neg, i, alpha, j, beta)
+            c, x = _lowest_pair(R, sigma, LANCZOS_TOL)
+            return c, _real_lift(neg, i, alpha, j, beta, x, mask.rank)
+        else:
+            c, x = _lowest_pair(_pair_form(table, idx[i], alpha, idx[j], beta), sigma,
+                                LANCZOS_TOL)
         return c, lift(x)
 
     c, v = min((block_smallest(*b) for b in _mask_blocks(field, mask)), key=lambda pair: pair[0])
@@ -446,6 +478,87 @@ def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
         row = key[blk, None] + shift
         out[blk] = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
     return out
+
+
+def _negated_positions(mask: FrequencyMask) -> tuple[np.ndarray, bool]:
+    """neg[p], the position in mask.indices() of -k (mod grid) for the mask
+    point k at p, or -1 where -k is not in the mask; and whether the mask
+    is closed under k -> -k (every neg[p] >= 0)."""
+    at = np.full(mask.mask.shape, -1, dtype=np.intp)
+    at[mask.mask] = np.arange(mask.rank)
+    neg = at[tuple((-mask.indices() % mask.grid).T)]
+    return neg, bool(np.all(neg >= 0))
+
+
+def _conjugate_pairs(neg, i, alpha, j, beta):
+    """A block of _mask_blocks under conjugation J, J e_k = e_-k, which
+    commutes with Pi M_w Pi on a real w (and with the Gramian's centred
+    time kernel); the mask must be closed under k -> -k (neg from
+    _negated_positions).
+
+    Block vector f_a = alpha_a e_k + beta_a e_k' (k, k' at mask positions
+    i[a], j[a]; neg[p] is the position of the negative of the point at p)
+    has J f_a = alpha_a e_-k + beta_a e_-k' = +-f_b for one block vector
+    b, its partner. Returns rep, the a with a < b; own, the a with b = a;
+    and for each own the phase, 1 or i, that makes phase f_a J-invariant
+    (i exactly when -k = k' != k and beta_a = -alpha_a, so J f_a = -f_a).
+    """
+    row = np.empty(neg.size, dtype=np.intp)
+    row[j] = np.arange(j.size)
+    row[i] = np.arange(i.size)
+    pos = np.arange(i.size)
+    partner = row[neg[i]]
+    own = np.flatnonzero(partner == pos)
+    odd = (neg[i[own]] == j[own]) & (alpha[own] * beta[own] < 0)
+    return np.flatnonzero(pos < partner), own, np.where(odd, 1j, 1.0)
+
+
+def _real_form(table, idx, neg, i, alpha, j, beta):
+    """One block of Pi M_w Pi, w real (table is _coefficient_table(w)), as
+    a real symmetric matrix R, with the mask positions pos whose omega the
+    Gramian's time kernel reads and the index expand that spreads a
+    kernel on pos over R's rows.
+
+    The basis is (f_a + J f_a)/sqrt2 and i (f_a - J f_a)/sqrt2 for a in
+    rep, then phase f_c for c in own (_conjugate_pairs), all J-invariant,
+    so every entry of the compression C between them is real. With
+    X = C[rep, rep] and Y = C[rep, J rep] (J f_a is a two-point vector on
+    the negated points) the pairs give [[Re(X + Y), -Im(X - Y)],
+    [Im(X + Y), Re(X - Y)]]. Both vectors of a pair have f_a's omega, so
+    a kernel on the rep and own points multiplies all of R through
+    expand. _real_lift maps R's eigenvectors back to the mask.
+    """
+    rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
+    rows = np.concatenate([rep, own])
+    na, m = rep.size, rows.size
+    # columns: f_rep, f_own, then J f_rep, with f_rep's coefficients
+    W = _pair_form(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
+                   np.concatenate([alpha[rows], alpha[rep]]),
+                   idx[np.concatenate([j[rows], neg[j[rep]]])],
+                   np.concatenate([beta[rows], beta[rep]]), n_rows=m)
+    Z = math.sqrt(2.0) * W[:na, na:m] * phase
+    S = (np.conj(phase)[:, None] * W[na:, na:m] * phase).real
+    X, Y = W[:na, :na], W[:na, m:]
+    P, M = X + Y, X - Y
+    # freed before R is built, so no more than two R-sized arrays are held
+    del W, X, Y
+    R = np.block([[P.real, -M.imag, Z.real], [P.imag, M.real, Z.imag], [Z.real.T, Z.imag.T, S]])
+    return R, i[rows], np.concatenate([np.arange(na), np.arange(m)])
+
+
+def _real_lift(neg, i, alpha, j, beta, x, rank):
+    """The mask vector (length rank) of a real vector x on _real_form's
+    basis of the block: f_a takes (x_a + i x_(na+a))/sqrt2 and J f_a its
+    conjugate for the na pairs, and f_c takes phase_c x_(2na+c)."""
+    rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
+    na = rep.size
+    p = (x[:na] + 1j * x[na:2 * na]) / math.sqrt(2.0)
+    coef = np.concatenate([p, np.conj(p), phase * x[2 * na:]])
+    at = np.concatenate([rep, rep, own])
+    v = np.zeros(rank, dtype=complex)
+    np.add.at(v, np.concatenate([i[rep], neg[i[rep]], i[own]]), alpha[at] * coef)
+    np.add.at(v, np.concatenate([j[rep], neg[j[rep]], j[own]]), beta[at] * coef)
+    return v
 
 
 def _kernel_basis(ker: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from obslab import cli, evolution, fields, reports
+from obslab import cli, evolution, fields, reports, spectral
 
 
 def run(argv):
@@ -456,7 +456,7 @@ def test_observe_envelope_fits_the_reported_sweep(tmp_path):
 
 def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(evolution, "_pair_form", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(spectral, "_pair_form", lambda *a, **k: calls.append(a))
     code = run(["observe", "--out", str(tmp_path),
                 "--field-family", "constant", "--field-dim", "2",
                 "--field-grid", "128", "--field-period", str(2 * math.pi),
@@ -490,6 +490,21 @@ def test_empty_sweeps_and_nonpositive_scales_exit_code(tmp_path, capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--M", "0.01"], r"the window \[[-+e.0-9]+, [-+e.0-9]+\] of length --M 0.01 holds no ball"),
+    (["--W", "1e9", "--n-balls", "2"],
+     r"the window \[[-+e.0-9]+, [-+e.0-9]+\] of length --M 1.0 holds no ball"),
+    (["--M", "0"], "the window length --M must be positive, got 0.0"),
+])
+def test_construct_demo_names_the_window_length(tmp_path, capsys, argv, expected):
+    """A window holding no ball makes the default rho 0: the error names
+    --M and that window, not rho."""
+    assert run(["construct-demo", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(expected, err) and "rho must" not in err and "L must" not in err
+    assert not (tmp_path / "construct_report.json").exists()
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -75,6 +75,31 @@ def test_window_min_measure_matches_brute_force():
         assert wmin >= windows.min() - 1e-3
 
 
+def _window_measures_loop(Y, L):
+    """_window_measures one critical offset at a time."""
+    iv = Y.intervals(-Y.period, 2.0 * Y.period)
+    crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - L]), Y.period))
+    return crit, np.array([np.sum(np.clip(iv[:, 1], t, t + L) - np.clip(iv[:, 0], t, t + L))
+                           for t in map(float, crit)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 120), pitch=st.floats(0.05, 3.0), delta_frac=st.floats(0.02, 0.5),
+       l_frac=st.floats(0.1, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_window_measures_chunks_match_the_scalar_loop(n, pitch, delta_frac, l_frac, seed):
+    """The chunked window measures equal, bit for bit, the sums of one
+    window at a time, on ball systems with more and fewer critical
+    offsets than one chunk; so do the minimum and its offset."""
+    delta = delta_frac * pitch
+    Y = _random_system(np.random.default_rng(seed), n * pitch, delta, n)
+    L = l_frac * delta
+    crit, vals = Y._window_measures(L)
+    want_crit, want_vals = _window_measures_loop(Y, L)
+    assert np.array_equal(crit, want_crit) and np.array_equal(vals, want_vals)
+    i = int(np.argmin(want_vals))
+    assert Y.window_min_measure(L) == (float(want_vals[i]), float(want_crit[i]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 24), pitch=st.floats(0.5, 3.0), delta_frac=st.floats(0.02, 0.45),
        m_frac=st.floats(1.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))

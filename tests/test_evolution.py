@@ -149,14 +149,14 @@ def _random_2d(grid, seed, mollify=0.0, symmetric=True):
 
 
 def _real_basis(mask, block):
-    """The columns (mask vectors) of the real basis that evolution._real_form
+    """The columns (mask vectors) of the real basis that spectral._real_form
     puts on one block of _mask_blocks: (f_a + J f_a)/sqrt2 and
     i (f_a - J f_a)/sqrt2 for each representative a, then phase f_c for
     each self-paired c, with J e_k = e_-k found by matching lattice points."""
     i, alpha, j, beta = block
     idx = mask.indices()
     neg = np.array([np.flatnonzero((idx == (-k) % mask.grid).all(axis=1))[0] for k in idx])
-    rep, own, phase = evolution._conjugate_pairs(neg, i, alpha, j, beta)
+    rep, own, phase = spectral._conjugate_pairs(neg, i, alpha, j, beta)
 
     def vectors(a, at):
         F = np.zeros((mask.rank, a.size), dtype=complex)

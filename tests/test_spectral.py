@@ -523,3 +523,77 @@ def test_folded_iterative_uncertainty_matches_dense(monkeypatch):
     iterative = spectral.uncertainty_constant(f, mask)
     assert iterative.c == pytest.approx(dense.c, abs=1e-8)
     assert iterative.residual < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(12, 20), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["sqrt", "full"]), st.floats(2.0, 4.5),
+       st.sampled_from([2, spectral.DENSE_EIGH_LIMIT]))
+def test_closed_masks_solve_real_blocks(grid, seed, symmetric, weight, radius, limit):
+    """Masks closed under k -> -k (ball, annulus, a rectangle centred on 0,
+    the full lattice with its Nyquist points) reach _lowest_pair as real
+    symmetric blocks, the others (sector, off-centre rectangle) as complex
+    Hermitian ones, with or without the transpose blocks. Either way c
+    matches eigvalsh of the full compression, and the eigenvector lifted
+    back to the mask solves it."""
+    u = np.random.default_rng(seed).uniform(0.2, 1.0, size=(grid, grid))
+    f = fields.make_field("custom-grid", dim=2, period=2.0 * math.pi, grid=grid,
+                          values=(u + u.T) / 2.0 if symmetric else u)
+    assert ({"kind": "transpose"} in fields.lattice_symmetries(f)) == symmetric
+    build = lambda kind, **p: spectral.build_mask(grid, 2, f.period, kind, **p)  # noqa: E731
+    masks = [(build("ball", radius=radius), True),
+             (build("annulus", lam=3.5, delta=1.0, beta=0.0), True),
+             (build("rectangle", zeta=-2.0, sigma=4.0), True),
+             (build("ball", radius=math.inf), True),
+             (build("sector", angle=0.3, eps0=0.4), False),
+             (build("rectangle", zeta=-1.0, sigma=3.0), False)]
+    max_w = float(np.max(spectral._weight_values(f, weight)))
+    lowest_pair = spectral._lowest_pair
+    dtypes = []
+
+    def capture(A, *args):
+        dtypes.append(A.dtype)
+        return lowest_pair(A, *args)
+
+    for mask, closed in masks:
+        assert spectral._negated_positions(mask)[1] == closed
+        del dtypes[:]
+        with mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit), \
+                mock.patch.object(spectral, "_lowest_pair", capture):
+            c, v, residual = spectral._smallest_eig(f, mask, weight)
+        assert dtypes == [np.dtype(np.float64 if closed else complex)] * len(
+            spectral._mask_blocks(f, mask))
+        H = spectral.compression_matrix(f, mask, weight)
+        assert c == pytest.approx(scipy.linalg.eigvalsh(H)[0], rel=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.linalg.norm(H @ v - c * v)) <= 1e-10 * max_w
+        assert residual <= 1e-10 * max_w
+
+
+def test_stalled_lanczos_block_goes_to_eigh():
+    """The mollified periodic square vanishes on an interval, so on the 1d
+    ball of radius 100 (rank 201, one real block above DENSE_EIGH_LIMIT)
+    59 compression eigenvalues lie within 1e-15 of 0. Lanczos resolves no
+    Ritz pair of that cluster to its tolerance; the block then goes to
+    eigh, and c matches eigvalsh of the full compression."""
+    f = _ps_mollified(512)
+    mask = spectral.build_mask(512, 1, f.period, "ball", radius=100.0)
+    (block,) = spectral._mask_blocks(f, mask)
+    assert len(block[0]) == 201 > spectral.DENSE_EIGH_LIMIT
+    calls = []
+
+    def named(name, solver):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        return counted
+
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", named("eigsh", scipy.sparse.linalg.eigsh)), \
+            mock.patch.object(scipy.linalg, "eigh", named("eigh", scipy.linalg.eigh)):
+        c, _, residual = spectral._smallest_eig(f, mask, "sqrt")
+    assert calls == ["eigsh", "eigh"]
+    assert c == pytest.approx(scipy.linalg.eigvalsh(spectral.compression_matrix(f, mask))[0],
+                              abs=1e-14)
+    assert residual <= 1e-10
+    rep = spectral.uncertainty_constant(f, mask)
+    assert rep.c == 0.0 and rep.value == math.inf

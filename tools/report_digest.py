@@ -71,6 +71,16 @@ CLI_RUNS = {
     # rank 201 > DENSE_EIGH_LIMIT: one identity block, Cholesky Lanczos
     "observe one Lanczos block": ["observe", *SQUARE_1D, "--field-grid", "512", "--beta", "0.5",
                                   "--cutoff", "100", "--T-list", "0.5 1.0", "--out", "."],
+    # not closed under k -> -k: one complex identity block
+    "uncertainty --mask sector": ["uncertainty", "--field-family", "periodic-square",
+                                  "--field-dim", "2", "--field-grid", "64",
+                                  "--field-period", "6.283185307179586", "--field-delta", "0.8",
+                                  "--field-mollify", "0.05", "--mask", "sector",
+                                  "--angle", "0.3", "--out", "."],
+    # rank 201 > DENSE_EIGH_LIMIT: one real identity block, Cholesky Lanczos
+    "uncertainty 1d ball, one Lanczos block": ["uncertainty", *SQUARE_1D, "--field-grid", "512",
+                                               "--mask", "ball", "--radius", "100",
+                                               "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
 }
