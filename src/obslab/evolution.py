@@ -38,7 +38,9 @@ uncertainty solver takes on the same blocks, times K on those pairs.
 That real form of C_a is built once per T sweep and multiplied by K at
 each T. Each block goes to spectral._lowest_pair at
 sigma = -SHIFT_EPS T max(a) (the weights sum to T, so
-0 <= G <= T max(a)), tolerance LANCZOS_TOL / max(1, T).
+0 <= G <= T max(a)), tolerance LANCZOS_TOL / max(1, T): eigh up to
+DENSE_EIGH_LIMIT, else one Cholesky factor of G - sigma I and the one
+Lanczos loop, spectral._top_lanczos, on its inverse.
 """
 
 from __future__ import annotations

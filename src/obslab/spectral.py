@@ -49,12 +49,17 @@ _lowest_pair, which solves each in its own arithmetic. Its caller
 bounds the form by 0 <= G <= g (g = max w, or T max a for the Gramian)
 and passes sigma = -SHIFT_EPS g, so G - sigma I is positive definite:
 it is Cholesky-factored once (a quarter of the flops of a
-tridiagonalization), and shift-invert Lanczos finds the largest
-eigenvalue mu of its inverse, lam = sigma + 1/mu.
-Orders up to DENSE_EIGH_LIMIT (ARPACK needs >= 3), the zero form
-(sigma = 0) and a form on which Lanczos resolves no Ritz pair (a bottom
-cluster as narrow as roundoff) go to eigh. The two agree to 1e-13
-relative on the benchmark's blocks.
+tridiagonalization), and Lanczos finds the largest eigenvalue mu of its
+inverse, lam = sigma + 1/mu. Orders up to DENSE_EIGH_LIMIT and the zero
+form (sigma = 0) go to eigh. The two agree to 1e-13 relative on the
+benchmark's blocks.
+
+One Lanczos loop, _top_lanczos, serves the resolvent, the dense
+shift-invert blocks and the matrix-free blocks (_iterative_pair). It
+keeps every basis vector and reorthogonalizes against all of them, so
+it needs no restart, and it stops at the block order at the latest,
+where the Krylov space is exhausted and the top Ritz value is exact: a
+bottom cluster as narrow as roundoff cannot stall it.
 """
 
 from __future__ import annotations
@@ -73,9 +78,9 @@ DENSE_RANK_LIMIT = 2000
 # crossover 130-230 on smooth fields, 2 cores, OpenBLAS)
 DENSE_EIGH_LIMIT = 160
 SHIFT_EPS = 1e-6
-# a Ritz tolerance of 0 (machine precision) stalls for 1000 restarts on
-# clustered bottoms, such as a field zero on a strip; the Gramian divides it
-# by max(1, T), so its residual, at most tol ||G - sigma I||, stays near it
+# a Ritz tolerance of 0 (machine precision) would run every block to its
+# order, one Cholesky solve per step; the Gramian divides it by max(1, T),
+# so its residual, at most tol ||G - sigma I||, stays near it
 LANCZOS_TOL = 1e-10
 DENSE_LATTICE_LIMIT = 8192
 RESOLVENT_TOL = 1e-14
@@ -280,40 +285,27 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
     return matvec
 
 
-class LanczosStalled(RuntimeError):
-    """Shift-invert Lanczos stopped with no Ritz pair."""
-
-
 def _lowest_pair(G, sigma, tol):
     """Smallest eigenpair of the dense Hermitian (or real symmetric) G >= 0
     by eigh, or by Lanczos at tolerance tol on (G - sigma I)^-1, sigma < 0
-    (module docstring), in G's own arithmetic.
-
-    A bottom cluster whose spread is near roundoff, such as the null
-    space of a field that vanishes on an interval, can keep Lanczos from
-    resolving any Ritz pair to tol; G is then solved by eigh."""
+    (module docstring), in G's own arithmetic."""
     n = G.shape[0]
-    if n > DENSE_EIGH_LIMIT and sigma != 0.0:
-        F = G.copy(order="F")
-        F[np.diag_indices(n)] -= sigma
-        factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
-        try:
-            vals, vecs = _shift_invert_lanczos(
-                n, sigma, lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
-                k=1, tol=tol, dtype=G.dtype)
-            return float(vals[0]), vecs[:, 0]
-        except LanczosStalled:
-            del F, factor  # the Cholesky copy is not held through eigh
-    vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
-    return float(vals[0]), vecs[:, 0]
+    if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
+        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
+        return float(vals[0]), vecs[:, 0]
+    F = G.copy(order="F")
+    F[np.diag_indices(n)] -= sigma
+    factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
+    mu, v = _top_lanczos(lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
+                         _gaussian_start(n, G.dtype), n, tol)
+    return sigma + 1.0 / mu, v
 
 
 def _iterative_pair(matvec, r):
     """Smallest eigenpair of a Hermitian r x r operator given by matvec,
-    by shift-invert Lanczos at a small negative shift, so the inner
+    by Lanczos on its inverse at a small negative shift, so the inner
     conjugate-gradient solves stay well conditioned even when the operator
-    is nearly singular. A block of Ritz pairs is requested because the
-    smallest eigenvalues of concentration operators cluster.
+    is nearly singular.
     """
     sigma = -1e-2
     shifted = scipy.sparse.linalg.LinearOperator(
@@ -325,34 +317,18 @@ def _iterative_pair(matvec, r):
             raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
         return x
 
-    vals, vecs = _shift_invert_lanczos(r, sigma, solve, k=4, tol=1e-9)
-    i = int(np.argmin(vals))
-    return float(vals[i]), vecs[:, i]
+    mu, v = _top_lanczos(solve, _gaussian_start(r, complex), r, 1e-9)
+    return sigma + 1.0 / mu, v
 
 
-def _shift_invert_lanczos(r, sigma, solve, k, tol, dtype=complex):
-    """The k eigenpairs nearest sigma of a Hermitian operator A of order r
-    (complex, or real symmetric when dtype is real), by Lanczos on
-    (A - sigma)^-1, which solve applies. Needs k < r - 1. If Lanczos stops
-    unconverged, the Ritz pairs it has are returned and the caller's
-    residual check judges them; with none it raises LanczosStalled.
-    """
-    opinv = scipy.sparse.linalg.LinearOperator((r, r), matvec=solve, dtype=dtype)
-    # a fixed Gaussian start makes reruns bit-identical; a structured
-    # start such as ones would be orthogonal to odd eigenvectors
+def _gaussian_start(n: int, dtype) -> np.ndarray:
+    """The fixed Lanczos start: n standard normal draws from seed 0, plus
+    i times n more for a complex dtype. Reruns are bit-identical, and
+    unlike a structured start such as ones it is orthogonal to no
+    eigenvector."""
     rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(r)
-    if np.dtype(dtype).kind == "c":
-        v0 = v0 + 1j * rng.standard_normal(r)
-    try:
-        # shift-invert eigsh reads only the order and dtype of A from opinv
-        return scipy.sparse.linalg.eigsh(
-            opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=tol, maxiter=1000,
-            v0=v0, rng=np.random.default_rng(0))
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if exc.eigenvalues is None or not len(exc.eigenvalues):
-            raise LanczosStalled("eigensolver did not converge and returned no Ritz pairs") from exc
-        return exc.eigenvalues.real, exc.eigenvectors
+    v = rng.standard_normal(n)
+    return v + 1j * rng.standard_normal(n) if np.dtype(dtype).kind == "c" else v
 
 
 def _mask_blocks(field: ObservationField, mask: FrequencyMask):
@@ -579,22 +555,28 @@ def _kernel_basis(ker: np.ndarray) -> np.ndarray:
 
 
 def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
-    """Top eigenpair of a real symmetric operator by Lanczos from start,
-    with full reorthogonalization and no restarts. It stops when the top
-    Ritz residual |beta_j y_j| is at most tol * max(1, |theta|), or after
-    cap steps (the order of the operator's range, where the Krylov space
-    is exhausted and theta is exact)."""
+    """Top eigenpair of a Hermitian (or real symmetric) operator by Lanczos
+    from start, in start's arithmetic, with full reorthogonalization and
+    no restarts. It stops when the top Ritz residual |beta_j y_j| is at
+    most tol * max(1, |theta|), or after cap steps (the order of the
+    operator's range, where the Krylov space is exhausted and theta is
+    exact)."""
     # np.empty commits only the rows that are written
-    basis = np.empty((cap, start.size))
+    basis = np.empty((cap, start.size), dtype=start.dtype)
     alpha, beta = [], []
     v = start / np.linalg.norm(start)
     for j in range(cap):
         basis[j] = v
         w = matvec(v)
-        alpha.append(float(v @ w))
+        alpha.append(float(np.vdot(v, w).real))
         seen = basis[:j + 1]
-        for _ in range(2):  # classical Gram-Schmidt twice is enough
-            w -= seen.T @ (seen @ w)
+        size = np.linalg.norm(w)
+        w -= seen.T @ (seen.conj() @ w)
+        # classical Gram-Schmidt twice is enough, unless the first pass left
+        # only roundoff: the Krylov space is exhausted, what is left of w is
+        # a new direction, mostly inside the basis, and it takes a third
+        for _ in range(2 if np.linalg.norm(w) < 1e-8 * size else 1):
+            w -= seen.T @ (seen.conj() @ w)
         b = float(np.linalg.norm(w))
         theta, y = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta),
                                                  select="i", select_range=(j, j))
@@ -621,8 +603,8 @@ def _resolvent_weight(field: ObservationField, m: float) -> np.ndarray:
 def _resolvent_operator(q: np.ndarray, s: np.ndarray, qBV: np.ndarray, e: np.ndarray):
     """W (module docstring) as a matvec on the flattened samples, with s
     on the rfft half-lattice and qBV = q B V over the negative kernel
-    eigenvalues e; and a fixed Gaussian start projected off the kernel,
-    so reruns are bit-identical."""
+    eigenvalues e; and the fixed _gaussian_start projected off the
+    kernel."""
     shape, axes = q.shape, tuple(range(-q.ndim, 0))
 
     def multiplier(f, x):
@@ -635,7 +617,7 @@ def _resolvent_operator(q: np.ndarray, s: np.ndarray, qBV: np.ndarray, e: np.nda
     def matvec(x):
         return multiplier(s, q * multiplier(s, x.reshape(shape))).ravel() - Z @ ((Z.T @ x) / e)
 
-    return matvec, multiplier(s != 0, np.random.default_rng(0).standard_normal(shape)).ravel()
+    return matvec, multiplier(s != 0, _gaussian_start(q.size, float).reshape(shape)).ravel()
 
 
 def _resolvent_at(field: ObservationField, q: np.ndarray, gamma: float, lam: float,

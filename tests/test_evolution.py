@@ -176,20 +176,27 @@ def _lift(mask, beta, T, block, x):
     return np.exp(0.5j * omega * T) * (_real_basis(mask, block) @ x)
 
 
+def _no_eigsh(*args, **kwargs):
+    raise AssertionError("scipy.sparse.linalg.eigsh called")
+
+
 @contextlib.contextmanager
 def _block_solver_hook(after):
-    """Route the results of both block solvers, scipy.linalg.eigh (orders up
-    to DENSE_EIGH_LIMIT and the zero field) and scipy.sparse.linalg.eigsh
-    (the Cholesky shift-invert Lanczos path), through
-    after(matrix, vals, vecs), which returns the (vals, vecs) passed on."""
-    def hook(solver):
-        def hooked(a, *args, **kwargs):
-            vals, vecs = solver(a, *args, **kwargs)
-            return after(a, vals, vecs)
-        return hooked
+    """Route the smallest eigenpair of every block from
+    evolution._lowest_pair (eigh up to DENSE_EIGH_LIMIT and for the zero
+    field, one Cholesky shift-invert Lanczos run above) through
+    after(matrix, vals, vecs), vals the one eigenvalue and vecs its vector
+    as a column, which returns the (vals, vecs) passed on. ARPACK's
+    scipy.sparse.linalg.eigsh is made to raise."""
+    lowest_pair = evolution._lowest_pair
 
-    with mock.patch.object(scipy.linalg, "eigh", hook(scipy.linalg.eigh)), \
-            mock.patch.object(scipy.sparse.linalg, "eigsh", hook(scipy.sparse.linalg.eigsh)):
+    def hooked(G, *args):
+        lam, v = lowest_pair(G, *args)
+        vals, vecs = after(G, np.array([lam]), v[:, None])
+        return float(vals[0]), vecs[:, 0]
+
+    with mock.patch.object(evolution, "_lowest_pair", hooked), \
+            mock.patch.object(scipy.sparse.linalg, "eigsh", _no_eigsh):
         yield
 
 
@@ -287,8 +294,7 @@ def test_gramian_solves_two_transpose_blocks():
     block orders; one on a 2d field without the transpose and on a 1d
     field, within rel 1e-12 of the dense Gramian through eigh and through
     Lanczos, with the lifted eigenvector solving the full Gramian. Calls
-    are counted through the module attributes scipy.linalg.eigh and
-    scipy.sparse.linalg.eigsh."""
+    are counted through evolution._lowest_pair."""
     T_list, K = [0.3, 0.9], 5.0
     sym = _random_2d(24, 5, mollify=0.3)
     mask = spectral.build_mask(24, 2, sym.period, "ball", radius=K)
@@ -371,9 +377,10 @@ def _lanczos_case(kind, grid, seed):
 # extended-precision Rayleigh quotient; the eigh of _dense_gramian is within 1e-15 T
 @example(kind="strip", grid=24, seed=0, beta=0.5, K=11.5, T=0.05)
 def test_lanczos_blocks_match_dense_eigenvalues(kind, grid, seed, beta, K, T):
-    """Every block here is above DENSE_EIGH_LIMIT, so each is solved by
-    Cholesky shift-invert Lanczos (the zero field, with nothing to shift
-    by, by eigh). lam_min matches the dense Gramian's smallest eigenvalue
+    """Every block here is above DENSE_EIGH_LIMIT, so each is solved by one
+    Cholesky shift-invert _top_lanczos run, capped at the block order (the
+    zero field, with nothing to shift by, by eigh). lam_min matches the
+    dense Gramian's smallest eigenvalue
     (_dense_gramian); the absolute term is the backward error of both
     solvers, with ||G|| <= T max a."""
     f = _lanczos_case(kind, grid, seed)
@@ -382,13 +389,14 @@ def test_lanczos_blocks_match_dense_eigenvalues(kind, grid, seed, beta, K, T):
     assert min(len(b[0]) for b in blocks) > spectral.DENSE_EIGH_LIMIT
     want, *_ = _dense_gramian(f, beta, T, K)
     lanczos = []
-    eigsh = scipy.sparse.linalg.eigsh
+    top = spectral._top_lanczos
 
-    def counted(a, *args, **kwargs):
-        lanczos.append(a.shape[0])
-        return eigsh(a, *args, **kwargs)
+    def counted(matvec, start, cap, tol):
+        lanczos.append(cap)
+        return top(matvec, start, cap, tol)
 
-    with mock.patch.object(scipy.sparse.linalg, "eigsh", counted):
+    with mock.patch.object(spectral, "_top_lanczos", counted), \
+            mock.patch.object(scipy.sparse.linalg, "eigsh", _no_eigsh):
         rep = evolution.observability_gramian(f, beta, T, K)
     assert lanczos == ([] if kind == "zero" else [len(b[0]) for b in blocks])
     assert rep.lam_min == pytest.approx(want, rel=1e-12, abs=1e-14 * T)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obslab import cli, fields, spectral
 
@@ -125,7 +126,7 @@ def test_uncertainty_constant_vanishing_field(monkeypatch):
     assert rep.value == math.inf
     # above DENSE_EIGH_LIMIT the zero weight (shift 0) still goes to eigh
     monkeypatch.setattr(spectral, "DENSE_EIGH_LIMIT", 2)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+    monkeypatch.setattr(spectral, "_top_lanczos", None)
     rep = spectral.uncertainty_constant(_const(value=0.0), mask)
     assert rep.rank == 9
     assert rep.c == 0.0
@@ -479,8 +480,9 @@ def test_resolvent_matches_complex_reference_without_symmetry(dim_grid, seed, ga
 def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, lam, delta, limit):
     """The folded blocks match eigvalsh of the full compression, through
     eigh or, with DENSE_EIGH_LIMIT = 2, every block of order >= 3 through
-    Cholesky shift-invert Lanczos; the absolute term is the backward error
-    of both solvers, n eps ||Pi M_w Pi||, with ||Pi M_w Pi|| <= max w."""
+    one Cholesky shift-invert _top_lanczos run; the absolute term is the
+    backward error of both solvers, n eps ||Pi M_w Pi||, with
+    ||Pi M_w Pi|| <= max w."""
     u = np.random.default_rng(seed).uniform(0.2, 1.0, size=(grid, grid))
     f = fields.make_field("custom-grid", dim=2, period=2.0 * math.pi, grid=grid,
                           values=(u + u.T) / 2.0)
@@ -488,13 +490,6 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
              spectral.build_mask(grid, 2, f.period, "annulus", lam=lam, delta=delta, beta=0.0),
              spectral.build_mask(grid, 2, f.period, "sector", angle=0.3, eps0=0.4)]
     max_w = float(np.max(spectral._weight_values(f, weight)))
-    lanczos = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def counted(a, *args, **kwargs):
-        lanczos.append(a.shape[0])
-        return eigsh(a, *args, **kwargs)
-
     for mask, n_blocks in zip(masks, (2, 2, 1)):
         blocks = spectral._mask_blocks(f, mask)
         assert len(blocks) == n_blocks
@@ -503,9 +498,7 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
             assert np.array_equal(i, np.arange(mask.rank)) and np.array_equal(i, j)
             assert np.all(alpha == 0.5) and np.all(beta == 0.5)
         want = scipy.linalg.eigvalsh(spectral.compression_matrix(f, mask, weight))[0]
-        del lanczos[:]
-        with mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit), \
-                mock.patch.object(scipy.sparse.linalg, "eigsh", counted):
+        with mock.patch.object(spectral, "DENSE_EIGH_LIMIT", limit), _lanczos_runs() as lanczos:
             rep = spectral.uncertainty_constant(f, mask, weight)
         assert lanczos == [len(b[0]) for b in blocks if len(b[0]) > limit]
         assert rep.c == pytest.approx(want, rel=1e-12, abs=1e-14 * max_w)
@@ -570,30 +563,104 @@ def test_closed_masks_solve_real_blocks(grid, seed, symmetric, weight, radius, l
         assert residual <= 1e-10 * max_w
 
 
-def test_stalled_lanczos_block_goes_to_eigh():
+def test_clustered_bottom_is_one_lanczos_run_without_eigh():
     """The mollified periodic square vanishes on an interval, so on the 1d
     ball of radius 100 (rank 201, one real block above DENSE_EIGH_LIMIT)
-    59 compression eigenvalues lie within 1e-15 of 0. Lanczos resolves no
-    Ritz pair of that cluster to its tolerance; the block then goes to
-    eigh, and c matches eigvalsh of the full compression."""
+    59 compression eigenvalues lie within 1e-15 of 0. One Lanczos run,
+    capped at the block order, solves that clustered bottom with no eigh
+    call, and c matches eigvalsh of the full compression."""
     f = _ps_mollified(512)
     mask = spectral.build_mask(512, 1, f.period, "ball", radius=100.0)
     (block,) = spectral._mask_blocks(f, mask)
     assert len(block[0]) == 201 > spectral.DENSE_EIGH_LIMIT
-    calls = []
+    eigh, solver = [], scipy.linalg.eigh
 
-    def named(name, solver):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return solver(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        eigh.append(args)
+        return solver(*args, **kwargs)
 
-    with mock.patch.object(scipy.sparse.linalg, "eigsh", named("eigsh", scipy.sparse.linalg.eigsh)), \
-            mock.patch.object(scipy.linalg, "eigh", named("eigh", scipy.linalg.eigh)):
+    with _lanczos_runs() as lanczos, mock.patch.object(scipy.linalg, "eigh", counted):
         c, _, residual = spectral._smallest_eig(f, mask, "sqrt")
-    assert calls == ["eigsh", "eigh"]
+    assert lanczos == [201]
+    assert eigh == []
     assert c == pytest.approx(scipy.linalg.eigvalsh(spectral.compression_matrix(f, mask))[0],
                               abs=1e-14)
     assert residual <= 1e-10
     rep = spectral.uncertainty_constant(f, mask)
     assert rep.c == 0.0 and rep.value == math.inf
+
+
+def _no_eigsh(*args, **kwargs):
+    raise AssertionError("scipy.sparse.linalg.eigsh called")
+
+
+@contextlib.contextmanager
+def _lanczos_runs():
+    """The cap (the order of the block) of every spectral._top_lanczos run,
+    appended as it starts, with scipy.sparse.linalg.eigsh made to raise."""
+    caps = []
+    top = spectral._top_lanczos
+
+    def counted(matvec, start, cap, tol):
+        caps.append(cap)
+        return top(matvec, start, cap, tol)
+
+    with mock.patch.object(spectral, "_top_lanczos", counted), \
+            mock.patch.object(scipy.sparse.linalg, "eigsh", _no_eigsh):
+        yield caps
+
+
+def _hermitian(n, seed, is_complex, spectrum):
+    """A Hermitian (or real symmetric) matrix of order n with eigenvalues
+    in [-1, 1] and top eigenvalue 1 on a random orthonormal basis, and
+    those eigenvalues. "repeated" gives the top value to up to n - 1 of
+    them, "cluster" spreads up to n - 1 of them over a few ulps below 1."""
+    rng = np.random.default_rng(seed)
+    lam = np.append(rng.uniform(-1.0, 1.0, n - 1), 1.0)
+    k = int(rng.integers(1, n)) if n > 1 else 0
+    if spectrum == "repeated":
+        lam[-1 - k:] = 1.0
+    elif spectrum == "cluster":
+        lam[-1 - k:] = 1.0 - np.arange(k + 1) * 2.0 ** -52
+    X = rng.standard_normal((n, n))
+    if is_complex:
+        X = X + 1j * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(X)
+    A = (Q * lam) @ Q.conj().T
+    return (A + A.conj().T) / 2.0, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["spread", "repeated", "cluster"]),
+       st.sampled_from([0.0, spectral.RESOLVENT_TOL]))
+# the Krylov space is exhausted at step 6 of 23: with two Gram-Schmidt
+# passes the later basis loses orthogonality and theta read 85
+@example(n=23, seed=103045, is_complex=False, spectrum="repeated", tol=0.0)
+def test_top_lanczos_matches_eigvalsh(n, seed, is_complex, spectrum, tol):
+    """_top_lanczos from _gaussian_start, in real and complex arithmetic,
+    finds the top eigenvalue to 1e-12 ||A|| and a unit vector whose
+    residual is at most 1e-10 ||A||, for a spread spectrum and for a top
+    that is repeated or a cluster as narrow as roundoff. With tol = 0
+    it runs cap = n steps (the Krylov space is then exhausted) and is
+    still exact, or it stops before on an exactly invariant Krylov space."""
+    A, lam = _hermitian(n, seed, is_complex, spectrum)
+    norm = float(np.max(np.abs(lam)))
+    steps = []
+
+    def matvec(x):
+        steps.append(x)
+        return A @ x
+
+    start = spectral._gaussian_start(n, A.dtype)
+    assert start.dtype == A.dtype
+    theta, v = spectral._top_lanczos(matvec, start, n, tol)
+    assert v.dtype == A.dtype
+    assert theta == pytest.approx(scipy.linalg.eigvalsh(A)[-1], rel=0.0, abs=1e-12 * norm)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.linalg.norm(A @ v - theta * v)) <= 1e-10 * norm
+    if tol == 0.0:
+        # it stops short of cap only where b is exactly 0, on a Krylov space
+        # that A maps into itself
+        Q = np.array(steps).T
+        assert len(steps) == n or np.linalg.norm(A @ Q - Q @ (Q.conj().T @ A @ Q)) <= 1e-12 * norm

@@ -81,6 +81,14 @@ CLI_RUNS = {
     "uncertainty 1d ball, one Lanczos block": ["uncertainty", *SQUARE_1D, "--field-grid", "512",
                                                "--mask", "ball", "--radius", "100",
                                                "--out", "."],
+    # rank 2121 > DENSE_RANK_LIMIT and no transpose symmetry: one block,
+    # Lanczos on conjugate-gradient solves
+    "uncertainty 2d ball, iterative block": ["uncertainty", "--field-family", "product",
+                                             "--field-dim", "2", "--field-grid", "64",
+                                             "--field-period", "6.283185307179586",
+                                             "--intervals-x", "0:0.7", "--intervals-y", "0.1:0.8",
+                                             "--field-mollify", "0.05", "--mask", "ball",
+                                             "--radius", "26", "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
 }
