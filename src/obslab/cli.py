@@ -139,9 +139,14 @@ def _build_field(args, section: dict, dim: int, grid: int):
         flag = getattr(args, f"field_{key}")
         if flag is not None:
             opts[key] = str(flag)
+    radius = float(opts.pop("mollify", 0.0))
     merged = configparser.ConfigParser(interpolation=None)  # values are final, '%' included
     merged["field"] = opts
-    return fields.field_from_config(merged)
+    field = fields.field_from_config(merged)
+    try:
+        return fields.mollify(field, radius) if radius else field
+    except ValueError as exc:
+        raise ValueError(f"--field-mollify: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -349,6 +354,10 @@ def cmd_construct_demo(args, field):
                 f" rho (0.8 x the least window density) is 0; take a longer --M or more balls")
         args.rho = 0.8 * wmin / M
     rho = args.rho
+    bp = construct.build_partition(Y, M).breakpoints
+    if 2.0 * M > bp[-1] - bp[0]:
+        raise ValueError(f"the density window 2 x --M = {2.0 * M} is longer than the range"
+                         f" [{bp[0]}, {bp[-1]}] the minorant samples; --M up to --W / 2 fits")
     sm = construct.smooth_minorant(Y, M, rho)
     member = Y.contains(sm.x)
     outside = float(np.max(sm.values[~member])) if np.any(~member) else 0.0

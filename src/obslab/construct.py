@@ -29,6 +29,9 @@ from .geometry import _window_min
 # room for finite-difference error.
 BUMP_C1 = 0.75
 BUMP_C2 = 8.0
+# samples a minorant may take: construct-demo peaks at about 55 bytes a
+# sample, so 0.55 GB
+MAX_MINORANT_SAMPLES = 10_000_000
 
 
 def _smoothstep(s):
@@ -280,7 +283,8 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
     scales its balls by t_k = (rho/2) * |cell| / |Y cap cell| in [rho/2, 1]
     and puts the plateau-bump template on the scaled balls, which makes the
     cell average of a exactly c1 * rho / 2 in closed form. The sample step
-    is (rho/2) * delta / 16, a sixteenth of the smallest scaled ball radius.
+    is (rho/2) * delta / 16, a sixteenth of the smallest scaled ball radius;
+    more than MAX_MINORANT_SAMPLES samples raise ValueError.
     """
     delta = Y.delta
     if not 0 < rho <= 1:
@@ -307,6 +311,10 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
             raise ValueError(f"cell {k} scale t = {t} exceeds 1; density precondition violated")
         t_scales[k] = min(t, 1.0)
     n = int(math.ceil((bp[-1] - bp[0]) / ((rho / 2.0) * delta / 16.0))) + 1
+    if n > MAX_MINORANT_SAMPLES:
+        raise ValueError(
+            f"the minorant needs {n} samples of step (rho/2) delta / 16 over [{bp[0]}, {bp[-1]}]"
+            f" at rho = {rho}, delta = {delta}; the limit is {MAX_MINORANT_SAMPLES}")
     xs = np.linspace(bp[0], bp[-1], n)
     vals = _bump_sum(xs, Y, part, t_scales)
     eta = BUMP_C1 * rho / 2.0

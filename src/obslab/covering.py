@@ -42,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
 import os
 import threading
 from collections import deque
@@ -538,6 +537,7 @@ def _worker_count() -> int:
     worker can be forked safely: a daemonic process may have no children,
     a fork taken while another thread holds a lock leaves that lock held
     in the child, and some platforms have no fork."""
+    import multiprocessing  # deferred, as in _measurements
     if (multiprocessing.current_process().daemon or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
@@ -568,11 +568,12 @@ def _measurements(field, entries, n_offsets: int, samples_per_unit: float):
     if workers <= 1:
         yield from (_measure_entry(field, e, n_offsets, samples_per_unit) for e in entries)
         return
-    # imported here: only a pool needs it, and an import costs every CLI start
+    # imported here: only a pool needs them, and an import costs every CLI start
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork, not spawn: a spawned worker would import numpy and scipy again
-    # (about 0.5 s) and be sent the field by pickle
+    # fork, not spawn: a spawned worker would import numpy and obslab again
+    # (about 0.1 s) and be sent the field by pickle
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker,
                                initargs=((field, n_offsets, samples_per_unit, entries),))

@@ -392,9 +392,13 @@ def mollify(field: ObservationField, radius: float) -> ObservationField:
 
     The radius is rounded to a whole number of grid steps; the realized
     half-width is recorded as the field's modulus. Values stay in [0, 1].
+    A radius over four periods raises ValueError: that box wraps round the
+    field more than eight times, each wrap one pass of _box_mean, and
+    averages it to nearly its mean.
     """
-    if not 0 <= radius < np.inf:
-        raise ValueError(f"mollify radius must be finite and nonnegative, got {radius}")
+    if not 0 <= radius <= 4 * field.period:
+        raise ValueError(f"mollify radius must lie in [0, 4 periods] = [0, {4 * field.period}],"
+                         f" got {radius}")
     w = int(round(radius / field.h))
     if w == 0:
         return ObservationField(

@@ -60,6 +60,10 @@ keeps every basis vector and reorthogonalizes against all of them, so
 it needs no restart, and it stops at the block order at the latest,
 where the Krylov space is exhausted and the top Ritz value is exact: a
 bottom cluster as narrow as roundoff cannot stall it.
+
+SciPy is imported inside the four functions that call it, at the first
+eigensolve, so importing obslab loads numpy alone and the commands that
+solve no eigenproblem (certify, cover, construct-demo) never load SciPy.
 """
 
 from __future__ import annotations
@@ -68,8 +72,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .fields import ObservationField, lattice_symmetries
 
@@ -289,6 +291,7 @@ def _lowest_pair(G, sigma, tol):
     """Smallest eigenpair of the dense Hermitian (or real symmetric) G >= 0
     by eigh, or by Lanczos at tolerance tol on (G - sigma I)^-1, sigma < 0
     (module docstring), in G's own arithmetic."""
+    import scipy.linalg
     n = G.shape[0]
     if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
         vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
@@ -307,6 +310,7 @@ def _iterative_pair(matvec, r):
     conjugate-gradient solves stay well conditioned even when the operator
     is nearly singular.
     """
+    import scipy.sparse.linalg
     sigma = -1e-2
     shifted = scipy.sparse.linalg.LinearOperator(
         (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
@@ -561,6 +565,7 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
     most tol * max(1, |theta|), or after cap steps (the order of the
     operator's range, where the Krylov space is exhausted and theta is
     exact)."""
+    import scipy.linalg
     # np.empty commits only the rows that are written
     basis = np.empty((cap, start.size), dtype=start.dtype)
     alpha, beta = [], []
@@ -623,6 +628,7 @@ def _resolvent_operator(q: np.ndarray, s: np.ndarray, qBV: np.ndarray, e: np.nda
 def _resolvent_at(field: ObservationField, q: np.ndarray, gamma: float, lam: float,
                   m: float) -> SpectralReport:
     """M at one lam, with q = 1 - m a from _resolvent_weight."""
+    import scipy.linalg
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     dvec = np.abs(_abs_xi(field.grid, field.dim, field.period) ** gamma - lam)

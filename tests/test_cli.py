@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from obslab import cli, evolution, fields, reports, spectral
+from obslab import cli, construct, evolution, fields, reports, spectral
 
 
 def run(argv):
@@ -507,6 +510,41 @@ def test_construct_demo_names_the_window_length(tmp_path, capsys, argv, expected
     assert not (tmp_path / "construct_report.json").exists()
 
 
+@pytest.mark.parametrize("M", ["40", "100", "1000", "10000"])
+def test_construct_demo_refuses_a_window_longer_than_the_samples(tmp_path, capsys,
+                                                                monkeypatch, M):
+    """On the default circle of circumference 40 a density window of 2 x
+    --M beyond the sampled range is refused, naming --M, before the
+    minorant is built."""
+    def unreachable(*args):
+        raise AssertionError("smooth_minorant called")
+
+    monkeypatch.setattr(construct, "smooth_minorant", unreachable)
+    assert run(["construct-demo", "--M", M, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"the density window 2 x --M = {2 * float(M)} is longer than the range" in err
+    assert not (tmp_path / "construct_report.json").exists()
+
+
+def test_construct_demo_refuses_too_many_samples(tmp_path, capsys):
+    """100 balls of radius 1e-4 on the unit circle need about 2e7 samples
+    at the default rho, twice construct.MAX_MINORANT_SAMPLES."""
+    assert run(["construct-demo", "--W", "1", "--n-balls", "100", "--delta", "1e-4",
+                "--M", "0.5", "--out", str(tmp_path)]) == 2
+    assert re.search(r"the minorant needs \d+ samples .* the limit is 10000000",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("radius", ["-1", "4.01", "1e9"])
+def test_field_mollify_out_of_range_names_the_flag(tmp_path, capsys, radius):
+    """A mollify radius outside [0, 4 periods] exits 2 at once, naming
+    --field-mollify: a radius of 1e9 used to sum about 3e8 periods."""
+    assert run(["uncertainty", "--field-mollify", radius, "--mask", "ball", "--radius", "3",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --field-mollify: mollify radius must lie in [0, 4 periods]" in err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["certify", "--lambdas", ""], "argument --lambdas: expected at least one number"),
     (["uncertainty", "--mask", "blob"], "argument --mask: 'blob' is not one of ball, annulus"),
@@ -691,3 +729,43 @@ def test_readme_commands_parse():
     assert sorted(flags) == sorted(flag for flag, *_ in cli.FIELD_FLAGS)
     for flag in flags:
         assert parser.parse_args(["cover", flag, "1"]).command == "cover"
+
+
+def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """code in a new interpreter that imports obslab from where this one
+    did; pytest has already loaded SciPy in this one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+
+
+def test_commands_that_solve_no_eigenproblem_never_load_scipy(tmp_path):
+    """import obslab, then small certify, cover, construct-demo and
+    list-families runs, load no SciPy module."""
+    runs = [BAD_VALUE_RUNS["certify"][0], BAD_VALUE_RUNS["cover"][0],
+            ["--W", "10", "--n-balls", "100"], None]
+    commands = ["certify", "cover", "construct-demo", "list-families"]
+    argvs = [[name] + (argv + ["--out", str(tmp_path)] if argv else [])
+             for name, argv in zip(commands, runs)]
+    done = _fresh_python(
+        "import sys\nimport obslab, obslab.cli\n"
+        f"print([obslab.cli.main(argv) for argv in {argvs!r}])\n" + LOADED_SCIPY, tmp_path)
+    assert done.returncode == 0, done.stderr
+    *_, codes, loaded = done.stdout.splitlines()
+    assert codes == "[0, 0, 0, 0]" and loaded == "[]"
+
+
+def test_resolvent_loads_scipy_when_it_solves(tmp_path):
+    """The same kind of fresh process runs a small resolvent: SciPy is
+    loaded at its first eigensolve."""
+    argv = ["resolvent", *BAD_VALUE_RUNS["resolvent"][0], "--out", str(tmp_path)]
+    done = _fresh_python(
+        "import sys\nimport obslab.cli\n"
+        f"print(obslab.cli.main({argv!r}))\n" + LOADED_SCIPY, tmp_path)
+    assert done.returncode == 0, done.stderr
+    *_, code, loaded = done.stdout.splitlines()
+    assert code == "0" and "'scipy.linalg'" in loaded
+    assert (tmp_path / "resolvent_report.json").exists()

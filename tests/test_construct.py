@@ -210,6 +210,14 @@ def test_smooth_minorant_validation():
         construct.smooth_minorant(sparse, 1.0, 0.5)
 
 
+def test_smooth_minorant_refuses_too_many_samples():
+    """100 balls of radius 1e-4 on the unit circle at rho = 0.016 need
+    2e7 samples of step 5e-8, twice the limit: refused before sampling."""
+    Y = construct.BallSystem(np.arange(100) / 100, 1e-4, 1.0)
+    with pytest.raises(ValueError, match=r"needs 20000001 samples .* the limit is 10000000"):
+        construct.smooth_minorant(Y, 0.5, 0.016)
+
+
 def test_derivative_bounds_hold():
     rng = np.random.default_rng(16)
     Y = _random_system(rng, 20.0, 0.05, 20)

@@ -309,10 +309,13 @@ def test_box_mean_is_scipy_uniform_filter_bit_for_bit(data):
 
 
 def test_mollify_rejects_bad_radius():
+    """A radius must be finite, nonnegative and at most four periods; a
+    larger box would wrap round the grid about 2 radius / period times."""
     f = fields.make_field("constant", dim=1, period=1.0, grid=16, value=1.0)
-    for radius in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for radius in (-0.1, math.inf, math.nan, 4.01, 1e9):
+        with pytest.raises(ValueError, match="mollify radius must lie in"):
             fields.mollify(f, radius)
+    assert fields.mollify(f, 4.0).modulus == 4.0
 
 
 def test_grid_roundtrip(tmp_path):
