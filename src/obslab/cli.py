@@ -475,7 +475,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         where = f" (config: {args.config})" if getattr(args, "config", None) else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
+        # a size cap names its parameter, which is the option's dest
+        flag = f"--{exc.argument.replace('_', '-')}: " if isinstance(exc, fields.SizeError) else ""
+        print(f"error: {flag}{exc}{where}", file=sys.stderr)
         return 2
 
 

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import ObservationField, _parse_intervals, lattice_symmetries
-from .geometry import Direction, comb_profile, gcc_constant, relative_density_1d
+from .fields import ObservationField, SizeError, _parse_intervals, lattice_symmetries
+from .geometry import Direction, comb_profile, comb_samples, gcc_constant, relative_density_1d
 
 
 @dataclass(frozen=True)
@@ -499,16 +499,14 @@ def _measure_entry(
     """
     cert = entry.certificate
     if entry.rational is not None:
-        T = entry.rational.T
-        PB = field.period
-        x_extent = PB / T
-        n_x = int(min(n_offsets, max(8, math.ceil(3.0 * x_extent / field.h))))
+        x_extent, t_extent, n_x, _ = _comb_lattice(field, entry.rational.T, n_offsets,
+                                                   samples_per_unit)
         prof = comb_profile(
             field,
             entry.rational.direction,
             cert.M,
             x_extent=x_extent,
-            t_extent=T * PB,
+            t_extent=t_extent,
             n_x=n_x,
             samples_per_unit=samples_per_unit,
             periodic_t=True,
@@ -527,7 +525,18 @@ def _measure_entry(
     )
 
 
+def _comb_lattice(field, T: float, n_offsets: int, samples_per_unit: float):
+    """(x_extent, t_extent, n_x, n_t) of the comb profile that measures an
+    entry whose rational direction has length T (see _measure_entry)."""
+    x_extent, t_extent = field.period / T, T * field.period
+    n_x = int(min(n_offsets, max(8, math.ceil(3.0 * x_extent / field.h))))
+    return x_extent, t_extent, n_x, comb_samples(t_extent, samples_per_unit)
+
+
 TASKS_AHEAD = 4  # tasks queued per worker ahead of the scan
+# samples (n_x x n_t) a certificate's comb profile may take: comb_profile
+# peaks at about 45 bytes a sample, so 0.45 GB per measuring process
+MAX_PROFILE_SAMPLES = 10_000_000
 
 _pending = None  # (field, n_offsets, samples_per_unit, entries) in a measuring worker
 
@@ -612,7 +621,9 @@ def comb_gcc_certify(
     measurements taken during that scan. With fail_fast, entries are
     scanned in (T, angle) order and the scan stops at the first failure
     for that lam. The orbits are measured on every usable core (see the
-    module docstring); the report is the same as with one.
+    module docstring); the report is the same as with one. A comb profile
+    of more than MAX_PROFILE_SAMPLES samples (n_x x n_t) raises SizeError
+    naming samples_per_unit before anything is measured.
     """
     lambda_list = list(lambda_list)
     if not lambda_list:
@@ -622,6 +633,14 @@ def comb_gcc_certify(
                          f"got {n_offsets} and {samples_per_unit}")
     build = default_covering_builder(field, rho, gamma)
     coverings = [build(lam) for lam in lambda_list]  # refuse any lam before measuring
+    lengths = {e.rational.T for cov in coverings for e in cov.entries if e.rational is not None}
+    for T in sorted(lengths):
+        *_, n_x, n_t = _comb_lattice(field, T, n_offsets, samples_per_unit)
+        if n_x * n_t > MAX_PROFILE_SAMPLES:
+            raise SizeError("samples_per_unit", (
+                f"the comb profile of a direction of length T = {T:g} needs {n_x} x {n_t} ="
+                f" {n_x * n_t} samples at {samples_per_unit:g} samples per unit length; the"
+                f" limit is MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}"))
     symmetry = lattice_symmetries(field)
     maps = _orbit_maps(symmetry)
     cache: dict = {}

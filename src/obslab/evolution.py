@@ -50,13 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ObservationField
+from .fields import ObservationField, SizeError
 from .spectral import (DENSE_LATTICE_LIMIT, LANCZOS_TOL, SHIFT_EPS, _coefficient_table,
                        _lowest_pair, _mask_blocks, _negated_positions, _real_form, build_mask)
 # bound here only so that bench/spans.py can wrap it; no solver calls it
 from .spectral import compression_matrix  # noqa: F401
 
 KAPPA_FLOOR = 1e-14
+# bytes one T's time tables may take: its trapezoid nodes and weights and
+# _centred_kernel's three (block order) x n_nodes float64 tables, the
+# block order counted as the rank
+MAX_TIME_TABLE_BYTES = 10**9
 
 
 def nyquist_nodes(beta: float, T: float, K: float) -> int:
@@ -116,7 +120,9 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     tables come and go before it). lam_min is the least block minimum and
     the residual that block's, ||G v - lam v||. An eigenpair whose
     residual exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T
-    max a).
+    max a). A T whose time tables, at most 8 n_nodes (3 r + 2) B at rank
+    r, exceed MAX_TIME_TABLE_BYTES raises SizeError naming T_list, also
+    before any form is assembled.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
@@ -125,14 +131,18 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
         raise ValueError("T must be positive")
     n_nodes = [max(nyquist_nodes(beta, T, cutoff_K), 33) for T in T_list]
     mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
-    r = mask.rank
+    r, n = mask.rank, max(n_nodes)
     if r > DENSE_LATTICE_LIMIT:
-        n = max(n_nodes)
         raise ValueError(
             f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
             f" {8 * (3 * r * r + 1.5 * r * n) / 1e9:.1f} GB to solve a rank x rank block on {n}"
             f" time nodes (its real form of C_a, its Gramian, a Cholesky copy and three"
             f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_LATTICE_LIMIT}")
+    if 8 * n * (3 * r + 2) > MAX_TIME_TABLE_BYTES:
+        raise SizeError("T_list", (
+            f"T = {max(T_list):g} needs {n} trapezoid nodes, whose time tables take up to"
+            f" {8 * n * (3 * r + 2) / 1e9:.3g} GB (nodes, weights and three tables of at most"
+            f" rank x n_nodes float64, rank {r}); the limit is {MAX_TIME_TABLE_BYTES / 1e9:g} GB"))
     idx = mask.indices()
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
     # a ball is closed under k -> -k

@@ -31,12 +31,22 @@ _EVAL_BLOCK = 8192
 TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
 
 
+class SizeError(ValueError):
+    """A computation over a stated size cap, refused before it allocates;
+    argument names the parameter that sets the size."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 @dataclass
 class ObservationField:
     """Sampled density a : box -> [0, 1] on a uniform periodic grid.
 
     A field is not mutated after construction: evaluate reads a wrapped
-    copy of the samples that is built once per field, so operations that
+    copy of the samples and the geometry window search their spectrum
+    (rfftn), each built once per field on first use, so operations that
     change samples (mollify, load_grid) return a new field.
     """
 
@@ -57,6 +67,11 @@ class ObservationField:
         """The samples with index grid wrapped to 0 along every axis,
         (grid + 1)^dim values flattened in row-major order."""
         return np.pad(self.values, [(0, 1)] * self.dim, mode="wrap").ravel()
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """rfftn of the samples, for circular correlations with them."""
+        return np.fft.rfftn(self.values)
 
     def describe(self) -> dict:
         """Plain-dict descriptor for report embedding."""

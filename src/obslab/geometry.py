@@ -10,8 +10,15 @@ grid sizes are parameters, because the numbers are only meaningful
 together with the search resolution. Every segment and rectangle average
 is a window mean (_window_means) over a product lattice of anchors, which
 evaluate receives as one coordinate array per axis, so cells and weights
-are found per axis and never per anchor x body point; its result still
-holds one value per point, which is what a trace's point counters see.
+are found per axis and never per anchor x body point. On a periodic field
+whose anchor lattice steps whole grid cells, the grid phase first ranks a
+window's anchors by one circular correlation (_correlated_means, by FFT)
+when that reads fewer points than evaluate would, and re-measures through
+evaluate only the anchors the correlation's error bound cannot rule out
+(_grid_min), so the results keep their bits. A trace's point counters
+therefore see every point of descent probes, comb profiles, truncated and
+unaligned searches, but only the re-measured anchors of a correlated
+window; the FFT's time is geometry's own.
 
 Bad sizes and lengths (non-positive, NaN or infinite lengths, too-small
 grids and sample counts, an empty angle list) raise ValueError naming the
@@ -180,6 +187,100 @@ def _anchor_grid(lo, hi, n, dim):
     return [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dim)]
 
 
+def _correlation_pays(field, n_anchor, k) -> bool:
+    """True when the grid phase ranks its anchors by _correlated_means:
+    the field is periodic, the n_anchor-point lattice over one period
+    steps a whole number of cells, and the n_anchor^dim x k points that
+    evaluate would read outnumber the grid^dim samples an FFT reads (the
+    measured break-even)."""
+    return (not is_truncated(field) and field.grid % n_anchor == 0
+            and n_anchor ** field.dim * k > field.grid ** field.dim)
+
+
+def _correlated_means(field, anchor_axes, body):
+    """The window means of _window_means for an anchor lattice over one
+    period that steps a whole number s of grid cells per axis, as one
+    circular correlation, to within _correlation_bound.
+
+    Anchor m's points are the first anchor's moved by m * s grid nodes per
+    axis, so its mean is sum_j K[j] v[j + m * s] (indices mod grid), where
+    K holds the bilinear weights of the points at the first anchor,
+    scattered onto the grid and divided by k: the correlation of the
+    samples v with K, read every s nodes.
+    """
+    n, dim, k = field.grid, field.dim, len(body)
+    index, weight = np.zeros((1, 1), np.intp), np.full((1, 1), 1.0 / k)
+    for a, x in zip(anchor_axes, body.T):
+        # each axis doubles the corners: index is row-major on the grid
+        p = (a[0] - field.origin + x) / field.h
+        c = np.floor(p)
+        p -= c
+        lo = c.astype(np.intp) % n
+        index = (index[:, None] * n + np.array([lo, (lo + 1) % n])).reshape(-1, k)
+        weight = (weight[:, None] * np.array([1.0 - p, p])).reshape(-1, k)
+    kernel = np.bincount(index.ravel(), weight.ravel(), minlength=n ** dim).reshape((n,) * dim)
+    shape, axes = (n,) * dim, tuple(range(dim))
+    corr = np.fft.irfftn(field._spectrum * np.fft.rfftn(kernel).conj(), s=shape, axes=axes)
+    step = n // len(anchor_axes[0])
+    return corr[(slice(None, None, step),) * dim].ravel()
+
+
+def _correlation_bound(field, body) -> float:
+    """delta: a bound on |_correlated_means - _window_means| at any anchor,
+    for samples in [0, 1] and N = grid^dim.
+
+    - FFT: every butterfly value of rfftn(K) is bounded by sum(K) = 1 and
+      ||rfftn(v)||_2 <= N, so the three transforms and the product err by
+      about 20 eps log2(N) sqrt(N) in the 2-norm, hence at every anchor;
+    - scatter: bincount adds at most k weights into one node, which moves
+      sum(K) by at most k eps, and the means by as much;
+    - position: a point's offset (p - origin) / h is rounded a few times on
+      both paths, by about 8 eps R / h with R = |origin| + period + the
+      body's reach; values in [0, 1] make the interpolant 1-Lipschitz in
+      each axis's offset, so each path moves by at most dim times that;
+    - evaluate's own rounding (the four corner products and the pairwise
+      mean) is below 32 eps for any k.
+    64 eps times the sum of the three scales covers all four with room.
+    """
+    n_points = field.grid ** field.dim
+    reach = abs(field.origin) + field.period + float(np.abs(body).max())
+    scale = (math.sqrt(n_points) * math.log2(2 * n_points) + len(body)
+             + field.dim * reach / field.h)
+    return 64.0 * np.finfo(np.float64).eps * scale
+
+
+def _grid_min(field, anchor_axes, body, best):
+    """(mean, anchor) of the first least window mean over the anchor
+    lattice (row-major order), or None if the correlation proves that no
+    mean there is below best.
+
+    When _correlation_pays, the correlated means c only rank the anchors.
+    With delta = _correlation_bound, the measured means w satisfy
+    |w - c| <= delta, so every least w sits among the anchors with
+    c <= min(c) + 2 delta (its c is at most its w + delta, its w at most
+    the w at argmin c, and that at most min(c) + delta), and no w is
+    below best if min(c) - delta >= best.
+    Those anchors are re-measured by _window_means, on the sub-lattice of
+    their rows and columns, whose first least is then the first least of
+    the whole lattice: same anchor, same bits as measuring every anchor.
+    """
+    n = len(anchor_axes[0])
+    picks = [np.arange(n)] * field.dim
+    if _correlation_pays(field, n, len(body)):
+        corr = _correlated_means(field, anchor_axes, body)
+        delta = _correlation_bound(field, body)
+        least = corr.min()
+        if least - delta >= best:
+            return None
+        near = np.unravel_index(np.flatnonzero(corr <= least + 2.0 * delta), (n,) * field.dim)
+        picks = [np.unique(i) for i in near]
+    axes = [a[p] for a, p in zip(anchor_axes, picks)]
+    means = _window_means(field, axes, body)
+    i = int(np.argmin(means))
+    cell = np.unravel_index(i, [len(p) for p in picks])
+    return float(means[i]), np.array([a[c] for a, c in zip(axes, cell)])
+
+
 def gcc_constant(
     field: ObservationField,
     L: float,
@@ -239,8 +340,10 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
     period; on truncated fields they range instead over the box that keeps
     the window inside the field's box, and an angle whose window cannot
     fit there is skipped. The grid minimizer (ties go to the first point
-    visited: shapes outer, angles inner, then anchors) is polished by
-    eight rounds of coordinate descent. Each round tries angle -+ ang_step
+    visited: shapes outer, angles inner, then anchors; each window's least
+    mean comes from _grid_min, which may rank the anchors by correlation
+    but returns the bits of measuring them all) is polished by eight
+    rounds of coordinate descent. Each round tries angle -+ ang_step
     (when move_angle), then anchor -+ z_step along each axis, keeps any
     strict improvement, and halves both steps; on truncated fields each
     probe first moves its anchor into the admissible box. Returns (value,
@@ -269,11 +372,9 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
             if win is None:
                 continue
             axes = _anchor_grid(win[1], win[2], anchor_grid_size, field.dim)
-            means = _window_means(field, axes, win[0])
-            i = int(np.argmin(means))
-            if means[i] < best[0]:
-                cell = np.unravel_index(i, (anchor_grid_size,) * field.dim)
-                best = (float(means[i]), j, float(ang), np.array([a[k] for a, k in zip(axes, cell)]), win)
+            found = _grid_min(field, axes, win[0], best[0])
+            if found is not None and found[0] < best[0]:
+                best = (found[0], j, float(ang), found[1], win)
     value, j, ang, z, win = best
     if z is None:
         raise ValueError("no angle admits a window inside the box at the requested sizes")
@@ -393,8 +494,7 @@ def comb_profile(
     if not periodic_t and t_extent < M:
         raise ValueError("t_extent must be at least M for a non-periodic search")
 
-    h_t = 1.0 / samples_per_unit
-    n_t = int(max(2, round(t_extent / h_t)))
+    n_t = comb_samples(t_extent, samples_per_unit)
     h_t = t_extent / n_t
     n_w = int(max(1, round(M / h_t)))
 
@@ -416,6 +516,12 @@ def comb_profile(
             "periodic_t": periodic_t,
         },
     )
+
+
+def comb_samples(t_extent: float, samples_per_unit: float) -> int:
+    """Samples along theta of a comb profile over t_extent: about
+    samples_per_unit per unit length, and at least 2."""
+    return int(max(2, round(t_extent / (1.0 / samples_per_unit))))
 
 
 def relative_density_1d(profile: CombProfile, L: float) -> float:

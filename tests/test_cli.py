@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from obslab import cli, construct, evolution, fields, reports, spectral
+from obslab import cli, construct, covering, evolution, fields, reports, spectral
 
 
 def run(argv):
@@ -470,6 +470,27 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
     # n_nodes = 1147 (beta 1, T 0.5, K 60)
     assert "rank 11289" in err and "3.2 GB" in err and "1147 time nodes" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, flag, unreachable", [
+    (["observe", "--T-list", "1e9"], "--T-list", "_real_form"),
+    (["certify", "--samples-per-unit", "1e9"], "--samples-per-unit", "_measurements"),
+])
+def test_oversized_sweep_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, argv, flag,
+                                                 unreachable):
+    """observe --T-list 1e9 would ask for 1.6e11 trapezoid nodes and certify
+    --samples-per-unit 1e9 for 3.2e10-sample comb profiles: each exits 2
+    naming its flag, before a Gramian form is assembled or an entry is
+    measured (so before any pool worker forks)."""
+    def never(*args):
+        raise AssertionError(f"{unreachable} called")
+
+    module = evolution if argv[0] == "observe" else covering
+    monkeypatch.setattr(module, unreachable, never)
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "the limit is" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -475,3 +475,39 @@ def test_product_covering_with_too_many_entries_is_refused():
                           intervals_x="0:0.5", intervals_y="0:0.501")
     with pytest.raises(ValueError, match="lam = 1e[+]09, rho = 1 holds 137036 entries"):
         covering.default_covering_builder(f, 1.0)(1e9)
+
+
+def test_certify_refuses_a_comb_profile_over_the_sample_cap(monkeypatch):
+    """Over MAX_PROFILE_SAMPLES samples in one comb profile raise a
+    SizeError naming samples_per_unit before any entry is measured, so no
+    pool worker forks; at 1e9 samples per unit a unit comb takes 32e9."""
+    def never(*args):
+        raise AssertionError("an entry was measured")
+
+    monkeypatch.setattr(covering, "_measurements", never)
+    f = fields.make_field("periodic-square", dim=2, period=1.0, grid=200, delta=0.3)
+    with pytest.raises(fields.SizeError, match="needs 32 x 1000000000 = 32000000000 samples") as exc:
+        covering.comb_gcc_certify(f, 1.0, [160000.0], samples_per_unit=1e9)
+    assert exc.value.argument == "samples_per_unit"
+
+
+def test_certify_comb_profiles_stay_far_under_the_sample_cap():
+    """The largest comb profile that criterion 9 or the benchmark's certify
+    workload measures, the half-strip comb's at 8 samples per unit, holds
+    81,904 samples: under a hundredth of MAX_PROFILE_SAMPLES."""
+    product = fields.make_field("product", dim=2, period=1.0, grid=500,
+                                intervals_x="0:0.6", intervals_y="0:0.6")
+    square = fields.make_field("periodic-square", dim=2, period=1.0, grid=200, delta=0.3)
+    strip = fields.make_field("half-strip-comb", dim=2, period=16.0, grid=512)
+    runs = [(product, 0.5, [6144.0, 24576.0], 32, 32.0), (product, 1.0, [1024.0], 32, 32.0),
+            (square, 0.5, [2.56e6, 1.024e7], 32, 32.0), (square, 1.0, [160000.0], 32, 32.0),
+            (strip, 0.5, [2.56e6], 8, 8.0)]
+    largest = 0
+    for f, rho, lams, n_offsets, samples_per_unit in runs:
+        build = covering.default_covering_builder(f, rho)
+        for T in {e.rational.T for lam in lams for e in build(lam).entries
+                  if e.rational is not None}:
+            *_, n_x, n_t = covering._comb_lattice(f, T, n_offsets, samples_per_unit)
+            largest = max(largest, n_x * n_t)
+    assert largest == 81904
+    assert 100 * largest < covering.MAX_PROFILE_SAMPLES

@@ -285,6 +285,98 @@ def test_rectangle_grid_routes_every_point_through_evaluate(monkeypatch):
     assert probes and all(len(s) == 3 and s[:2] == (1, 1) for s in probes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_correlated_means_agree_with_window_means(data):
+    """On random periodic 1d and 2d fields whose anchor lattice steps an
+    odd number of cells, so that the first anchor sits mid-cell, the
+    correlated means equal _window_means to within delta / 100: segment
+    and rectangle bodies, some longer than the period."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    n_anchor = data.draw(st.integers(1, 10), label="anchor grid")
+    step = 2 * data.draw(st.integers(0, 30 if dim == 1 else 8), label="step // 2") + 1
+    period = data.draw(st.floats(0.1, 50.0), label="period")
+    origin = data.draw(st.floats(-20.0, 20.0), label="origin")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = max(2, n_anchor * step)  # make_field needs 2 samples a side
+    f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
+                          values=rng.random((grid,) * dim))
+    length = period * data.draw(st.floats(0.05, 3.5), label="length / period")
+    k = data.draw(st.integers(2, 400), label="body points")
+    theta = geometry.Direction(data.draw(st.floats(0.0, 2.0 * math.pi), label="angle"))
+    if data.draw(st.booleans(), label="segment"):
+        dvec = theta.vector if dim == 2 else np.array([theta.sign])
+        body = geometry._segment_body(dvec, length, k)
+    else:
+        side_s = period * data.draw(st.floats(0.01, 1.0), label="side_s / period")
+        body = geometry._rect_body(theta, side_s, length, k, dim)
+    axes = geometry._anchor_grid(np.full(dim, origin), np.full(dim, origin + period), n_anchor,
+                                 dim)
+    got = geometry._correlated_means(f, axes, body)
+    want = geometry._window_means(f, axes, body)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= geometry._correlation_bound(f, body) / 100
+
+
+def test_correlation_bound_is_small_on_the_density_fields():
+    """delta on a 64 x 64 unit torus with the L = 3 segment body is far
+    below any gap the search resolves, so the re-measured candidates are
+    the near ties only."""
+    f = fields.make_field("constant", dim=2, period=1.0, grid=64)
+    body = geometry._segment_body(np.array([0.6, 0.8]), 3.0, 576)
+    assert geometry._correlation_bound(f, body) < 1e-10
+
+
+def _density_searches(f):
+    """The density workload's searches on one field: the L = 3 segment
+    infimum and the three rectangle plans, each with its argmin."""
+    g = geometry.gcc_constant(f, 3.0, direction_grid_size=24, anchor_grid_size=8)
+    rects = [geometry.rectangle_density_inf(f, beta, 3.0, lams, direction_grid_size=16,
+                                            anchor_grid_size=8)
+             for beta, lams in ((0.0, [1.0, 4.0]), (0.5, [1.0, 4.0]), (1.0, [1.0, 2.0]))]
+    return g, rects
+
+
+def test_correlated_ranking_returns_the_bits_of_the_evaluate_search(monkeypatch):
+    """With the correlated ranking on, gcc_constant and
+    rectangle_density_inf return the same values and argmin rectangles,
+    compared by ==, as the same search that measures every anchor by
+    _window_means. The fields: the criterion-3 generator's field 6 at seed
+    1, where theta and theta + pi tie exactly (ranking by the correlation
+    alone picks another value there), its field 8 at seed 2 (a search
+    with delta = 0, or that re-measures only the least correlated anchor,
+    returns other bits there), random 1d and 2d fields whose anchors sit
+    mid-cell, and a field whose window means tie along x."""
+    from test_acceptance import _random_periodic_field
+
+    cases = []
+    for seed, number in ((1, 6), (2, 8)):
+        rng = np.random.default_rng(seed)
+        cases.append([_random_periodic_field(rng) for _ in range(number)][-1])
+    rng = np.random.default_rng(23)
+    for dim, grid in ((1, 72), (2, 24)):
+        cases.append(fields.make_field("custom-grid", dim=dim, period=1.7, grid=grid,
+                                       origin=-0.3, values=rng.random((grid,) * dim)))
+    # constant along x: every window mean ties across a row of anchors
+    cases.append(fields.make_field("custom-grid", dim=2, period=1.0, grid=32,
+                                   values=np.tile(rng.random(32), (32, 1))))
+    ran = []
+    real = geometry._correlated_means
+
+    def spy(*args):
+        ran.append(args[0].dim)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_correlated_means", spy)
+    got = [_density_searches(f) for f in cases]
+    assert sorted(set(ran)) == [1, 2]
+    monkeypatch.setattr(geometry, "_correlation_pays", lambda *args: False)
+    ran.clear()
+    want = [_density_searches(f) for f in cases]
+    assert ran == []
+    assert got == want
+
+
 _FIELD_2D = fields.make_field("periodic-square", dim=2, period=1.0, grid=32, delta=0.5)
 _PROFILE = geometry.CombProfile(geometry.Direction(0.0), 0.5, np.ones(8), 0.125)
 _RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.5)
