@@ -359,8 +359,8 @@ def cmd_construct_demo(args, field):
         raise ValueError(f"the density window 2 x --M = {2.0 * M} is longer than the range"
                          f" [{bp[0]}, {bp[-1]}] the minorant samples; --M up to --W / 2 fits")
     sm = construct.smooth_minorant(Y, M, rho)
-    member = Y.contains(sm.x)
-    outside = float(np.max(sm.values[~member])) if np.any(~member) else 0.0
+    pos = sm.values > 0.0  # zero samples cannot raise the maximum
+    outside = float(np.max(sm.values[pos][~Y.contains(sm.x[pos])], initial=0.0))
     density = construct.sliding_window_min(sm.values, sm.step, 2.0 * M)
     fd = construct.derivative_bounds(sm)
     checks = {

@@ -11,6 +11,9 @@ smooth function a <= 1_Y whose cell averages are exactly c1*rho/2.
 
 The recursion runs on the unrolled line with Y extended periodically and
 stops once it passes one period, so every cell satisfies both gap bounds.
+The least window measure ranks every critical offset t by F(t + L) - F(t),
+F the running measure of the unrolled balls, and sums the balls clipped to
+the window only at offsets ranked within a rounding bound of the least.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _window_min
+from .geometry import _positive, _window_min
 
 # Plateau-bump template constants. The template is 1 on |u| <= 1/2 and
 # falls to 0 at |u| = 1 through a quintic smoothstep. Its mean over [-1, 1]
@@ -57,9 +60,12 @@ class BallSystem:
     period: float
 
     def __post_init__(self):
-        c = np.sort(np.mod(np.asarray(self.centers, dtype=np.float64), self.period))
-        if self.delta <= 0 or self.period <= 0:
-            raise ValueError("delta and period must be positive")
+        _positive("delta", self.delta)
+        _positive("period", self.period)
+        c = np.asarray(self.centers, dtype=np.float64)
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"centers must be finite, got {c[~np.isfinite(c)]}")
+        c = np.sort(np.mod(c, self.period))
         if len(c):
             gaps = np.diff(np.concatenate([c, [c[0] + self.period]]))
             if np.any(gaps < 2.0 * self.delta - 1e-12):
@@ -93,40 +99,57 @@ class BallSystem:
         return d < self.delta
 
     def window_min_measure(self, L: float) -> tuple[float, float]:
-        """Exact (min measure, argmin t) of |Y cap [t, t + L]| over the circle.
+        """Exact (min measure, first argmin t) of |Y cap [t, t + L]| on the circle.
 
         The measure is piecewise linear in t, so the minimum sits at a
-        critical offset where a window edge meets a ball edge.
+        critical offset where a window edge meets a ball edge. Only offsets
+        ranked (_ranked_measures) within twice its bound of the least are
+        measured by clipped-interval sums, 64 at a time, each row summed
+        like a 1-D array: the pair is that of measuring all, bit for bit.
         """
-        if L <= 0:
-            raise ValueError("L must be positive")
+        _positive("L", L)
         if not len(self.centers):
             return 0.0, 0.0
-        crit, vals = self._window_measures(L)
-        i = int(np.argmin(vals))
-        return float(vals[i]), float(crit[i])
-
-    def _window_measures(self, L: float) -> tuple[np.ndarray, np.ndarray]:
-        """The critical offsets t of window_min_measure and |Y cap [t, t + L]|
-        at each, for a nonempty system.
-
-        Offsets are measured in chunks of at most 64 rows, so the chunk x
-        intervals temporaries stay small; each row is summed like a 1-D
-        array, so every value is bit-identical to one window at a time.
-        """
-        iv = self.intervals(-self.period, 2.0 * self.period)
-        crit = np.concatenate([iv.ravel(), iv.ravel() - L])
-        crit = np.unique(np.mod(crit, self.period))
-        vals = np.empty(crit.size)
-        for r0 in range(0, crit.size, 64):
-            lo = crit[r0:r0 + 64, None]
+        W = self.period
+        turns, L = divmod(L, W)  # each whole turn adds the whole measure
+        iv = self.intervals(-W, 2.0 * W)  # a remainder below W never needs balls past 2W
+        crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - L]), W))
+        ranked, bound = _ranked_measures(iv, crit, L)
+        keep = crit[ranked <= ranked.min() + 2.0 * bound]
+        vals = np.empty(keep.size)
+        for r0 in range(0, keep.size, 64):
+            lo = keep[r0:r0 + 64, None]
             hi = lo + L
             # the clip of each interval to [lo, hi]; np.clip is twice as slow
             # with broadcast bounds
             b = np.minimum(np.maximum(iv[:, 1], lo), hi)
             b -= np.minimum(np.maximum(iv[:, 0], lo), hi)
             vals[r0:r0 + 64] = np.sum(b, axis=1)
-        return crit, vals
+        i = int(np.argmin(vals))
+        return float(vals[i] + turns * self.measure), float(keep[i])
+
+
+def _ranked_measures(iv: np.ndarray, t: np.ndarray, L: float) -> tuple[np.ndarray, float]:
+    """(F(t + L) - F(t), bound) for sorted intervals iv, F(x) the summed
+    length left of x: intervals ending by x whole (a running sum), the one
+    or two holding x (more only if balls overlap) by x - lo. bound bounds
+    the distance to the clipped sums: for n intervals of total length S and
+    unit roundoff u, a clipped sum errs by n u S (a rounding per term, n - 1
+    in their sum), each F by (n + 3) u S (lengths, running sum, partial
+    terms), their difference by u S: 8 (n + 2) u S covers it with room.
+    """
+    lo, hi = iv.T
+    whole = np.concatenate([[0.0], np.cumsum(hi - lo)])
+
+    def F(x):
+        k = np.searchsorted(hi, x, side="right")
+        out, holding = whole[k], np.searchsorted(lo, x) - k
+        for j in range(holding.max()):
+            out += np.where(holding > j, x - lo[np.minimum(k + j, lo.size - 1)], 0.0)
+        return out
+
+    u = np.finfo(np.float64).eps / 2.0  # the unit roundoff
+    return F(t + L) - F(t), 8.0 * (len(iv) + 2) * u * whole[-1]
 
 
 @dataclass
@@ -332,7 +355,13 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
 
 def sliding_window_min(values: np.ndarray, spacing: float, L: float) -> float:
     """Minimal length-L window average of samples, windows fully inside."""
+    _positive("spacing", spacing)
+    _positive("L", L)
     return float(_window_min(values, int(max(1, round(L / spacing))), periodic=False))
+
+
+# outputs of one finite-difference block: 256 kB of float64 stay in cache
+_FD_BLOCK = 1 << 15
 
 
 def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
@@ -341,7 +370,9 @@ def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
 
     A is the transfer function of (a, eta), accumulated by trapezoid on the
     sample grid; its bound is checked with the same right-hand side, which
-    dominates comfortably since dA/dy = a - eta is bounded by 1.
+    dominates comfortably since dA/dy = a - eta is bounded by 1. Blocks of
+    _FD_BLOCK differences, each the whole-array arithmetic on an
+    overlapping slice, give the whole array's maxima bit for bit.
     """
     h = sm.step
     scale = (sm.rho / 2.0) * sm.Y.delta
@@ -350,18 +381,16 @@ def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
     out = {}
     for m in orders:
         if m == 1:
-            fd_a = (a[2:] - a[:-2]) / (2.0 * h)
-            fd_A = (A[2:] - A[:-2]) / (2.0 * h)
+            reach, fd = 2, lambda f: (f[2:] - f[:-2]) / (2.0 * h)
         elif m == 2:
-            fd_a = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / (h * h)
-            fd_A = (A[2:] - 2.0 * A[1:-1] + A[:-2]) / (h * h)
+            reach, fd = 2, lambda f: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
         elif m == 3:
-            fd_a = (-a[:-4] + 2.0 * a[1:-3] - 2.0 * a[3:-1] + a[4:]) / (2.0 * h ** 3)
-            fd_A = (-A[:-4] + 2.0 * A[1:-3] - 2.0 * A[3:-1] + A[4:]) / (2.0 * h ** 3)
+            reach, fd = 4, lambda f: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:]) / (2.0 * h ** 3)
         else:
             raise ValueError("orders up to 3 only")
+        max_a, max_A = (float(np.max([np.max(np.abs(fd(f[i:i + _FD_BLOCK + reach])))
+                                      for i in range(0, f.size - reach, _FD_BLOCK)])) for f in (a, A))
         allowed = BUMP_C2 ** m / scale ** m
-        max_a, max_A = float(np.max(np.abs(fd_a))), float(np.max(np.abs(fd_A)))
         out[m] = {
             "max_a": max_a,
             "max_A_over_M": max_A,

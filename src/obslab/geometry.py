@@ -168,7 +168,8 @@ def _rect_body(theta: Direction, side_s, side_t, n_samples, dim):
     n2 = int(max(2, math.ceil(n_samples / n1)))
     u = (np.arange(n1) + 0.5) / n1
     v = (np.arange(n2) + 0.5) / n2
-    return np.outer(np.repeat(u, n2) * side_s, theta.perp) + np.outer(np.tile(v, n1) * side_t, theta.vector)
+    return ((u * side_s)[:, None, None] * theta.perp
+            + (v * side_t)[None, :, None] * theta.vector).reshape(-1, 2)
 
 
 def line_average(field: ObservationField, segment: LineSegment, n_samples: int | None = None) -> float:

@@ -211,6 +211,25 @@ def test_construct_demo(tmp_path):
     assert (tmp_path / "construct_profile.csv").exists()
 
 
+def test_construct_demo_fails_a_positive_sample_outside_the_balls(tmp_path, monkeypatch):
+    """Membership is tested only where a > 0, so one positive sample of
+    the minorant outside Y still fails support_exact and exits 1."""
+    build = construct.smooth_minorant
+
+    def leaky(Y, M, rho):
+        sm = build(Y, M, rho)
+        outside = np.flatnonzero(~Y.contains(sm.x))
+        sm.values[outside[outside.size // 2]] = 1e-3
+        return sm
+
+    monkeypatch.setattr(construct, "smooth_minorant", leaky)
+    assert run(["construct-demo", "--out", str(tmp_path), "--seed", "1",
+                "--W", "10", "--n-balls", "100"]) == 1
+    report = json.loads((tmp_path / "construct_report.json").read_text())["report"]
+    assert report["checks"]["support_exact"] is False
+    assert report["max_outside_support"] == 1e-3
+
+
 def test_resolvent_reports_are_reproducible(tmp_path):
     args = ["--field-family", "periodic-square", "--field-dim", "1",
             "--field-grid", "64", "--field-period", str(2 * math.pi),

@@ -76,28 +76,80 @@ def test_window_min_measure_matches_brute_force():
 
 
 def _window_measures_loop(Y, L):
-    """_window_measures one critical offset at a time."""
-    iv = Y.intervals(-Y.period, 2.0 * Y.period)
-    crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - L]), Y.period))
+    """The critical offsets of window_min_measure, the clipped-sum measure
+    of what is left of the window past its whole turns at each, one offset
+    at a time, and the measure those turns add."""
+    W = Y.period
+    turns, L = divmod(L, W)
+    iv = Y.intervals(-W, 2.0 * W)
+    crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - L]), W))
     return crit, np.array([np.sum(np.clip(iv[:, 1], t, t + L) - np.clip(iv[:, 0], t, t + L))
-                           for t in map(float, crit)])
+                           for t in map(float, crit)]), turns * Y.measure
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 120), pitch=st.floats(0.05, 3.0), delta_frac=st.floats(0.02, 0.5),
-       l_frac=st.floats(0.1, 40.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_window_measures_chunks_match_the_scalar_loop(n, pitch, delta_frac, l_frac, seed):
-    """The chunked window measures equal, bit for bit, the sums of one
-    window at a time, on ball systems with more and fewer critical
-    offsets than one chunk; so do the minimum and its offset."""
+       l_frac=st.floats(0.1, 40.0), seed=st.integers(0, 2 ** 32 - 1),
+       layout=st.sampled_from(["jittered", "lattice", "touching"]))
+def test_window_measures_chunks_match_the_scalar_loop(n, pitch, delta_frac, l_frac, seed, layout):
+    """The ranked search returns, bit for bit, the first least of the
+    clipped sums of one window at a time, on ball systems with more and
+    fewer critical offsets than one chunk: jittered, on an exact lattice
+    (many equal measures), and touching (gaps within 1e-12 of 2 delta) in
+    one cluster, which leaves a stretch of zero-measure windows."""
     delta = delta_frac * pitch
-    Y = _random_system(np.random.default_rng(seed), n * pitch, delta, n)
+    if layout == "jittered":
+        Y = _random_system(np.random.default_rng(seed), n * pitch, delta, n)
+    elif layout == "lattice":
+        Y = construct.BallSystem(pitch * np.arange(n), delta, n * pitch)
+    else:
+        # 0.1e-12 spare for the rounding of the centers
+        Y = construct.BallSystem((2.0 * delta - 0.9e-12) * np.arange(n), delta, (n + 1) * pitch)
     L = l_frac * delta
-    crit, vals = Y._window_measures(L)
-    want_crit, want_vals = _window_measures_loop(Y, L)
-    assert np.array_equal(crit, want_crit) and np.array_equal(vals, want_vals)
-    i = int(np.argmin(want_vals))
-    assert Y.window_min_measure(L) == (float(want_vals[i]), float(want_crit[i]))
+    crit, vals, turns = _window_measures_loop(Y, L)
+    i = int(np.argmin(vals))
+    assert Y.window_min_measure(L) == (float(vals[i] + turns), float(crit[i]))
+
+
+def test_window_min_measure_counts_windows_longer_than_the_circle():
+    """Windows up to 3 W long against a dense scan of the indicator: each
+    whole turn of a window holds |Y|, and the rest is measured on the
+    circle."""
+    Y = construct.BallSystem([0.0, 1.0, 3.0], 0.25, 6.0)
+    assert Y.window_min_measure(5.9)[0] == pytest.approx(1.4, abs=1e-12)
+    assert Y.window_min_measure(9.0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert Y.window_min_measure(12.0)[0] == pytest.approx(3.0, abs=1e-12)
+    assert Y.window_min_measure(6e6)[0] == pytest.approx(1.5e6, rel=1e-12)
+    rng = np.random.default_rng(5)
+    step = 1e-3
+    for _ in range(4):
+        Y = _random_system(rng, 6.0, float(rng.uniform(0.05, 0.3)), 5)
+        xs = np.arange(0.0, 4.0 * Y.period, step)
+        cum = np.concatenate([[0.0], np.cumsum(Y.contains(xs + 0.5 * step))]) * step
+        for L in rng.uniform(0.1, 3.0 * Y.period, size=12):
+            k = int(round(L / step))
+            dense = np.min(cum[k:k + int(round(Y.period / step))] - cum[:int(round(Y.period / step))])
+            wmin, wat = Y.window_min_measure(float(L))
+            assert wmin == pytest.approx(dense, abs=2.0 * step)
+            assert 0.0 <= wat < Y.period
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"centers": [0.0, np.nan], "delta": 0.1, "period": 6.0}, r"centers must be finite, got \[nan\]"),
+    ({"centers": [0.0, 1.0], "delta": np.nan, "period": 6.0}, "delta must be positive and finite, got nan"),
+    ({"centers": [0.0, 1.0], "delta": 0.1, "period": np.inf}, "period must be positive and finite, got inf"),
+    ({"centers": [0.0, 1.0], "delta": 0.0, "period": 6.0}, "delta must be positive and finite, got 0.0"),
+])
+def test_ball_system_names_the_bad_argument(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        construct.BallSystem(**kwargs)
+
+
+@pytest.mark.parametrize("L", [np.nan, 0.0, -1.0, np.inf])
+def test_window_min_measure_refuses_a_bad_length(L):
+    Y = construct.BallSystem([0.0, 1.0, 3.0], 0.25, 6.0)
+    with pytest.raises(ValueError, match="^L must be positive and finite"):
+        Y.window_min_measure(L)
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,7 +177,7 @@ def test_build_partition_validation():
 
 def _random_system(rng, W, delta, n):
     pitch = W / n
-    jitter = 0.5 * (pitch - 2.0 * delta)
+    jitter = max(0.0, 0.5 * (pitch - 2.0 * delta))  # W / n may round below 2 delta
     centers = pitch * np.arange(n) + rng.uniform(-jitter, jitter, size=n)
     return construct.BallSystem(centers, delta, W)
 
@@ -235,3 +287,41 @@ def test_derivative_bounds_hold():
 def test_sliding_window_min_validation():
     with pytest.raises(ValueError):
         construct.sliding_window_min(np.ones(4), 1.0, 10.0)
+    for spacing, L, name in [(1.0, 0.0, "L"), (1.0, -2.0, "L"), (1.0, np.nan, "L"),
+                             (0.0, 2.0, "spacing"), (-1.0, 2.0, "spacing"), (np.nan, 2.0, "spacing")]:
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            construct.sliding_window_min(np.arange(4.0), spacing, L)
+
+
+def _derivative_bounds_full(sm):
+    """derivative_bounds' maxima from whole-array differences."""
+    h, a = sm.step, sm.values
+    A = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) - sm.eta) * h]) / sm.M
+    out = {}
+    for f, key in [(a, "max_a"), (A, "max_A_over_M")]:
+        fd = {1: (f[2:] - f[:-2]) / (2.0 * h),
+              2: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h),
+              3: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:]) / (2.0 * h ** 3)}
+        for m, d in fd.items():
+            out.setdefault(m, {})[key] = float(np.max(np.abs(d)))
+    return out
+
+
+@pytest.mark.parametrize("extra", [-3, 0, 1, 2, 3, 4, 5])
+def test_blocked_derivative_bounds_match_the_whole_array(extra):
+    """Samples a few below, at and just above one block (and two): the
+    blocked maxima are those of the whole-array differences, bit for bit,
+    wherever the largest difference falls."""
+    rng = np.random.default_rng(40 + extra)
+    Y = _random_system(rng, 20.0, 0.05, 20)
+    wmin, _ = Y.window_min_measure(2.0)
+    sm = construct.smooth_minorant(Y, 2.0, 0.8 * wmin / 2.0)
+    for n in (construct._FD_BLOCK + extra, 2 * construct._FD_BLOCK + extra):
+        part = construct.SmoothMinorant(sm.x[:n], sm.values[:n].copy(), sm.eta, Y, sm.M,
+                                        sm.rho, sm.t_scales, sm.partition)
+        for i in {n - 1, n - 3, construct._FD_BLOCK - 1, construct._FD_BLOCK + 1} & set(range(n)):
+            part.values[i] += 0.25  # the largest differences at block edges
+            got = construct.derivative_bounds(part)
+            for m, want in _derivative_bounds_full(part).items():
+                assert (got[m]["max_a"], got[m]["max_A_over_M"]) == (want["max_a"], want["max_A_over_M"])
+            part.values[i] -= 0.25

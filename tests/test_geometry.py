@@ -17,6 +17,23 @@ def test_direction_basics():
     assert e.vector[1] == pytest.approx(0.8)
 
 
+@settings(max_examples=60, deadline=None)
+@given(angle=st.floats(0.0, 2.0 * math.pi), side_s=st.floats(1e-3, 50.0),
+       side_t=st.floats(1e-3, 50.0), n_samples=st.integers(1, 5000))
+def test_rect_body_matches_the_outer_product_form(angle, side_s, side_t, n_samples):
+    """The broadcast rectangle body is, bit for bit, the sum of two outer
+    products of the repeated and tiled midpoints with perp and vector."""
+    theta = geometry.Direction(angle)
+    n1 = int(max(2, round(math.sqrt(n_samples / (side_t / side_s)))))
+    n2 = int(max(2, math.ceil(n_samples / n1)))
+    u = (np.arange(n1) + 0.5) / n1
+    v = (np.arange(n2) + 0.5) / n2
+    want = (np.outer(np.repeat(u, n2) * side_s, theta.perp)
+            + np.outer(np.tile(v, n1) * side_t, theta.vector))
+    got = geometry._rect_body(theta, side_s, side_t, n_samples, 2)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_rectangle_spec_sides():
     """side_s = L * lam^((beta-1)/2), side_t = L * lam^beta."""
     r = geometry.RectangleSpec(geometry.Direction(0.0), (0.0, 0.0), 2.0, 4.0, 0.5)

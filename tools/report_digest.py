@@ -89,6 +89,9 @@ CLI_RUNS = {
                                              "--intervals-x", "0:0.7", "--intervals-y", "0.1:0.8",
                                              "--field-mollify", "0.05", "--mask", "ball",
                                              "--radius", "26", "--out", "."],
+    # few wide balls (the README example): the window search off the bench seeds
+    "construct-demo README": ["construct-demo", "--W", "24", "--M", "2", "--delta", "0.1",
+                              "--n-balls", "24", "--seed", "11", "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
 }
