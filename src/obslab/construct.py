@@ -277,25 +277,27 @@ class SmoothMinorant:
         return float(self.x[1] - self.x[0])
 
 
-def _cell_ball_centers(Y: BallSystem, lo: float, hi: float) -> np.ndarray:
-    iv = Y.intervals(lo, hi)
-    if not len(iv):
-        return np.empty(0)
+def _cell_balls(Y: BallSystem, bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, cells): the unrolled balls centred in [bp[0], bp[-1]),
+    each centre the midpoint of its interval, and the cell k of each,
+    bp[k] <= centre < bp[k + 1]."""
+    iv = Y.intervals(bp[0], bp[-1])
     c = 0.5 * (iv[:, 0] + iv[:, 1])
-    return c[(c >= lo) & (c < hi)]
+    c = c[(c >= bp[0]) & (c < bp[-1])]
+    return c, np.searchsorted(bp, c, side="right") - 1
 
 
-def _bump_sum(xs: np.ndarray, Y: BallSystem, partition: AlmostPeriodicPartition, t_scales: np.ndarray) -> np.ndarray:
-    out = np.zeros(xs.shape)
-    bp = partition.breakpoints
-    for k in range(len(bp) - 1):
-        centers = _cell_ball_centers(Y, bp[k], bp[k + 1])
-        r = t_scales[k] * Y.delta
-        for c in centers:
-            i0, i1 = np.searchsorted(xs, [c - r, c + r])
-            if i1 > i0:
-                out[i0:i1] += bump_template((xs[i0:i1] - c) / r)
-    return out
+def _bump_sum(xs: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Sum of the plateau bumps on the balls (centers, radii), sampled at
+    xs in one pass: each ball's samples are those in [c - r, c + r), and
+    bincount adds each sample's terms in ball order (one term, as the
+    balls are disjoint)."""
+    i0 = np.searchsorted(xs, centers - radii)
+    n = np.maximum(np.searchsorted(xs, centers + radii) - i0, 0)
+    ball = np.repeat(np.arange(len(centers)), n)
+    at = np.arange(n.sum()) + np.repeat(i0 - np.cumsum(n) + n, n)
+    return np.bincount(at, bump_template((xs[at] - centers[ball]) / radii[ball]),
+                       minlength=len(xs))
 
 
 def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
@@ -322,11 +324,12 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
         )
     part = build_partition(Y, M)
     bp = part.breakpoints
+    centers, cells = _cell_balls(Y, bp)
+    counts = np.bincount(cells, minlength=len(bp) - 1)
     t_scales = np.empty(len(bp) - 1)
     for k in range(len(bp) - 1):
         gap = bp[k + 1] - bp[k]
-        centers = _cell_ball_centers(Y, bp[k], bp[k + 1])
-        mass = 2.0 * delta * len(centers)
+        mass = 2.0 * delta * counts[k]
         if mass <= 0:
             raise ValueError(f"cell {k} contains no balls; Y is not dense enough")
         t = (rho / 2.0) * gap / mass
@@ -339,7 +342,7 @@ def smooth_minorant(Y: BallSystem, M: float, rho: float) -> SmoothMinorant:
             f"the minorant needs {n} samples of step (rho/2) delta / 16 over [{bp[0]}, {bp[-1]}]"
             f" at rho = {rho}, delta = {delta}; the limit is {MAX_MINORANT_SAMPLES}")
     xs = np.linspace(bp[0], bp[-1], n)
-    vals = _bump_sum(xs, Y, part, t_scales)
+    vals = _bump_sum(xs, centers, t_scales[cells] * delta)
     eta = BUMP_C1 * rho / 2.0
     return SmoothMinorant(
         x=xs,

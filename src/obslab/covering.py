@@ -22,11 +22,16 @@ approximation radius (so the caps cover) while keeping eps*M <= 12/lam^gamma
 for every entry; the wider choice would overshoot the budget on the
 shortest comb directions.
 
-comb_gcc_certify measures one window infimum per symmetry orbit of
-entries. For each lam it lists the scan's orbits not yet in the cache, in
-scan order, and measures them on a fork-started process pool with one
-worker per usable core (never more workers than orbits). Each worker
-inherits the field and the pending entries at fork; a task is one
+comb_gcc_certify measures every entry by one window search on a rational
+direction (p, q), whose lines close up on the torus: the entry's own, or
+for an untagged GCC cap (the product grid) the primitive direction of
+least T within h/M of the cap's angle (_nearest_rational), so that the
+walked length-M segment stays within one sample spacing h of the cap's
+own. It measures one window infimum per symmetry orbit of those
+directions. For each lam it lists the scan's orbits not yet in the
+cache, in scan order, and measures them on a fork-started process pool
+with one worker per usable core (never more workers than orbits). Each
+worker inherits the field and the pending entries at fork; a task is one
 position in that list and its result one float. Tasks are submitted a
 few per worker ahead of the scan and their results consumed in scan
 order, so the cache, the records and the counts are those of a serial
@@ -40,8 +45,10 @@ unavailable, the same scan measures in-process.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -50,7 +57,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import ObservationField, SizeError, _parse_intervals, lattice_symmetries
-from .geometry import Direction, comb_profile, comb_samples, gcc_constant, relative_density_1d
+from .geometry import Direction, _positive, comb_profile, comb_samples, relative_density_1d
+# bound here only so that bench/spans.py can wrap it; no certificate calls it
+from .geometry import gcc_constant  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -180,8 +189,9 @@ def dirichlet_direction(phi, lam: float, gamma: float = 0.25) -> RationalDirecti
     """Rational direction (P, Q)/T with T <= 2*lam^gamma and chord distance
     |phi - (P,Q)/T| <= 2/(lam^gamma * T).
 
-    Axis-permutes so the slope has magnitude <= 1, then takes the last
-    continued-fraction convergent with denominator <= floor(lam^gamma).
+    Folds the direction into the octant 0 <= y <= x, takes the last
+    continued-fraction convergent of the slope with denominator <=
+    floor(lam^gamma), and unfolds it (_unfold).
     """
     if lam < 1:
         raise ValueError("lam must be at least 1")
@@ -196,21 +206,15 @@ def dirichlet_direction(phi, lam: float, gamma: float = 0.25) -> RationalDirecti
             raise ValueError("zero direction")
         x, y = v[0] / nrm, v[1] / nrm
     cap = max(1, math.floor(lam ** gamma))
+    num, den = _convergents_capped(min(abs(x), abs(y)) / max(abs(x), abs(y)), cap)
+    return _unfold(x, y, num, den)
 
-    swap = abs(y) > abs(x)
-    if swap:
-        x, y = y, x
-    sx = 1 if x >= 0 else -1
-    slope = y / x  # |slope| <= 1
-    num, den = _convergents_capped(abs(slope), cap)
-    ss = 1 if slope >= 0 else -1
-    P, Q = sx * den, sx * ss * num
-    if swap:
-        P, Q = Q, P
-    g = math.gcd(abs(P), abs(Q))
-    if g > 1:
-        P, Q = P // g, Q // g
-    return RationalDirection(P, Q)
+
+def _unfold(x: float, y: float, num: int, den: int) -> RationalDirection:
+    """The direction (den, num) of the octant 0 <= y <= x moved back to the
+    octant of (x, y) by the signed permutation that folds (x, y) there."""
+    p, q = (num, den) if abs(y) > abs(x) else (den, num)
+    return RationalDirection(int(math.copysign(p, x)), int(math.copysign(q, y)))
 
 
 def farey_directions(cap_T: float) -> list[RationalDirection]:
@@ -480,49 +484,70 @@ class CertifyReport:
     symmetry: list
 
 
-def _measure_entry(
-    field: ObservationField,
-    entry: CoveringEntry,
-    n_offsets: int,
-    samples_per_unit: float,
-) -> float:
-    """Measured certificate constant for one covering entry.
+def _measure_entry(field: ObservationField, entry: CoveringEntry, n_offsets: int,
+                   samples_per_unit: float) -> float:
+    """Measured certificate constant for one covering entry, on the
+    rational direction _measured_entries gave it: the entry's own, or for
+    an untagged GCC cap the one of least T within h/M of its angle, so
+    that its length-M segment stays within one sample spacing h of the
+    cap's own.
 
     Rational directions close up on the torus: the lifted function is
     periodic with period T * box along the direction and box / T across it,
     so a dense cumulative-sum window search over one closed geodesic bundle
     is exhaustive at the sample resolution. The transverse extent shrinks
     like 1/T, so the offset count is capped at three samples per grid cell
-    (never fewer than 8) to keep long directions affordable. GCC entries
-    without a rational tag are measured by the generic segment sweep at the
-    entry's angle.
+    (never fewer than 8) to keep long directions affordable.
     """
     cert = entry.certificate
-    if entry.rational is not None:
-        x_extent, t_extent, n_x, _ = _comb_lattice(field, entry.rational.T, n_offsets,
-                                                   samples_per_unit)
-        prof = comb_profile(
-            field,
-            entry.rational.direction,
-            cert.M,
-            x_extent=x_extent,
-            t_extent=t_extent,
-            n_x=n_x,
-            samples_per_unit=samples_per_unit,
-            periodic_t=True,
-        )
-        if cert.kind == "gcc":
-            return float(prof.values.min())
-        return relative_density_1d(prof, cert.L)
-    if cert.kind != "gcc":
-        raise ValueError("comb certificates require a rational direction")
-    return gcc_constant(
-        field,
-        cert.M,
-        angles=np.array([entry.angle]),
-        anchor_grid_size=8,
-        n_samples=int(max(256, 16 * cert.M)),
-    )
+    x_extent, t_extent, n_x, _ = _comb_lattice(field, entry.rational.T, n_offsets,
+                                               samples_per_unit)
+    prof = comb_profile(field, entry.rational.direction, cert.M, x_extent=x_extent,
+                        t_extent=t_extent, n_x=n_x, samples_per_unit=samples_per_unit,
+                        periodic_t=True)
+    if cert.kind == "gcc":
+        return float(prof.values.min())
+    return relative_density_1d(prof, cert.L)
+
+
+def _simplest_fraction(lo: float, hi: float) -> tuple[int, int]:
+    """(p, q): the fraction p/q in [lo, hi], 0 <= lo <= hi, of least q,
+    which also has the least p. Continued fractions of the two endpoints,
+    in exact integer arithmetic, until an integer falls in the interval."""
+    a, b = lo.as_integer_ratio()
+    c, d = hi.as_integer_ratio()
+    h0, k0, h1, k1 = 0, 1, 1, 0  # the last two convergents
+    while True:
+        f = a // b
+        if f * b == a or (f + 1) * d <= c:  # lo is an integer, or one lies in (lo, hi]
+            t = f if f * b == a else f + 1
+            return t * h1 + h0, t * k1 + k0
+        h0, k0, h1, k1 = h1, k1, f * h1 + h0, f * k1 + k0
+        a, b, c, d = d, c - f * d, b, a - f * b  # [1/(hi - f), 1/(lo - f)]
+
+
+def _nearest_rational(angle: float, tol: float) -> RationalDirection:
+    """The primitive direction (p, q) of least T whose angle lies within
+    tol of angle: in the octant 0 <= y <= x, where the lattice's signed
+    permutations fold the angle, the simplest slope in the tolerance
+    interval (an axis when it reaches 0, the diagonal when it reaches
+    pi/4), unfolded. So it commutes with every signed permutation, and
+    _orbit_key merges mapped directions as the maps merge the angles.
+    """
+    x, y = math.cos(angle), math.sin(angle)
+    r = math.atan2(min(abs(x), abs(y)), max(abs(x), abs(y)))
+    lo = 0.0 if r <= tol else math.tan(r - tol)
+    hi = 1.0 if r + tol >= math.pi / 4.0 else math.tan(r + tol)  # tan(pi/4) < 1 in floats
+    return _unfold(x, y, *_simplest_fraction(lo, hi))
+
+
+def _measured_entries(field: ObservationField, cov: EffectiveCovering) -> list:
+    """The covering's entries, each tagged with the rational direction it
+    is measured on: its own, or the one _nearest_rational finds within
+    h / M of its angle."""
+    return [e if e.rational is not None
+            else dataclasses.replace(e, rational=_nearest_rational(e.angle, field.h / e.M))
+            for e in cov.entries]
 
 
 def _comb_lattice(field, T: float, n_offsets: int, samples_per_unit: float):
@@ -628,12 +653,13 @@ def comb_gcc_certify(
     lambda_list = list(lambda_list)
     if not lambda_list:
         raise ValueError("lambda_list must be non-empty")
-    if n_offsets < 1 or not samples_per_unit > 0:
-        raise ValueError(f"need n_offsets >= 1 and samples_per_unit > 0, "
-                         f"got {n_offsets} and {samples_per_unit}")
+    if not isinstance(n_offsets, numbers.Integral) or n_offsets < 1:
+        raise ValueError(f"n_offsets must be a positive integer, got {n_offsets!r}")
+    _positive("samples_per_unit", samples_per_unit)
     build = default_covering_builder(field, rho, gamma)
     coverings = [build(lam) for lam in lambda_list]  # refuse any lam before measuring
-    lengths = {e.rational.T for cov in coverings for e in cov.entries if e.rational is not None}
+    scans = [_measured_entries(field, cov) for cov in coverings]
+    lengths = {e.rational.T for entries in scans for e in entries}
     for T in sorted(lengths):
         *_, n_x, n_t = _comb_lattice(field, T, n_offsets, samples_per_unit)
         if n_x * n_t > MAX_PROFILE_SAMPLES:
@@ -646,20 +672,14 @@ def comb_gcc_certify(
     cache: dict = {}
     per_lambda = []
     all_pass = True
-    for lam, cov in zip(lambda_list, coverings):
+    for lam, cov, entries in zip(lambda_list, coverings, scans):
         ver = verify_covering(cov)
-        order = sorted(
-            range(len(cov.entries)),
-            key=lambda i: (
-                cov.entries[i].rational.T if cov.entries[i].rational else math.inf,
-                cov.entries[i].angle,
-            ),
-        )
-        keys = [_orbit_key(cov.entries[i], maps) for i in order]
+        order = sorted(range(len(entries)), key=lambda i: (entries[i].rational.T, entries[i].angle))
+        keys = [_orbit_key(entries[i], maps) for i in order]
         pending = {}
         for i, key in zip(order, keys):
             if key not in cache:
-                pending.setdefault(key, cov.entries[i])
+                pending.setdefault(key, entries[i])
         records = []
         lam_pass = ver.ok
         stopped = False
@@ -667,26 +687,16 @@ def comb_gcc_certify(
         with contextlib.closing(_measurements(field, list(pending.values()), n_offsets,
                                               samples_per_unit)) as measurements:
             for i, key in zip(order, keys):
-                e = cov.entries[i]
+                e = entries[i]
                 if key not in cache:
                     cache[key] = next(measurements)
                 measured = cache[key]
-                ok = measured > e.certificate.eta_floor
-                records.append(
-                    {
-                        "angle": e.angle,
-                        "p": e.rational.p if e.rational else None,
-                        "q": e.rational.q if e.rational else None,
-                        "T": e.rational.T if e.rational else None,
-                        "kind": e.certificate.kind,
-                        "M": e.certificate.M,
-                        "L": e.certificate.L,
-                        "eps": e.eps,
-                        "floor": e.certificate.eta_floor,
-                        "measured": measured,
-                        "pass": bool(ok),
-                    }
-                )
+                cert = e.certificate
+                ok = measured > cert.eta_floor
+                records.append({"angle": e.angle, "p": e.rational.p, "q": e.rational.q,
+                                "T": e.rational.T, "kind": cert.kind, "M": cert.M, "L": cert.L,
+                                "eps": e.eps, "floor": cert.eta_floor, "measured": measured,
+                                "pass": bool(ok)})
                 if not ok:
                     lam_pass = False
                     if fail_fast:
@@ -736,17 +746,9 @@ def _orbit_maps(symmetry) -> list[tuple[int, int, int, int]]:
 
 
 def _orbit_key(entry: CoveringEntry, maps) -> tuple:
-    """Cache key shared by every entry whose direction lies in one orbit of
-    maps and whose certificate is the same: the largest image of (p, q)
-    for rational directions, the least image of the angle mod pi
-    (rounded to 12 digits) otherwise. A signed permutation with
-    determinant det sends angle t to det * t, plus pi/2 when it swaps the
-    axes, modulo pi. With reversal alone these are the +-(p, q) and
-    angle-mod-pi keys."""
+    """Cache key shared by every entry whose rational direction lies in
+    one orbit of maps and whose certificate is the same: the largest image
+    of (p, q). With reversal alone this is the +-(p, q) key."""
     cert = entry.certificate
-    if entry.rational is not None:
-        p, q = entry.rational.p, entry.rational.q
-        return (cert.kind, *max((a * p + b * q, c * p + d * q) for a, b, c, d in maps), cert.M, cert.L)
-    images = (((math.pi / 2.0 if a == 0 else 0.0) + (a * d - b * c) * entry.angle) % math.pi
-              for a, b, c, d in maps)
-    return (cert.kind, min(round(t, 12) for t in images), cert.M, cert.L)
+    p, q = entry.rational.p, entry.rational.q
+    return (cert.kind, *max((a * p + b * q, c * p + d * q) for a, b, c, d in maps), cert.M, cert.L)

@@ -21,8 +21,7 @@ unaligned searches, but only the re-measured anchors of a correlated
 window; the FFT's time is geometry's own.
 
 Bad sizes and lengths (non-positive, NaN or infinite lengths, too-small
-grids and sample counts, an empty angle list) raise ValueError naming the
-argument.
+grids and sample counts) raise ValueError naming the argument.
 
 Conventions: a Direction wraps an angle on the circle; the transverse unit
 vector used by comb profiles is perp(theta) = (sin, -cos) rotated so that
@@ -288,36 +287,25 @@ def gcc_constant(
     direction_grid_size: int = 64,
     anchor_grid_size: int = 12,
     n_samples: int | None = None,
-    angles: np.ndarray | None = None,
 ) -> float:
     """Estimated infimum of length-L segment averages.
 
-    Directions come from a uniform grid on the circle (or the explicit
-    `angles` override), anchors from a uniform grid over the admissible
-    anchor box, and the grid minimizer is polished by coordinate descent.
-    With an explicit `angles` list the descent moves anchors only, so the
-    result stays an infimum over the requested directions; with the grid
-    it also polishes the angle. The result is an upper bound for the true
-    infimum. Grids must have at least 8 points each unless `angles` is
-    supplied. On a truncated field, directions whose segment cannot fit
+    Directions come from a uniform grid on the circle, anchors from a
+    uniform grid over the admissible anchor box, and the grid minimizer
+    (direction and anchor) is polished by coordinate descent. The result
+    is an upper bound for the true infimum. Grids must have at least 8
+    points each. On a truncated field, directions whose segment cannot fit
     inside the box are skipped, and ValueError is raised if none fits.
     """
     _positive("L", L)
-    if angles is None:
-        _at_least("direction_grid_size", direction_grid_size, 8)
-        _at_least("anchor_grid_size", anchor_grid_size, 8)
-    else:
-        _at_least("anchor_grid_size", anchor_grid_size, 1)
-        if np.size(angles) == 0:
-            raise ValueError("angles must be non-empty")
+    _at_least("direction_grid_size", direction_grid_size, 8)
+    _at_least("anchor_grid_size", anchor_grid_size, 8)
     if n_samples is None:
         n_samples = _auto_samples(field, L)
     _at_least("n_samples", n_samples, 2)
 
     if field.dim == 1:
         angle_list = np.array([0.0])
-    elif angles is not None:
-        angle_list = np.atleast_1d(np.asarray(angles, dtype=np.float64))
     else:
         angle_list = 2.0 * math.pi * np.arange(direction_grid_size) / direction_grid_size
 
@@ -328,12 +316,11 @@ def gcc_constant(
         return _segment_body(dvec, L, n_samples), np.array([np.zeros(field.dim), L * dvec])
 
     value, *_ = _infimum(field, [segment], angle_list, anchor_grid_size,
-                         math.pi / max(len(angle_list), 8),
-                         move_angle=field.dim == 2 and angles is None)
+                         math.pi / max(len(angle_list), 8))
     return float(value)
 
 
-def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
+def _infimum(field, shapes, angles, anchor_grid_size, ang_step):
     """Least window mean over (shape, angle, anchor), by grid and descent.
 
     shapes[j](angle) returns (body, corners): the window's sample offsets
@@ -345,7 +332,7 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
     mean comes from _grid_min, which may rank the anchors by correlation
     but returns the bits of measuring them all) is polished by eight
     rounds of coordinate descent. Each round tries angle -+ ang_step
-    (when move_angle), then anchor -+ z_step along each axis, keeps any
+    (on a 2d field), then anchor -+ z_step along each axis, keeps any
     strict improvement, and halves both steps; on truncated fields each
     probe first moves its anchor into the admissible box. Returns (value,
     shape index, angle, anchor).
@@ -382,7 +369,7 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step, move_angle):
 
     z_step = field.period / (2.0 * anchor_grid_size)
     for _ in range(8):
-        if move_angle:
+        if field.dim == 2:
             for cand in (ang - ang_step, ang + ang_step):
                 cwin = window(shapes[j], cand)
                 if cwin is not None:
@@ -453,8 +440,7 @@ def rectangle_density_inf(
         return shape
 
     value, j, ang, z = _infimum(field, [rectangle(lam) for lam in lambda_list], angle_list,
-                                anchor_grid_size, math.pi / max(len(angle_list), 8) / 2.0,
-                                move_angle=field.dim == 2)
+                                anchor_grid_size, math.pi / max(len(angle_list), 8) / 2.0)
     return float(value), RectangleSpec(Direction(ang), tuple(z), L, lambda_list[j], beta)
 
 

@@ -114,6 +114,62 @@ def test_farey_directions_census():
     assert keys == sorted(keys)
 
 
+def _gap(a, b):
+    """Distance between two angles on the circle."""
+    return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+# the 8 signed permutations (a, b, c, d): (x, y) -> (a x + b y, c x + d y)
+SIGNED_PERMUTATIONS = [(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)] + \
+                      [(0, sx, sy, 0) for sx in (1, -1) for sy in (1, -1)]
+# tol >= 0.005 keeps every answer at T <= 100 sqrt(2): a slope interval
+# of width 2 tol holds a fraction of denominator <= 1 / (2 tol)
+FAREY = covering.farey_directions(150.0)
+FAREY_T = np.array([d.T for d in FAREY])
+FAREY_ANGLE = np.array([d.angle for d in FAREY])
+SMALL = covering.farey_directions(5.0)
+
+
+@st.composite
+def _angles(draw):
+    """Exact axes and diagonals, random angles, and angles just outside
+    tol of a small-T direction."""
+    k = draw(st.integers(0, 3))
+    return draw(st.one_of(
+        st.just(k * math.pi / 2.0),
+        st.just(math.pi / 4.0 + k * math.pi / 2.0),
+        st.floats(0.0, 2.0 * math.pi),
+        st.tuples(st.sampled_from(SMALL), st.sampled_from([-1.0, 1.0]),
+                  st.floats(1e-6, 0.5)).map(lambda t: ("outside", *t)),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_angles(), tol=st.floats(0.005, 0.3))
+def test_nearest_rational_is_the_least_T_within_tol(spec, tol):
+    """The result is primitive and within tol of the angle, no primitive
+    direction of smaller T is, and mapping commutes with the lattice's
+    signed permutations."""
+    if isinstance(spec, tuple):
+        _, near, side, excess = spec
+        angle = near.angle + side * tol * (1.0 + excess)
+    else:
+        angle = spec
+    gaps = np.abs((FAREY_ANGLE - angle + math.pi) % (2.0 * math.pi) - math.pi)
+    # a direction within rounding of the tolerance's edge may go either way
+    assume(np.all(np.abs(gaps - tol) > 1e-9 * tol))
+    r = covering._nearest_rational(angle, tol)
+    assert math.gcd(abs(r.p), abs(r.q)) == 1
+    assert _gap(r.angle, angle) <= tol
+    assert r.T <= 100.0 * math.sqrt(2.0) + 1e-9
+    assert np.all(gaps[FAREY_T < r.T - 1e-9] > tol)
+    x, y = math.cos(angle), math.sin(angle)
+    for a, b, c, d in SIGNED_PERMUTATIONS:
+        image = math.atan2(c * x + d * y, a * x + b * y)
+        assert covering._nearest_rational(image, tol) == \
+            covering.RationalDirection(a * r.p + b * r.q, c * r.p + d * r.q)
+
+
 def test_periodic_covering_census():
     cov = covering.periodic_effective_covering(0.3, 1.0, 160000.0)
     ver = covering.verify_covering(cov)
@@ -350,21 +406,39 @@ def test_certify_measures_each_symmetry_orbit_once(monkeypatch):
 
 def test_certify_without_symmetry_measures_each_direction_pair(monkeypatch):
     """Interval unions with no mirror symmetry and E != F leave only
-    direction reversal: one measurement per +-(p, q) or angle mod pi."""
+    direction reversal: one measurement per +-(p, q)."""
     calls = _counting_measurements(monkeypatch)
     f = fields.make_field("product", dim=2, period=1.0, grid=100,
                           intervals_x="0:0.3,0.4:0.8", intervals_y="0:0.35,0.5:0.9")
     rep = covering.comb_gcc_certify(f, 1.9, [200.0], n_offsets=8, samples_per_unit=8.0)
     assert rep.symmetry == []
-    keys = set()
-    for e in rep.per_lambda[0]["entries"]:
-        if e["p"] is not None:
-            key = max((e["p"], e["q"]), (-e["p"], -e["q"]))
-        else:
-            key = round(e["angle"] % math.pi, 12)
-        keys.add((e["kind"], key, e["M"], e["L"]))
+    keys = {(e["kind"], *max((e["p"], e["q"]), (-e["p"], -e["q"])), e["M"], e["L"])
+            for e in rep.per_lambda[0]["entries"]}
     assert len(calls) == len(keys)
     assert 2 * len(keys) == rep.per_lambda[0]["n_entries"]
+
+
+def test_certify_measures_product_caps_on_rational_directions(monkeypatch):
+    """Every product record names the rational direction it was measured
+    on, within h/M of a GCC cap's angle (an axis comb's own), and one
+    measurement is taken per orbit of those directions under the square
+    group, which the symmetric product set has."""
+    calls = _counting_measurements(monkeypatch)
+    f = fields.make_field("product", dim=2, period=1.0, grid=100,
+                          intervals_x="0:0.6", intervals_y="0:0.6")
+    rep = covering.comb_gcc_certify(f, 1.9, [200.0, 800.0], n_offsets=8, samples_per_unit=8.0)
+    assert [g["kind"] for g in rep.symmetry] == ["transpose", "flip", "flip"]
+    orbits = set()
+    for pl in rep.per_lambda:
+        assert pl["n_measured"] == pl["n_entries"]
+        for e in pl["entries"]:
+            assert e["T"] == math.hypot(e["p"], e["q"])
+            assert math.gcd(abs(e["p"]), abs(e["q"])) == 1
+            tol = f.h / e["M"] if e["kind"] == "gcc" else 0.0
+            assert _gap(math.atan2(e["q"], e["p"]), e["angle"]) <= tol * (1.0 + 1e-9) + 1e-15
+            orbits.add((e["kind"], *sorted((abs(e["p"]), abs(e["q"]))), e["M"], e["L"]))
+    assert sum(pl["n_measurements"] for pl in rep.per_lambda) == len(orbits) == len(calls)
+    assert any(e["kind"] == "gcc" and e["T"] > 1 for e in rep.per_lambda[0]["entries"])
 
 
 @contextlib.contextmanager
@@ -442,13 +516,16 @@ def test_certify_pool_worker_failure_reaches_the_caller(monkeypatch, measure, er
 
 
 @pytest.mark.parametrize("kwargs", [dict(lambda_list=[]), dict(n_offsets=0),
-                                    dict(samples_per_unit=0.0), dict(rho=0.0)])
+                                    dict(samples_per_unit=0.0), dict(rho=0.0),
+                                    dict(samples_per_unit=math.inf), dict(n_offsets=2.5)])
 def test_certify_rejects_empty_or_degenerate_inputs(kwargs):
     """An empty sweep would pass with nothing measured; zero counts and
-    scales would divide by zero."""
+    scales would divide by zero, an infinite scale too (inside
+    comb_samples), and a fractional offset count is no count. Each error
+    names its argument."""
     f = fields.make_field("constant", dim=2, period=1.0, grid=16, value=1.0)
     args = {"rho": 2.0, "lambda_list": [10000.0], **kwargs}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{next(iter(kwargs))} must"):
         covering.comb_gcc_certify(f, **args)
 
 
@@ -493,8 +570,10 @@ def test_certify_refuses_a_comb_profile_over_the_sample_cap(monkeypatch):
 
 def test_certify_comb_profiles_stay_far_under_the_sample_cap():
     """The largest comb profile that criterion 9 or the benchmark's certify
-    workload measures, the half-strip comb's at 8 samples per unit, holds
-    81,904 samples: under a hundredth of MAX_PROFILE_SAMPLES."""
+    workload measures is that of criterion 9's product field at rho = 0.5:
+    a GCC cap mapped to a direction of T = 6788 (h / M = 1e-5 leaves
+    little room) at 32 samples per unit, 8 x 217,212 = 1,737,696 samples,
+    about a sixth of MAX_PROFILE_SAMPLES."""
     product = fields.make_field("product", dim=2, period=1.0, grid=500,
                                 intervals_x="0:0.6", intervals_y="0:0.6")
     square = fields.make_field("periodic-square", dim=2, period=1.0, grid=200, delta=0.3)
@@ -505,9 +584,9 @@ def test_certify_comb_profiles_stay_far_under_the_sample_cap():
     largest = 0
     for f, rho, lams, n_offsets, samples_per_unit in runs:
         build = covering.default_covering_builder(f, rho)
-        for T in {e.rational.T for lam in lams for e in build(lam).entries
-                  if e.rational is not None}:
+        for T in {e.rational.T for lam in lams
+                  for e in covering._measured_entries(f, build(lam))}:
             *_, n_x, n_t = covering._comb_lattice(f, T, n_offsets, samples_per_unit)
             largest = max(largest, n_x * n_t)
-    assert largest == 81904
-    assert 100 * largest < covering.MAX_PROFILE_SAMPLES
+    assert largest == 1737696
+    assert 5 * largest < covering.MAX_PROFILE_SAMPLES

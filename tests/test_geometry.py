@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from obslab import fields, geometry
+from obslab import covering, fields, geometry
 
 
 def test_direction_basics():
@@ -124,22 +124,29 @@ def test_gcc_constant_validation():
         geometry.gcc_constant(f, 1.0, direction_grid_size=4, anchor_grid_size=4)
 
 
+def _gcc_entry_measure(f, angle, M, n_offsets, samples_per_unit):
+    """What certify measures for a GCC cap of length M at angle: the
+    closed-geodesic window minimum on the rational direction that
+    covering._nearest_rational maps the angle to."""
+    rat = covering._nearest_rational(angle, f.h / M)
+    entry = covering.CoveringEntry(angle, 0.1, covering.Certificate("gcc", M, 0.0), rat)
+    return covering._measure_entry(f, entry, n_offsets, samples_per_unit)
+
+
 def test_gcc_constant_product_band_angle():
-    """An explicit angle list pins the direction; refinement may move the
-    anchor but must not wander off to the axis where the constant is 0."""
+    """A length-192 segment in the band between the axes, measured on the
+    rational direction within h/M of 0.125733, sees about a third of the
+    product set; it does not fall to the axis, where the constant is 0."""
     f = fields.make_field("product", dim=2, period=1.0, grid=500,
                           intervals_x="0:0.6", intervals_y="0:0.6")
-    val = geometry.gcc_constant(f, 192.0, anchor_grid_size=8, n_samples=3072,
-                                angles=[0.125733])
-    assert val == pytest.approx(0.34766679968264497, abs=1e-6)
+    val = _gcc_entry_measure(f, 0.125733, 192.0, 32, 32.0)
+    assert val == pytest.approx(0.35728356596602895, abs=1e-6)
 
 
 def test_gcc_constant_product_axis_is_zero():
     f = fields.make_field("product", dim=2, period=1.0, grid=100,
                           intervals_x="0:0.6", intervals_y="0:0.6")
-    val = geometry.gcc_constant(f, 10.0, anchor_grid_size=8, n_samples=256,
-                                angles=[0.0])
-    assert val == 0.0
+    assert _gcc_entry_measure(f, 0.0, 10.0, 8, 32.0) == 0.0
 
 
 def test_comb_profile_periodic_square_axis():
@@ -408,9 +415,6 @@ _RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.
     (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.nan, [1.0]), "L"),
     (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.inf, [1.0]), "L"),
     (lambda: geometry.rectangle_density(_FIELD_2D, _RECT, n_samples=0), "n_samples"),
-    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, angles=[]), "angles"),
-    (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, angles=[0.1], anchor_grid_size=0),
-     "anchor_grid_size"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, n_samples=1), "n_samples"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, direction_grid_size=4), "direction_grid_size"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, anchor_grid_size=4), "anchor_grid_size"),

@@ -64,6 +64,11 @@ CLI_RUNS = {
     "cover": ["cover", "--field-family", "periodic-square", "--field-dim", "2",
               "--field-grid", "200", "--field-period", "1", "--field-delta", "0.3",
               "--rho", "0.5", "--lam", "2560000", "--out", "."],
+    # the product family's covering: GCC caps on an angular grid
+    "cover product": ["cover", "--field-family", "product", "--field-dim", "2",
+                      "--field-grid", "500", "--field-period", "1",
+                      "--intervals-x", "0:0.6", "--intervals-y", "0:0.6",
+                      "--rho", "1", "--lam", "1024", "--out", "."],
     "list-families": ["list-families"],
     "observe --miller": ["observe", *SQUARE_1D, "--field-grid", "256", "--beta", "0.5",
                          "--cutoff", "24", "--T-list", "1.0 2.0 4.0",
