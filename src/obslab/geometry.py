@@ -20,8 +20,8 @@ therefore see every point of descent probes, comb profiles, truncated and
 unaligned searches, but only the re-measured anchors of a correlated
 window; the FFT's time is geometry's own.
 
-Bad sizes and lengths (non-positive, NaN or infinite lengths, too-small
-grids and sample counts) raise ValueError naming the argument.
+Bad arguments (lengths that are not positive and finite, counts that are
+too small or not integers, non-finite angles) raise ValueError naming them.
 
 Conventions: a Direction wraps an angle on the circle; the transverse unit
 vector used by comb profiles is perp(theta) = (sin, -cos) rotated so that
@@ -34,6 +34,7 @@ keeps its window inside the box instead of wrapping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,6 +54,8 @@ class Direction:
     angle: float
 
     def __post_init__(self):
+        if not math.isfinite(float(self.angle)):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
 
     @property
@@ -124,9 +127,9 @@ def _positive(name, value) -> None:
 
 
 def _at_least(name, value, least) -> None:
-    """ValueError naming the count unless value >= least."""
-    if not value >= least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    """ValueError naming the count unless it is an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _auto_samples(field: ObservationField, length: float) -> int:
@@ -388,13 +391,6 @@ def _infimum(field, shapes, angles, anchor_grid_size, ang_step):
     return value, j, ang, z
 
 
-def rectangle_density(field: ObservationField, rect: RectangleSpec, n_samples: int = 1024) -> float:
-    """Average of the field over one rectangle, by midpoint grid."""
-    _at_least("n_samples", n_samples, 2)
-    body = _rect_body(rect.theta, rect.side_s, rect.side_t, n_samples, field.dim)
-    return float(_window_means(field, np.asarray(rect.anchor, dtype=np.float64)[:, None], body)[0])
-
-
 def rectangle_density_inf(
     field: ObservationField,
     beta: float,
@@ -404,9 +400,10 @@ def rectangle_density_inf(
     anchor_grid_size: int = 10,
     n_samples: int = 1024,
 ) -> tuple[float, RectangleSpec]:
-    """Sweep of rectangle_density over lam in lambda_list, rotations, and
-    anchors, polished by coordinate descent; returns the minimum and its
-    argmin rectangle.
+    """Least mean over the n_samples-point midpoint lattice (_rect_body) of
+    a rectangle, swept over lam in lambda_list, rotations, and anchors and
+    polished by coordinate descent; returns the minimum and its argmin
+    rectangle, whose lattice mean (_window_means) is the minimum's bits.
 
     Ties break to the first grid point visited, i.e. the lexicographically
     smallest (lam index, direction index, anchor index). On a truncated
@@ -444,6 +441,9 @@ def rectangle_density_inf(
     return float(value), RectangleSpec(Direction(ang), tuple(z), L, lambda_list[j], beta)
 
 
+_PROFILE_BLOCK = 32768  # points per evaluate call of comb_profile (fits in cache)
+
+
 def comb_profile(
     field: ObservationField,
     theta: Direction,
@@ -463,6 +463,10 @@ def comb_profile(
     resolution). When periodic_t is true the window slides around the torus;
     callers pass the direction's closing period as t_extent in that case.
     Defaults probe one fundamental domain in both coordinates.
+
+    Blocks of whole rows (about _PROFILE_BLOCK samples, or one longer row)
+    go to evaluate as coordinate arrays x*perp + t*theta, in pieces of at
+    most _PROFILE_BLOCK, and to their window minima, one block at a time.
     """
     _positive("M", M)
     _at_least("n_x", n_x, 1)
@@ -486,9 +490,15 @@ def comb_profile(
     n_w = int(max(1, round(M / h_t)))
 
     xs = (np.arange(n_x) + 0.5) * (x_extent / n_x)
-    ts = (np.arange(n_t) + 0.5) * h_t
-    pts = xs[:, None, None] * theta.perp[None, None, :] + ts[None, :, None] * theta.vector[None, None, :]
-    values = _window_min(evaluate(field, pts), n_w, periodic_t)
+    tx, ty = ((np.arange(n_t) + 0.5) * h_t) * theta.vector[:, None]
+    px, py = theta.perp
+    values = np.empty(n_x)
+    rows, cols = max(1, _PROFILE_BLOCK // n_t), min(n_t, _PROFILE_BLOCK)
+    for a in range(0, n_x, rows):
+        x, block = xs[a:a + rows, None], np.empty((min(rows, n_x - a), n_t))
+        for b in range(0, n_t, cols):
+            block[:, b:b + cols] = evaluate(field, (x * px + tx[b:b + cols], x * py + ty[b:b + cols]))
+        values[a:a + rows] = _window_min(block, n_w, periodic_t)
     return CombProfile(
         theta=theta,
         M=M,
@@ -526,7 +536,8 @@ def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
 
     Periodic samples wrap: they are tiled so that every start in one period
     has n_w samples ahead of it, even when n_w exceeds the extent. Other
-    samples admit only windows that fit inside them.
+    samples admit only windows that fit inside them. The least window sum
+    is divided once: s / n_w rounds monotonically in s, so the bits agree.
     """
     values = np.asarray(values, dtype=np.float64)
     if periodic:
@@ -535,5 +546,5 @@ def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
     elif n_w > values.shape[-1]:
         raise ValueError("window longer than the sampled range")
     c = np.cumsum(values, axis=-1)
-    c = np.concatenate([np.zeros(c.shape[:-1] + (1,)), c], axis=-1)
-    return ((c[..., n_w:] - c[..., :-n_w]) / n_w).min(axis=-1)
+    rest = (c[..., n_w:] - c[..., :-n_w]).min(axis=-1, initial=np.inf)
+    return np.minimum(c[..., n_w - 1], rest) / n_w

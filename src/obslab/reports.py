@@ -3,7 +3,9 @@
 Written artifacts are byte-reproducible: JSON keys are sorted, floats are
 written as repr'd Python floats, and no report object carries a timing,
 so rerunning an experiment with the same config and seed reproduces the
-bytes exactly.
+bytes exactly. write_json writes the bytes of json.dumps(sort_keys=True,
+indent=2), which runs in pure Python, but each container of scalars is one call
+of the C encoder, its item separator holding the newline and indent of its depth.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +51,25 @@ def report_envelope(kind: str, config: dict, payload: dict) -> dict:
 
 
 def write_json(path, payload) -> None:
-    """Write payload, converted once by to_jsonable, as sorted-key JSON."""
-    text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
+    """Write payload, converted once by to_jsonable (keys all str), as sorted-key JSON."""
+    encoders = []  # encoders[d]: the C encoder of the items of a depth-d container
+
+    def encode(obj, depth):
+        if depth == len(encoders):
+            pad = ",\n" + "  " * (depth + 1)
+            encoders.append(json.JSONEncoder(sort_keys=True, separators=(pad, ": ")).encode)
+        if not isinstance(obj, (dict, list)) or not obj:
+            return encoders[depth](obj)
+        pad, brackets = "\n" + "  " * (depth + 1), "{}" if isinstance(obj, dict) else "[]"
+        if not any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat((dict, list)))):
+            body = encoders[depth](obj)[1:-1]
+        elif isinstance(obj, dict):
+            body = ("," + pad).join(encoders[depth](k) + ": " + encode(obj[k], depth + 1) for k in sorted(obj))
+        else:
+            body = ("," + pad).join(encode(v, depth + 1) for v in obj)
+        return brackets[0] + pad + body + pad[:-2] + brackets[1]
+
+    Path(path).write_text(encode(to_jsonable(payload), 0) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

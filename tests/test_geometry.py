@@ -68,16 +68,25 @@ def test_line_average_e_beta_axes_vanish():
     assert geometry.line_average(f, along_y, 4096) == 0.0
 
 
+def _rectangle_density(field, rect, n_samples=1024):
+    """Average of the field over one rectangle by its midpoint lattice:
+    the points and the mean through which rectangle_density_inf measures
+    it."""
+    body = geometry._rect_body(rect.theta, rect.side_s, rect.side_t, n_samples, field.dim)
+    return float(geometry._window_means(field, np.asarray(rect.anchor, dtype=np.float64)[:, None],
+                                        body)[0])
+
+
 def test_rectangle_density_constant_field():
     f = fields.make_field("constant", dim=2, period=1.0, grid=32, value=1.0)
     rect = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 2.0, 4.0, 0.5)
-    assert geometry.rectangle_density(f, rect, n_samples=256) == pytest.approx(1.0, abs=1e-14)
+    assert _rectangle_density(f, rect, n_samples=256) == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_rectangle_density_reproduces_the_reported_infimum(data):
-    """The sweep, the descent probe and rectangle_density sample a
+    """The sweep, the descent probe and _rectangle_density sample a
     rectangle through the same points, so the reported argmin re-measures
     to the reported value bit for bit."""
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
@@ -91,7 +100,7 @@ def test_rectangle_density_reproduces_the_reported_infimum(data):
     n = data.draw(st.integers(8, 96), label="n_samples")
     val, spec = geometry.rectangle_density_inf(f, beta, L, lams, direction_grid_size=4,
                                                anchor_grid_size=3, n_samples=n)
-    assert geometry.rectangle_density(f, spec, n) == val
+    assert _rectangle_density(f, spec, n) == val
 
 
 def test_gcc_constant_constant_field():
@@ -192,6 +201,88 @@ def test_window_min_matches_brute_force(data):
                                rtol=0, atol=1e-12)
 
 
+def _zeros_column_window_min(values, n_w, periodic):
+    """Reference window minimum: cumulative sums behind a zeros column,
+    every mean divided out, then the minimum."""
+    values = np.asarray(values, dtype=np.float64)
+    if periodic:
+        reps, tail = divmod(n_w - 1, values.shape[-1])
+        values = np.concatenate([values] * (1 + reps) + [values[..., :tail]], axis=-1)
+    c = np.cumsum(values, axis=-1)
+    c = np.concatenate([np.zeros(c.shape[:-1] + (1,)), c], axis=-1)
+    return ((c[..., n_w:] - c[..., :-n_w]) / n_w).min(axis=-1)
+
+
+def _point_array_comb_values(field, theta, M, x_extent, t_extent, n_x, samples_per_unit,
+                             periodic_t):
+    """Reference comb_profile values: the whole (n_x, n_t, 2) point array
+    through evaluate at once, then the reference window minimum."""
+    n_t = geometry.comb_samples(t_extent, samples_per_unit)
+    h_t = t_extent / n_t
+    n_w = int(max(1, round(M / h_t)))
+    xs = (np.arange(n_x) + 0.5) * (x_extent / n_x)
+    ts = (np.arange(n_t) + 0.5) * h_t
+    pts = (xs[:, None, None] * theta.perp[None, None, :]
+           + ts[None, :, None] * theta.vector[None, None, :])
+    return _zeros_column_window_min(fields.evaluate(field, pts), n_w, periodic_t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_min_keeps_the_bits_of_the_zeros_column_form(data):
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=ndim - 1, max_size=ndim - 1),
+                      label="batch") + [data.draw(st.integers(1, 16), label="n")]
+    vals = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)), label="vals")
+    periodic = data.draw(st.booleans(), label="periodic")
+    n_w = data.draw(st.integers(1, 3 * shape[-1] + 1 if periodic else shape[-1]), label="n_w")
+    assert np.array_equal(geometry._window_min(vals, n_w, periodic),
+                          _zeros_column_window_min(vals, n_w, periodic))
+
+
+_SQUARE = fields.make_field("periodic-square", dim=2, period=1.0, grid=32, delta=0.3)
+_RANDOM = fields.make_field("custom-grid", dim=2, period=2.0, grid=16,
+                            values=np.random.default_rng(3).random((16, 16)))
+_STRIP = fields.make_field("half-strip-comb", dim=2, period=2.0, grid=64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_streamed_comb_profile_keeps_the_bits_of_the_point_array_form(data):
+    """Rows streamed through evaluate in blocks give the values of the
+    whole point array: many blocks or one, a last block short of rows,
+    rows longer than a block, windows longer than the extent (several
+    tilings, or exactly one), a single offset, and truncated fields."""
+    field = data.draw(st.sampled_from([_SQUARE, _RANDOM, _STRIP]), label="field")
+    periodic_t = field is not _STRIP or data.draw(st.booleans(), label="periodic_t")
+    theta = geometry.Direction(data.draw(st.floats(0.0, 2.0 * math.pi), label="angle"))
+    n_x = data.draw(st.integers(1, 24), label="n_x")
+    x_extent = data.draw(st.floats(0.05, 3.0), label="x_extent")
+    t_extent = data.draw(st.floats(0.1, 4.0), label="t_extent")
+    samples_per_unit = data.draw(st.floats(2.0, 40.0), label="samples_per_unit")
+    n_t = geometry.comb_samples(t_extent, samples_per_unit)
+    n_w = data.draw(st.one_of(st.sampled_from([1, n_t, n_t + 1, 2 * n_t, 3 * n_t + 2]),
+                              st.integers(1, 3 * n_t)) if periodic_t
+                    else st.integers(1, n_t), label="n_w")
+    M = n_w * (t_extent / n_t)
+    block = data.draw(st.integers(1, 3 * n_t), label="block")
+    want = _point_array_comb_values(field, theta, M, x_extent, t_extent, n_x, samples_per_unit,
+                                    periodic_t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_PROFILE_BLOCK", block)
+        prof = geometry.comb_profile(field, theta, M, x_extent=x_extent, t_extent=t_extent,
+                                     n_x=n_x, samples_per_unit=samples_per_unit,
+                                     periodic_t=periodic_t)
+    assert prof.meta["n_window"] == n_w
+    assert np.array_equal(prof.values, want)
+
+
+def test_comb_profile_takes_numpy_integer_counts():
+    args = (_SQUARE, geometry.Direction(0.4), 0.5)
+    assert np.array_equal(geometry.comb_profile(*args, n_x=np.int64(5)).values,
+                          geometry.comb_profile(*args, n_x=5).values)
+
+
 def test_relative_density_window_longer_than_periodic_profile():
     assert geometry.relative_density_1d(_hand_profile(np.ones(4)), 3.0) == 1.0
     vals = np.array([1.0, 0.0, 0.0, 0.0])
@@ -218,7 +309,7 @@ def test_rectangle_search_keeps_truncated_anchors_inside_the_box():
     corners = np.asarray(spec.anchor) + np.array([[0.0, 0.0], across, along, across + along])
     assert corners.min() >= f.origin - 1e-12
     assert corners.max() <= f.origin + f.period + 1e-12
-    assert geometry.rectangle_density(f, spec, 128) == val
+    assert _rectangle_density(f, spec, 128) == val
 
 
 def _point_array_window_means(field, anchor_axes, body):
@@ -403,7 +494,6 @@ def test_correlated_ranking_returns_the_bits_of_the_evaluate_search(monkeypatch)
 
 _FIELD_2D = fields.make_field("periodic-square", dim=2, period=1.0, grid=32, delta=0.5)
 _PROFILE = geometry.CombProfile(geometry.Direction(0.0), 0.5, np.ones(8), 0.125)
-_RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.5)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -414,7 +504,8 @@ _RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.
     (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, 0.5, [1.0], n_samples=0), "n_samples"),
     (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.nan, [1.0]), "L"),
     (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, math.inf, [1.0]), "L"),
-    (lambda: geometry.rectangle_density(_FIELD_2D, _RECT, n_samples=0), "n_samples"),
+    (lambda: geometry.rectangle_density_inf(_FIELD_2D, 0.5, 0.5, [1.0], n_samples=2.5),
+     "n_samples"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, n_samples=1), "n_samples"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, direction_grid_size=4), "direction_grid_size"),
     (lambda: geometry.gcc_constant(_FIELD_2D, 0.5, anchor_grid_size=4), "anchor_grid_size"),
@@ -426,6 +517,14 @@ _RECT = geometry.RectangleSpec(geometry.Direction(0.3), (0.1, 0.2), 0.5, 2.0, 0.
     (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), math.nan), "M"),
     (lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, x_extent=0.0),
      "x_extent"),
+    pytest.param(lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, n_x=2.5),
+                 "n_x", id="n_x-float"),
+    pytest.param(lambda: geometry.comb_profile(_FIELD_2D, geometry.Direction(0.0), 0.5, n_x=True),
+                 "n_x", id="n_x-bool"),
+    pytest.param(lambda: geometry.gcc_constant(_FIELD_2D, 0.5, anchor_grid_size=8.0),
+                 "anchor_grid_size", id="anchor_grid_size-float"),
+    pytest.param(lambda: geometry.Direction(math.nan), "angle", id="angle-nan"),
+    pytest.param(lambda: geometry.Direction(-math.inf), "angle", id="angle-inf"),
     (lambda: geometry.relative_density_1d(_PROFILE, math.nan), "L"),
     (lambda: geometry.relative_density_1d(_PROFILE, 0.0), "L"),
     (lambda: geometry.line_average(_FIELD_2D, geometry.LineSegment((0.0, 0.0),
