@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ObservationField, SizeError
-from .spectral import (DENSE_LATTICE_LIMIT, LANCZOS_TOL, SHIFT_EPS, _coefficient_table,
+from .spectral import (DENSE_RANK_LIMIT, LANCZOS_TOL, SHIFT_EPS, _coefficient_table,
                        _lowest_pair, _mask_blocks, _negated_positions, _real_form, build_mask)
 # bound here only so that bench/spans.py can wrap it; no solver calls it
 from .spectral import compression_matrix  # noqa: F401
@@ -110,7 +110,7 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     Composite trapezoid in time on max(nyquist_nodes, 33) nodes with
     weights summing to T, so a field identically 1 gives lam_min = T
     exactly. Every argument is checked, and masks of rank above
-    DENSE_LATTICE_LIMIT are rejected, before any form is assembled. The
+    DENSE_RANK_LIMIT are rejected, before any form is assembled. The
     real form of C_a on each block (spectral._real_form) is built once for
     the sweep; at each T it is multiplied by the centred time kernel and
     solved by spectral._lowest_pair at sigma = -SHIFT_EPS T max(a)
@@ -132,12 +132,12 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     n_nodes = [max(nyquist_nodes(beta, T, cutoff_K), 33) for T in T_list]
     mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
     r, n = mask.rank, max(n_nodes)
-    if r > DENSE_LATTICE_LIMIT:
+    if r > DENSE_RANK_LIMIT:
         raise ValueError(
             f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
             f" {8 * (3 * r * r + 1.5 * r * n) / 1e9:.1f} GB to solve a rank x rank block on {n}"
             f" time nodes (its real form of C_a, its Gramian, a Cholesky copy and three"
-            f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_LATTICE_LIMIT}")
+            f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_RANK_LIMIT}")
     if 8 * n * (3 * r + 2) > MAX_TIME_TABLE_BYTES:
         raise SizeError("T_list", (
             f"T = {max(T_list):g} needs {n} trapezoid nodes, whose time tables take up to"

@@ -27,6 +27,8 @@ _GRID_MAGIC = b"OGRD"
 _GRID_VERSION = 1
 # points per evaluate block, so that a block's temporaries stay in cache
 _EVAL_BLOCK = 8192
+# samples a field may hold, grid ** dim, checked before any is built
+MAX_FIELD_SAMPLES = 2 ** 24
 # families that sample a non-periodic set on a finite box centered at 0
 TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
 
@@ -244,7 +246,8 @@ def make_field(
     Omitted family parameters take their catalog defaults, and the family
     record names every parameter used. origin may be a float, the string
     "centered" (box centered at 0), or None, which picks "centered" for
-    the TRUNCATED_FAMILIES and 0.0 otherwise.
+    the TRUNCATED_FAMILIES and 0.0 otherwise. A grid of more than
+    MAX_FIELD_SAMPLES samples raises SizeError before any is built.
     """
     if family not in _FAMILIES:
         raise ValueError(
@@ -255,6 +258,11 @@ def make_field(
         raise ValueError(f"family {family!r} supports dim in {info['dims']}, got {dim}")
     if not 0 < period < np.inf or grid < 2:
         raise ValueError(f"need a finite period > 0 and grid >= 2, got period={period}, grid={grid}")
+    n_samples = int(grid) ** dim
+    if n_samples > MAX_FIELD_SAMPLES:
+        raise SizeError("field_grid", (
+            f"a {dim}d grid of {grid} per axis has {n_samples} samples, {8 * n_samples / 1e9:.3g}"
+            f" GB per float64 array; the limit is {MAX_FIELD_SAMPLES} samples"))
     if origin is None:
         origin = "centered" if family in TRUNCATED_FAMILIES else 0.0
     if origin == "centered":

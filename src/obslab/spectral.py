@@ -28,9 +28,10 @@ kernel modes (_kernel_basis), and Z = s(q B V) with V their
 eigenvectors. The top eigenpair of W is found by Lanczos with full
 reorthogonalization (_top_lanczos), which needs no N x N array.
 
-The uncertainty compression is solved over the blocks of _mask_blocks
-(two transpose blocks on a transpose-invariant field and mask, else one
-identity block), matrix-free above DENSE_RANK_LIMIT (_iterative_pair).
+The uncertainty compression is solved densely over the blocks of
+_mask_blocks (two transpose blocks on a transpose-invariant field and
+mask, else one identity block); a block of order above DENSE_RANK_LIMIT
+is refused before any form is built.
 
 Every field is real, so conjugation J, J e_k = e_-k (k mod grid),
 commutes with Pi M_w Pi. On a mask closed under k -> -k (a ball, an
@@ -39,12 +40,12 @@ each block of _mask_blocks to itself, and as J is antiunitary with
 J^2 = 1 the block is a real symmetric matrix on a J-invariant basis of
 cosine and sine pairs (_real_form, built from one rectangular
 _pair_form; Dyson, J. Math. Phys. 3, 1962). _real_lift maps its
-eigenvectors back to the mask. Dense blocks of such masks are solved in
-that real form; those of any other mask (sectors, off-centre
-rectangles) as a complex Hermitian _pair_form. The Gramian blocks of
-evolution are the same real forms times a real time kernel.
+eigenvectors back to the mask. Blocks of such masks are solved in that
+real form; those of any other mask (sectors, off-centre rectangles) as
+a complex Hermitian _pair_form. The Gramian blocks of evolution are the
+same real forms times a real time kernel.
 
-Every dense block, real or complex, uncertainty or Gramian, goes to
+Every block, real or complex, uncertainty or Gramian, goes to
 _lowest_pair, which solves each in its own arithmetic. Its caller
 bounds the form by 0 <= G <= g (g = max w, or T max a for the Gramian)
 and passes sigma = -SHIFT_EPS g, so G - sigma I is positive definite:
@@ -54,14 +55,14 @@ inverse, lam = sigma + 1/mu. Orders up to DENSE_EIGH_LIMIT and the zero
 form (sigma = 0) go to eigh. The two agree to 1e-13 relative on the
 benchmark's blocks.
 
-One Lanczos loop, _top_lanczos, serves the resolvent, the dense
-shift-invert blocks and the matrix-free blocks (_iterative_pair). It
-keeps every basis vector and reorthogonalizes against all of them, so
-it needs no restart, and it stops at the block order at the latest,
-where the Krylov space is exhausted and the top Ritz value is exact: a
-bottom cluster as narrow as roundoff cannot stall it.
+One Lanczos loop, _top_lanczos, serves the resolvent and the
+shift-invert blocks. It keeps every basis vector and reorthogonalizes
+against all of them, so it needs no restart, and it stops at the block
+order at the latest, where the Krylov space is exhausted and the top
+Ritz value is exact: a bottom cluster as narrow as roundoff cannot
+stall it.
 
-SciPy is imported inside the four functions that call it, at the first
+SciPy is imported inside the three functions that call it, at the first
 eigensolve, so importing obslab loads numpy alone and the commands that
 solve no eigenproblem (certify, cover, construct-demo) never load SciPy.
 """
@@ -75,7 +76,8 @@ import numpy as np
 
 from .fields import ObservationField, lattice_symmetries
 
-DENSE_RANK_LIMIT = 2000
+# the largest order of a dense uncertainty block, and the largest Gramian rank
+DENSE_RANK_LIMIT = 8192
 # block orders up to this go to eigh, which is as fast there (measured
 # crossover 130-230 on smooth fields, 2 cores, OpenBLAS)
 DENSE_EIGH_LIMIT = 160
@@ -304,27 +306,6 @@ def _lowest_pair(G, sigma, tol):
     return sigma + 1.0 / mu, v
 
 
-def _iterative_pair(matvec, r):
-    """Smallest eigenpair of a Hermitian r x r operator given by matvec,
-    by Lanczos on its inverse at a small negative shift, so the inner
-    conjugate-gradient solves stay well conditioned even when the operator
-    is nearly singular.
-    """
-    import scipy.sparse.linalg
-    sigma = -1e-2
-    shifted = scipy.sparse.linalg.LinearOperator(
-        (r, r), matvec=lambda x: matvec(x) - sigma * x, dtype=complex)
-
-    def solve(b):
-        x, info = scipy.sparse.linalg.cg(shifted, b, rtol=1e-12, atol=0.0, maxiter=5000)
-        if info != 0:
-            raise RuntimeError(f"inner conjugate-gradient solve failed (info = {info})")
-        return x
-
-    mu, v = _top_lanczos(solve, _gaussian_start(r, complex), r, 1e-9)
-    return sigma + 1.0 / mu, v
-
-
 def _gaussian_start(n: int, dtype) -> np.ndarray:
     """The fixed Lanczos start: n standard normal draws from seed 0, plus
     i times n more for a complex dtype. Reruns are bit-identical, and
@@ -366,43 +347,43 @@ def _mask_blocks(field: ObservationField, mask: FrequencyMask):
 def _smallest_eig(field, mask, weight):
     """Smallest eigenpair of the compression, with its matrix-free residual.
 
-    Each block of _mask_blocks is solved on its own (dense or iterative by
-    its own order) and its eigenvector lifted back to the mask; the least
-    block minimum wins, and the residual is taken on the full mask. A
-    dense block of a mask closed under k -> -k is solved as its real form
-    (_real_form), any other dense block as its complex _pair_form.
+    Each block of _mask_blocks is solved by _lowest_pair and its
+    eigenvector lifted back to the mask; the least block minimum wins,
+    and the residual is taken on the full mask by _sandwich_matvec, which
+    reads no pair form. A block of a mask closed under k -> -k is solved
+    as its real form (_real_form), any other block as its complex
+    _pair_form. A block of order above DENSE_RANK_LIMIT raises ValueError
+    before the coefficient table or any form is built.
     """
+    blocks = _mask_blocks(field, mask)
+    neg, closed = _negated_positions(mask)
+    order = max(len(b[0]) for b in blocks)
+    if order > DENSE_RANK_LIMIT:
+        # the traced peak of a dense solve, real or complex, measured at
+        # orders 2121 to 5041
+        dtype, size = ("float64", 8) if closed else ("complex128", 16)
+        raise ValueError(
+            f"the uncertainty block of order {order} needs about"
+            f" {3 * size * order * order / 1e9:.1f} GB (three {order} x {order} {dtype} arrays,"
+            f" the measured peak of its dense solve); the limit is order {DENSE_RANK_LIMIT}")
     w = _weight_values(field, weight)
-    matvec = _sandwich_matvec(field, mask, weight)
     table = _coefficient_table(w)
     idx = mask.indices()
-    neg, closed = _negated_positions(mask)
     sigma = -SHIFT_EPS * float(np.max(w))
 
     def block_smallest(i, alpha, j, beta):
-        def lift(x):
-            v = np.zeros(mask.rank, dtype=complex)
-            v[i] = alpha * x
-            v[j] += beta * x
-            return v
-
-        def block_matvec(x):
-            y = matvec(lift(x))
-            return alpha * y[i] + beta * y[j]
-
-        if len(i) > DENSE_RANK_LIMIT:
-            c, x = _iterative_pair(block_matvec, len(i))
-        elif closed:
+        if closed:
             R, *_ = _real_form(table, idx, neg, i, alpha, j, beta)
             c, x = _lowest_pair(R, sigma, LANCZOS_TOL)
             return c, _real_lift(neg, i, alpha, j, beta, x, mask.rank)
-        else:
-            c, x = _lowest_pair(_pair_form(table, idx[i], alpha, idx[j], beta), sigma,
-                                LANCZOS_TOL)
-        return c, lift(x)
+        c, x = _lowest_pair(_pair_form(table, idx[i], alpha, idx[j], beta), sigma, LANCZOS_TOL)
+        v = np.zeros(mask.rank, dtype=complex)
+        v[i] = alpha * x
+        v[j] += beta * x
+        return c, v
 
-    c, v = min((block_smallest(*b) for b in _mask_blocks(field, mask)), key=lambda pair: pair[0])
-    residual = float(np.linalg.norm(matvec(v) - c * v))
+    c, v = min((block_smallest(*b) for b in blocks), key=lambda pair: pair[0])
+    residual = float(np.linalg.norm(_sandwich_matvec(field, mask, weight)(v) - c * v))
     if residual > 1e-8:
         raise RuntimeError(f"eigensolver did not converge; residual {residual}")
     return c, v, residual

@@ -585,6 +585,30 @@ def test_field_mollify_out_of_range_names_the_flag(tmp_path, capsys, radius):
     assert "error: --field-mollify: mollify radius must lie in [0, 4 periods]" in err
 
 
+def test_uncertainty_block_over_the_cap_exits_2(tmp_path, monkeypatch, capsys):
+    """An uncertainty block above DENSE_RANK_LIMIT exits 2 before any form
+    is built, and writes no report."""
+    def unreachable(*args):
+        raise AssertionError("_pair_form called")
+
+    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", 16)
+    monkeypatch.setattr(spectral, "_pair_form", unreachable)
+    assert run(["uncertainty", *FIELD_1D, "--mask", "ball", "--radius", "8",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the uncertainty block of order 17 ")
+    assert "the limit is order 16" in err and not list(tmp_path.iterdir())
+
+
+def test_field_grid_over_the_cap_exits_2_naming_the_flag(tmp_path, capsys):
+    """--field-grid 200000 in 2d asks for 4e10 samples: it exits 2 naming
+    --field-grid, where it used to die allocating them."""
+    assert run(["cover", "--field-grid", "200000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --field-grid: a 2d grid of 200000 per axis has 40000000000")
+    assert f"the limit is {fields.MAX_FIELD_SAMPLES} samples" in err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["certify", "--lambdas", ""], "argument --lambdas: expected at least one number"),
     (["uncertainty", "--mask", "blob"], "argument --mask: 'blob' is not one of ball, annulus"),
@@ -597,6 +621,7 @@ def test_bad_flag_value_names_what_was_expected(capsys, argv, expected):
 
 
 TWO_PI = repr(2 * math.pi)
+FIELD_1D = ["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI]
 # a cheap run of each command, and its numeric flags (int-valued ones marked)
 BAD_VALUE_RUNS = {
     "certify": (["--field-grid", "16", "--rho", "2", "--lambdas", "10000",
@@ -605,11 +630,9 @@ BAD_VALUE_RUNS = {
                  "--samples-per-unit": float}),
     "cover": (["--field-grid", "16", "--rho", "1", "--lam", "160000"],
               {"--rho": float, "--lam": float, "--gamma": float}),
-    "resolvent": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
-                   "--lambdas", "20 40"],
+    "resolvent": ([*FIELD_1D, "--lambdas", "20 40"],
                   {"--gamma": float, "--lambdas": float, "--m": float, "--lam0": float}),
-    "observe": (["--field-dim", "1", "--field-grid", "32", "--field-period", TWO_PI,
-                 "--cutoff", "4", "--T-list", "0.5 1.0"],
+    "observe": ([*FIELD_1D, "--cutoff", "4", "--T-list", "0.5 1.0"],
                 {"--beta": float, "--cutoff": float, "--T-list": float,
                  "--envelope-eps": float, "--miller": float}),
 }
@@ -799,13 +822,19 @@ def test_commands_that_solve_no_eigenproblem_never_load_scipy(tmp_path):
 
 
 def test_resolvent_loads_scipy_when_it_solves(tmp_path):
-    """The same kind of fresh process runs a small resolvent: SciPy is
-    loaded at its first eigensolve."""
-    argv = ["resolvent", *BAD_VALUE_RUNS["resolvent"][0], "--out", str(tmp_path)]
+    """The same kind of fresh process runs a small resolvent, uncertainty
+    and observe: SciPy is loaded at the first eigensolve, and no
+    scipy.sparse module is."""
+    argvs = [["resolvent", *BAD_VALUE_RUNS["resolvent"][0]],
+             ["uncertainty", *FIELD_1D, "--mask", "ball", "--radius", "8"],
+             ["observe", *BAD_VALUE_RUNS["observe"][0]]]
+    argvs = [argv + ["--out", str(tmp_path)] for argv in argvs]
     done = _fresh_python(
         "import sys\nimport obslab.cli\n"
-        f"print(obslab.cli.main({argv!r}))\n" + LOADED_SCIPY, tmp_path)
+        f"print([obslab.cli.main(argv) for argv in {argvs!r}])\n" + LOADED_SCIPY, tmp_path)
     assert done.returncode == 0, done.stderr
-    *_, code, loaded = done.stdout.splitlines()
-    assert code == "0" and "'scipy.linalg'" in loaded
-    assert (tmp_path / "resolvent_report.json").exists()
+    *_, codes, loaded = done.stdout.splitlines()
+    assert codes == "[0, 0, 0]" and "'scipy.linalg'" in loaded
+    assert "scipy.sparse" not in loaded
+    for name in ("resolvent", "uncertainty", "observe"):
+        assert (tmp_path / f"{name}_report.json").exists()

@@ -42,6 +42,22 @@ def test_make_field_validates_parameters():
             fields.make_field("constant", dim=1, period=1.0, grid=16, origin=origin)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_make_field_caps_the_sample_count(monkeypatch, dim):
+    """A grid of grid ** dim > MAX_FIELD_SAMPLES raises SizeError naming
+    field_grid before any sample is built; one at the cap is sampled."""
+    monkeypatch.setattr(fields, "MAX_FIELD_SAMPLES", 4 ** dim)
+    assert fields.make_field("periodic-square", dim=dim, period=1.0, grid=4).values.size == 4 ** dim
+
+    def unreachable(*args):
+        raise AssertionError("_grid_points called")
+
+    monkeypatch.setattr(fields, "_grid_points", unreachable)
+    with pytest.raises(fields.SizeError, match=rf"has {5 ** dim} samples") as exc:
+        fields.make_field("periodic-square", dim=dim, period=1.0, grid=5)
+    assert exc.value.argument == "field_grid"
+
+
 def test_periodic_square_1d_exact_node_values():
     """delta = 0.3 on a 200-point unit grid is exactly 60 cells."""
     f = fields.make_field("periodic-square", dim=1, period=1.0, grid=200, delta=0.3)

@@ -154,16 +154,6 @@ def test_uncertainty_constant_monotone_in_mask():
     assert cs[1] >= cs[2] - 1e-12
 
 
-def test_sparse_path_matches_dense(monkeypatch):
-    f = _ps_mollified()
-    mask = spectral.build_mask(128, 1, 2.0 * math.pi, "ball", radius=16.0)
-    dense = spectral.uncertainty_constant(f, mask)
-    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", 4)
-    sparse = spectral.uncertainty_constant(f, mask)
-    assert sparse.c == pytest.approx(dense.c, abs=1e-8)
-    assert sparse.residual < 1e-8
-
-
 def test_resolvent_constant_trivial_cases():
     f = _const()
     # m = 2 makes I - m a strictly negative, so no M is needed at all
@@ -235,6 +225,46 @@ def _full_mask(field):
     return spectral.FrequencyMask(field.grid, field.dim, field.period, "ball",
                                   {"radius": math.inf},
                                   np.ones((field.grid,) * field.dim, dtype=bool))
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refused
+
+
+@pytest.mark.parametrize("make, kind, params, form", [
+    (_ps_mollified, "ball", {"radius": 16.0}, "_real_form"),
+    (_ps_mollified, "rectangle", {"zeta": 3.0, "sigma": 20.0}, "_pair_form"),
+    # two transpose blocks, each smaller than the mask
+    (_ps_2d, "ball", {"radius": 8.0}, "_real_form"),
+])
+def test_block_order_cap(monkeypatch, make, kind, params, form):
+    """A block of order DENSE_RANK_LIMIT is solved densely; with the limit
+    one below it, ValueError names the order, the limit and the memory
+    before the coefficient table or any form is built."""
+    field = make()
+    mask = spectral.build_mask(field.grid, field.dim, field.period, kind, **params)
+    order = max(len(b[0]) for b in spectral._mask_blocks(field, mask))
+    assert (order < mask.rank) == (field.dim == 2)
+    want = scipy.linalg.eigvalsh(spectral.compression_matrix(field, mask))[0]
+    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", order)
+    solved, build = [], getattr(spectral, form)
+
+    def counted(*args):
+        solved.append(form)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, form, counted)
+    rep = spectral.uncertainty_constant(field, mask)
+    assert solved and rep.c == pytest.approx(want, rel=1e-12, abs=1e-14)
+    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", order - 1)
+    for name in ("_coefficient_table", "_real_form", "_pair_form"):
+        monkeypatch.setattr(spectral, name, _refuse(name))
+    with pytest.raises(ValueError, match=rf"block of order {order} needs about [.0-9]+ GB "
+                                         rf".*the limit is order {order - 1}$"):
+        spectral.uncertainty_constant(field, mask)
 
 
 @pytest.mark.parametrize("grid, dim, radius", [(16, 1, 5.0), (15, 1, 7.0), (8, 2, 2.0),
@@ -356,16 +386,6 @@ def test_dense_resolvent_size_guard(monkeypatch):
             spectral.resolvent_constant(field, 1.5, 64.0, 0.5)
         with pytest.raises(ValueError, match="16384"):
             spectral.resolvent_sweep(field, 1.5, [64.0, 128.0], 0.5)
-
-
-def test_iterative_uncertainty_is_deterministic(monkeypatch):
-    f = _ps_mollified()
-    mask = spectral.build_mask(128, 1, 2.0 * math.pi, "ball", radius=16.0)
-    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", 4)
-    first = spectral.uncertainty_constant(f, mask)
-    second = spectral.uncertainty_constant(f, mask)
-    assert first.c == second.c
-    assert first.residual == second.residual
 
 
 def _perturbed_top_pair(monkeypatch):
@@ -503,19 +523,6 @@ def test_transpose_fold_matches_dense_uncertainty(grid, seed, weight, radius, la
         assert lanczos == [len(b[0]) for b in blocks if len(b[0]) > limit]
         assert rep.c == pytest.approx(want, rel=1e-12, abs=1e-14 * max_w)
         assert rep.residual < 1e-10
-
-
-def test_folded_iterative_uncertainty_matches_dense(monkeypatch):
-    f = _ps_2d()
-    mask = spectral.build_mask(f.grid, 2, f.period, "ball", radius=8.0)
-    blocks = spectral._mask_blocks(f, mask)
-    n_diag = int(np.count_nonzero(np.diag(mask.mask)))
-    assert [len(b[0]) for b in blocks] == [(mask.rank + n_diag) // 2, (mask.rank - n_diag) // 2]
-    dense = spectral.uncertainty_constant(f, mask)
-    monkeypatch.setattr(spectral, "DENSE_RANK_LIMIT", 40)
-    iterative = spectral.uncertainty_constant(f, mask)
-    assert iterative.c == pytest.approx(dense.c, abs=1e-8)
-    assert iterative.residual < 1e-8
 
 
 @settings(max_examples=40, deadline=None)

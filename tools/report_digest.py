@@ -59,6 +59,10 @@ from obslab import cli  # noqa: E402
 SQUARE_1D = ["--field-family", "periodic-square", "--field-dim", "1",
              "--field-period", "6.283185307179586", "--field-delta", "0.3",
              "--field-mollify", "0.05"]
+# a 2d field with no transpose symmetry
+PRODUCT_2D = ["--field-family", "product", "--field-dim", "2", "--field-grid", "64",
+              "--field-period", "6.283185307179586", "--intervals-x", "0:0.7",
+              "--intervals-y", "0.1:0.8", "--field-mollify", "0.05"]
 # the subcommands, options and solver paths that no workload operation runs
 CLI_RUNS = {
     "cover": ["cover", "--field-family", "periodic-square", "--field-dim", "2",
@@ -86,14 +90,14 @@ CLI_RUNS = {
     "uncertainty 1d ball, one Lanczos block": ["uncertainty", *SQUARE_1D, "--field-grid", "512",
                                                "--mask", "ball", "--radius", "100",
                                                "--out", "."],
-    # rank 2121 > DENSE_RANK_LIMIT and no transpose symmetry: one block,
-    # Lanczos on conjugate-gradient solves
-    "uncertainty 2d ball, iterative block": ["uncertainty", "--field-family", "product",
-                                             "--field-dim", "2", "--field-grid", "64",
-                                             "--field-period", "6.283185307179586",
-                                             "--intervals-x", "0:0.7", "--intervals-y", "0.1:0.8",
-                                             "--field-mollify", "0.05", "--mask", "ball",
-                                             "--radius", "26", "--out", "."],
+    # no transpose symmetry: one real block of order 2121, Cholesky Lanczos
+    "uncertainty 2d ball, one real block": ["uncertainty", *PRODUCT_2D, "--mask", "ball",
+                                            "--radius", "26", "--out", "."],
+    # not closed under k -> -k: one complex block of order 2116, Cholesky Lanczos
+    "uncertainty off-centre rectangle, one complex block": ["uncertainty", *PRODUCT_2D,
+                                                            "--mask", "rectangle",
+                                                            "--zetas", "-25", "--sigma", "45",
+                                                            "--out", "."],
     # few wide balls (the README example): the window search off the bench seeds
     "construct-demo README": ["construct-demo", "--W", "24", "--M", "2", "--delta", "0.1",
                               "--n-balls", "24", "--seed", "11", "--out", "."],
