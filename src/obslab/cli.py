@@ -323,6 +323,9 @@ def random_ball_system(rng: np.random.Generator, W: float, delta: float, n_balls
     """Jittered-lattice centers with spacing at least 2*delta."""
     if n_balls < 1:
         raise ValueError(f"need at least one ball, got n_balls = {n_balls}")
+    if 3.0 * W == math.inf:
+        raise fields.SizeError("W", f"the window search unrolls the balls up to 3 x W, past"
+                               f" the float64 range; the limit is W = 5.99e+307")
     pitch = W / n_balls
     if pitch < 2.0 * delta:
         raise ValueError(f"{n_balls} balls of radius {delta} cannot be disjoint on circumference {W}")
@@ -475,7 +478,7 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         where = f" (config: {args.config})" if getattr(args, "config", None) else ""
-        # a size cap names its parameter, which is the option's dest
+        # a SizeError names its parameter, which is the option's dest
         flag = f"--{exc.argument.replace('_', '-')}: " if isinstance(exc, fields.SizeError) else ""
         print(f"error: {flag}{exc}{where}", file=sys.stderr)
         return 2

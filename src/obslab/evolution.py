@@ -17,10 +17,10 @@ continuum cost.
 
 The trapezoid nodes t_n and weights are symmetric about T/2, so with
 D = diag(exp(i omega_k T/2)) the Gramian is G = D (C_a o K) D*, where
-the centred kernel K_kl = sum_n w_n cos((omega_k - omega_l)(t_n - T/2))
-is real (two real GEMMs, _centred_kernel). D is unitary and diagonal, so
-C_a o K has the spectrum of G and its eigenvectors are D* times G's;
-every solve is of C_a o K.
+the centred kernel K_kl = sum_n w_n cos(d (t_n - T/2)), d = |omega_k -
+omega_l|, is real: on n nodes of spacing h it is h sin(d T/2)/tan(d h/2),
+and T at d = 0 (_time_kernel). D is unitary and diagonal, so C_a o K has
+the spectrum of G and its eigenvectors are D* times G's.
 
 That form is solved over the blocks of spectral._mask_blocks. omega =
 |xi|^(beta+1) is invariant under the transpose k' = (k2, k1), so on a
@@ -57,10 +57,6 @@ from .spectral import (DENSE_RANK_LIMIT, LANCZOS_TOL, SHIFT_EPS, _coefficient_ta
 from .spectral import compression_matrix  # noqa: F401
 
 KAPPA_FLOOR = 1e-14
-# bytes one T's time tables may take: its trapezoid nodes and weights and
-# _centred_kernel's three (block order) x n_nodes float64 tables, the
-# block order counted as the rank
-MAX_TIME_TABLE_BYTES = 10**9
 
 
 def nyquist_nodes(beta: float, T: float, K: float) -> int:
@@ -107,42 +103,40 @@ def observability_gramian(field: ObservationField, beta: float, T: float,
 def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) -> list[GramianReport]:
     """observability_gramian across a T sweep, one report per T.
 
-    Composite trapezoid in time on max(nyquist_nodes, 33) nodes with
-    weights summing to T, so a field identically 1 gives lam_min = T
-    exactly. Every argument is checked, and masks of rank above
-    DENSE_RANK_LIMIT are rejected, before any form is assembled. The
-    real form of C_a on each block (spectral._real_form) is built once for
-    the sweep; at each T it is multiplied by the centred time kernel and
-    solved by spectral._lowest_pair at sigma = -SHIFT_EPS T max(a)
-    (module docstring). Memory peaks in that solve of a block of order
-    n: the block's real form of C_a, its Gramian and the Gramian's
-    Cholesky copy, 3 n^2 float64 (the kernel's three n/2 x n_nodes time
-    tables come and go before it). lam_min is the least block minimum and
-    the residual that block's, ||G v - lam v||. An eigenpair whose
-    residual exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T
-    max a). A T whose time tables, at most 8 n_nodes (3 r + 2) B at rank
-    r, exceed MAX_TIME_TABLE_BYTES raises SizeError naming T_list, also
-    before any form is assembled.
+    Composite trapezoid in time on max(nyquist_nodes, 33) nodes, summed
+    in closed form, so a field identically 1 gives lam_min = T exactly.
+    Every argument is checked, and masks of rank above DENSE_RANK_LIMIT
+    are rejected, before any form is assembled; a node count past the
+    float64 range raises SizeError naming cutoff or T_list. The real
+    form of C_a on each block (spectral._real_form) is built once for the
+    sweep; at each T it is multiplied by the time kernel and solved by
+    spectral._lowest_pair at sigma = -SHIFT_EPS T max(a) (module
+    docstring). Memory peaks in that solve of a block of order n: the
+    block's real form of C_a, its Gramian and the Gramian's Cholesky
+    copy, 3 n^2 float64. lam_min is the least block minimum and the
+    residual that block's, ||G v - lam v||. An eigenpair whose residual
+    exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T max a).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
     T_list = [float(T) for T in T_list]
     if any(T <= 0 for T in T_list):
         raise ValueError("T must be positive")
-    n_nodes = [max(nyquist_nodes(beta, T, cutoff_K), 33) for T in T_list]
+    with np.errstate(over="ignore", invalid="ignore"):  # nyquist_nodes' count in a float64
+        rate = 4.0 * np.float64(cutoff_K) ** (beta + 1.0)
+        count = rate * max(T_list)
+    if count == np.inf:
+        raise SizeError("cutoff" if rate == np.inf else "T_list", (
+            f"the trapezoid node count 4 K^(beta + 1) T / 2 pi at K = {cutoff_K:g}, T ="
+            f" {max(T_list):g} is past the float64 range; the limit is 4 K^(beta + 1) T = 1.8e308"))
+    # a negative cutoff selects no lattice point and is refused here
     mask = build_mask(field.grid, field.dim, field.period, "ball", radius=cutoff_K)
-    r, n = mask.rank, max(n_nodes)
+    r = mask.rank
     if r > DENSE_RANK_LIMIT:
         raise ValueError(
-            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about"
-            f" {8 * (3 * r * r + 1.5 * r * n) / 1e9:.1f} GB to solve a rank x rank block on {n}"
-            f" time nodes (its real form of C_a, its Gramian, a Cholesky copy and three"
-            f" rank/2 x n_nodes time tables, float64); the limit is rank {DENSE_RANK_LIMIT}")
-    if 8 * n * (3 * r + 2) > MAX_TIME_TABLE_BYTES:
-        raise SizeError("T_list", (
-            f"T = {max(T_list):g} needs {n} trapezoid nodes, whose time tables take up to"
-            f" {8 * n * (3 * r + 2) / 1e9:.3g} GB (nodes, weights and three tables of at most"
-            f" rank x n_nodes float64, rank {r}); the limit is {MAX_TIME_TABLE_BYTES / 1e9:g} GB"))
+            f"the Gramian at rank {r} (|xi| <= {cutoff_K}) needs about {24 * r * r / 1e9:.1f} GB"
+            f" to solve a rank x rank block (its real form of C_a, its Gramian and a Cholesky"
+            f" copy, float64); the limit is rank {DENSE_RANK_LIMIT}")
     idx = mask.indices()
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
     # a ball is closed under k -> -k
@@ -151,17 +145,12 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     forms = [_real_form(table, idx, neg, *b) for b in _mask_blocks(field, mask)]
     a_max = float(np.max(field.values))
 
-    def report(T, n):
-        # nodes t - T/2 and weights are symmetric about 0, so the kernel
-        # sum_n w_n exp(i (omega_k - omega_l) s_n) is its cosine sum
-        s = np.linspace(-0.5 * T, 0.5 * T, n)
-        w = np.full(n, T / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
+    def report(T):
+        n = max(nyquist_nodes(beta, T, cutoff_K), 33)
         sigma = -SHIFT_EPS * T * a_max
 
         def block_smallest(R, pos, expand):
-            G = _centred_kernel(omega[pos], s, w)[np.ix_(expand, expand)]
+            G = _time_kernel(omega[pos], T, n)[np.ix_(expand, expand)]
             G *= R
             lam, v = _lowest_pair(G, sigma, LANCZOS_TOL / max(1.0, T))
             residual = float(np.linalg.norm(G @ v - lam * v))
@@ -178,16 +167,20 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
             lam_min=lam_min, kappa=kappa, residual=residual, field=field.describe(),
         )
 
-    return [report(T, n) for T, n in zip(T_list, n_nodes)]
+    return [report(T) for T in T_list]
 
 
-def _centred_kernel(omega, s, w):
-    """The time kernel sum_n w_n cos((omega_k - omega_l) s_n) on nodes s
-    centred on T/2, by two real GEMMs."""
-    phase = np.outer(omega, s)
-    cos = np.cos(phase)
-    sin = np.sin(phase, out=phase)
-    return (cos * w) @ cos.T + (sin * w) @ sin.T
+def _time_kernel(omega, T, n):
+    """The n-node trapezoid sum over [0, T] of cos(d (t - T/2)) at
+    d = |omega_k - omega_l|. With h = T/(n - 1) and x = d h/2 it is the
+    Dirichlet sum less the end halves, h (sin(n x)/sin x - cos(d T/2)) =
+    h sin(d T/2)/tan x, and T at d = 0; n >= nyquist_nodes keeps x <= pi/4."""
+    d = np.abs(np.subtract.outer(omega, omega))
+    h = T / (n - 1)
+    with np.errstate(invalid="ignore"):  # 0/0 at d = 0, set below
+        K = h * np.sin(0.5 * T * d) / np.tan(0.5 * h * d)
+    K[d == 0.0] = T
+    return K
 
 
 def check_miller(M_res: float, m_res: float, eps: float) -> None:
@@ -246,11 +239,19 @@ def arb_time_shape_check(field: ObservationField, eps_decay: float, T_list, cuto
 
 
 def check_envelope_sweep(eps_decay: float, T_list) -> None:
-    """Refuse, before any Gramian, an envelope fit that no sweep could make."""
+    """Refuse, before any Gramian, an envelope fit that no sweep could make
+    (SizeError where T^(2 - 4/eps) is not two distinct positive floats)."""
     if not 0.0 < eps_decay <= 1.0:
         raise ValueError("eps_decay must lie in (0, 1]")
     if len(set(T_list)) < 2:
         raise ValueError(f"the envelope fit needs at least two distinct T, got {len(set(T_list))}")
+    if any(T <= 0 for T in T_list):
+        raise ValueError("T must be positive")
+    with np.errstate(over="ignore"):
+        x = np.asarray(T_list, dtype=np.float64) ** (2.0 - 4.0 / eps_decay)  # as fit_log_cost
+    if not (np.all(np.isfinite(x) & (x > 0.0)) and np.unique(x).size > 1):
+        raise SizeError("envelope_eps", f"the fit's abscissa T^(2 - 4/eps) spans [{x.min():g}, "
+                        f"{x.max():g}]: not two distinct positive finite floats; take a larger eps")
 
 
 def _envelope_fit(eps_decay: float, T_list, kappas, beta: float, alt_exponents=()) -> dict:

@@ -34,8 +34,8 @@ TRUNCATED_FAMILIES = ("e-beta", "half-strip-comb")
 
 
 class SizeError(ValueError):
-    """A computation over a stated size cap, refused before it allocates;
-    argument names the parameter that sets the size."""
+    """A size over a stated cap, or a number past the float64 range, refused
+    before any computation; argument names the parameter that sets it."""
 
     def __init__(self, argument: str, message: str):
         super().__init__(message)

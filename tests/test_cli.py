@@ -485,22 +485,21 @@ def test_gramian_size_guard_exit_code(tmp_path, monkeypatch, capsys):
                 "--cutoff", "60", "--T-list", "0.5"])
     assert code == 2
     err = capsys.readouterr().err
-    # the solve's peak, 8 * (3 r^2 + 1.5 r n_nodes) B at r = 11289 and
-    # n_nodes = 1147 (beta 1, T 0.5, K 60)
-    assert "rank 11289" in err and "3.2 GB" in err and "1147 time nodes" in err
+    # the solve's peak, 3 r^2 float64 at r = 11289 (beta 1, T 0.5, K 60)
+    assert "rank 11289" in err and "3.1 GB" in err and "time nodes" not in err
     assert calls == []
 
 
 @pytest.mark.parametrize("argv, flag, unreachable", [
-    (["observe", "--T-list", "1e9"], "--T-list", "_real_form"),
+    (["observe", "--T-list", "1e308"], "--T-list", "_real_form"),
     (["certify", "--samples-per-unit", "1e9"], "--samples-per-unit", "_measurements"),
 ])
 def test_oversized_sweep_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, argv, flag,
                                                  unreachable):
-    """observe --T-list 1e9 would ask for 1.6e11 trapezoid nodes and certify
-    --samples-per-unit 1e9 for 3.2e10-sample comb profiles: each exits 2
-    naming its flag, before a Gramian form is assembled or an entry is
-    measured (so before any pool worker forks)."""
+    """observe --T-list 1e308 would ask for a trapezoid node count past the
+    float64 range and certify --samples-per-unit 1e9 for 3.2e10-sample comb
+    profiles: each exits 2 naming its flag, before a Gramian form is
+    assembled or an entry is measured (so before any pool worker forks)."""
     def never(*args):
         raise AssertionError(f"{unreachable} called")
 
@@ -509,6 +508,29 @@ def test_oversized_sweep_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, 
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and "the limit is" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag, unreachable", [
+    (["observe", "--T-list", "1e308"], "--T-list", (evolution, "build_mask")),
+    (["observe", "--cutoff", "1e160"], "--cutoff", (evolution, "build_mask")),
+    (["construct-demo", "--W", "1e308"], "--W", (construct, "BallSystem")),
+])
+def test_overflowing_input_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, argv, flag,
+                                                   unreachable):
+    """A T or a cutoff whose trapezoid node count is past the float64 range,
+    and a circumference whose window search would unroll the balls past
+    it, each exit 2 naming the flag before a mask is built or a ball
+    placed, and write no report; each used to raise OverflowError."""
+    module, name = unreachable
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(module, name, never)
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "past the float64 range" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -525,6 +547,7 @@ def test_oversized_sweep_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, 
     ["observe", "--T-list", "", "--envelope-eps", "0.5"],
     ["resolvent", "--lam0", "-1"],
     ["cover", "--field-mollify", "-1"],
+    ["observe", "--cutoff", "-1", "--beta", "0.5"],  # (-1)^1.5 is complex
 ])
 def test_empty_sweeps_and_nonpositive_scales_exit_code(tmp_path, capsys, argv):
     try:
@@ -762,6 +785,22 @@ def test_envelope_with_one_distinct_time_exits_2_before_any_gramian(tmp_path, mo
     assert code == 2
     assert "at least two distinct T" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("T_list", ["0.05 0.06 0.07", "500 600"])
+def test_envelope_abscissa_past_the_float_range_exits_2_before_any_gramian(
+        tmp_path, monkeypatch, capsys, T_list):
+    """At eps 0.01 the fit's abscissa T^(2 - 4/eps) = T^-398 overflows at
+    T = 0.05 and underflows to 0 at T = 500: exit 2 naming --envelope-eps,
+    where the fit used to fail with exit 3 (SVD did not converge)."""
+    calls = []
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
+    code = run(["observe", "--beta", "0.5", "--cutoff", "8", "--T-list", T_list,
+                "--envelope-eps", "0.01", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --envelope-eps: ") and "not two distinct positive finite" in err
+    assert calls == [] and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("lambdas", ["64", "64,64"])

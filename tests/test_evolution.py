@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,58 @@ def test_gramian_constant_field_gives_T():
     assert rep.kappa == pytest.approx(1.0 / 0.7, rel=1e-10)
     assert rep.rank == 17
     assert rep.quadrature == "trapezoid"
+    # the kernel is T exactly where omega_k = omega_l, so lam_min is T exactly
+    T_list = [1e-6, 0.1, 0.7, 3.3, 20.0, 123.456]
+    assert [r.lam_min for r in evolution.cost_curve(_const(), 0.5, T_list, 8.0)] == T_list
+
+
+def _node_table_kernel(omega, T, n):
+    """The time kernel as it was summed before the closed form: trapezoid
+    nodes centred on T/2 and their weights as tables, two real GEMMs."""
+    s = np.linspace(-0.5 * T, 0.5 * T, n)
+    w = np.full(n, T / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    phase = np.outer(omega, s)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    return (cos * w) @ cos.T + (sin * w) @ sin.T
+
+
+def _node_sum_kernel(omega, T, n):
+    """sum_j w_j cos(d (t_j - T/2)) over the n trapezoid nodes t_j of [0, T],
+    d = |omega_k - omega_l|, node by node in extended precision."""
+    d = np.abs(np.subtract.outer(omega, omega))
+    T = np.longdouble(T)
+    s = np.arange(n, dtype=np.longdouble) * T / (n - 1) - T / 2
+    w = np.full(n, T / (n - 1))
+    w[0] /= 2
+    w[-1] /= 2
+    out = np.empty(d.shape)
+    for value in np.unique(d):
+        out[d == value] = float(np.sum(w * np.cos(np.longdouble(value) * s)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 6), st.floats(0.3, 2.0),
+       st.floats(-6.0, 3.0))
+@example(beta=1.0, m=6, scale=2.0, log_T=3.0)  # 91,675 nodes
+@example(beta=0.0, m=1, scale=0.3, log_T=-6.0)
+def test_time_kernel_is_the_trapezoid_node_sum(beta, m, scale, log_T):
+    """The closed-form kernel on the 1d ball |xi| <= K of a lattice of
+    spacing scale, where omega_k = omega_-k ties d = 0 off the diagonal,
+    on n = max(nyquist_nodes, 33) nodes: within 4e-15 T of the node sum in
+    extended precision and 1e-13 T of the node tables it replaces, and T
+    exactly at every tie."""
+    T, K = 10.0 ** log_T, m * scale
+    omega = np.abs(np.arange(-m, m + 1) * scale) ** (beta + 1.0)
+    n = max(evolution.nyquist_nodes(beta, T, K), 33)
+    kernel = evolution._time_kernel(omega, T, n)
+    assert np.all(np.abs(kernel - _node_sum_kernel(omega, T, n)) <= 4e-15 * T)
+    assert np.all(np.abs(kernel - _node_table_kernel(omega, T, n)) <= 1e-13 * T)
+    ties = np.subtract.outer(omega, omega) == 0.0
+    assert np.count_nonzero(ties) == 4 * m + 1 and np.all(kernel[ties] == T)
 
 
 def test_gramian_zero_field_infinite_cost():
@@ -110,6 +163,24 @@ def test_envelope_check_needs_two_distinct_times(monkeypatch, T_list):
     with pytest.raises(ValueError, match="at least two distinct T"):
         evolution.arb_time_shape_check(_const(), 0.5, T_list, 8.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("eps, T_list, message", [
+    (0.01, [0.05, 0.06, 0.07], "spans [inf, inf]"),
+    (0.01, [500.0, 600.0], "spans [0, 0]"),
+    # T^-2 is a subnormal near 1e-320, spaced 5e-4 apart: both round alike
+    (1.0, [1e160, 1.00001e160], "spans [9.99989e-321, 9.99989e-321]"),
+])
+def test_envelope_check_refuses_abscissae_past_the_float_range(monkeypatch, eps, T_list,
+                                                                message):
+    """The fit's abscissa T^(2 - 4/eps) must be a positive finite float64
+    at every T and take two distinct values, else SizeError naming
+    envelope_eps before any Gramian."""
+    calls = []
+    monkeypatch.setattr(evolution, "cost_curve", lambda *a, **k: calls.append(a))
+    with pytest.raises(fields.SizeError, match=re.escape(message)) as exc:
+        evolution.arb_time_shape_check(_const(), eps, T_list, 8.0)
+    assert exc.value.argument == "envelope_eps" and calls == []
 
 
 def test_gramian_report_to_dict():

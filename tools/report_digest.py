@@ -77,6 +77,12 @@ CLI_RUNS = {
     "observe --miller": ["observe", *SQUARE_1D, "--field-grid", "256", "--beta", "0.5",
                          "--cutoff", "24", "--T-list", "1.0 2.0 4.0",
                          "--miller", "0.01,2.0,0.1", "--out", "."],
+    # a long window: 7335 trapezoid nodes at T = 20
+    "observe long window": ["observe", *SQUARE_1D, "--field-grid", "256", "--beta", "1",
+                            "--cutoff", "24", "--T-list", "20", "--out", "."],
+    # no transpose symmetry: one real block
+    "observe 2d, one real block": ["observe", *PRODUCT_2D, "--beta", "1", "--cutoff", "12",
+                                   "--T-list", "0.25 1.0", "--out", "."],
     # rank 201 > DENSE_EIGH_LIMIT: one identity block, Cholesky Lanczos
     "observe one Lanczos block": ["observe", *SQUARE_1D, "--field-grid", "512", "--beta", "0.5",
                                   "--cutoff", "100", "--T-list", "0.5 1.0", "--out", "."],
