@@ -357,10 +357,12 @@ def cmd_construct_demo(args, field):
                 f" rho (0.8 x the least window density) is 0; take a longer --M or more balls")
         args.rho = 0.8 * wmin / M
     rho = args.rho
-    bp = construct.build_partition(Y, M).breakpoints
-    if 2.0 * M > bp[-1] - bp[0]:
-        raise ValueError(f"the density window 2 x --M = {2.0 * M} is longer than the range"
-                         f" [{bp[0]}, {bp[-1]}] the minorant samples; --M up to --W / 2 fits")
+    # the partition spans --W (up to rounding), so only a window of 2 x --M >= --W can outrun it
+    if 2.0 * M >= Y.period:
+        bp = construct.build_partition(Y, M).breakpoints
+        if 2.0 * M > bp[-1] - bp[0]:
+            raise ValueError(f"the density window 2 x --M = {2.0 * M} is longer than the range"
+                             f" [{bp[0]}, {bp[-1]}] the minorant samples; --M up to --W / 2 fits")
     sm = construct.smooth_minorant(Y, M, rho)
     pos = sm.values > 0.0  # zero samples cannot raise the maximum
     outside = float(np.max(sm.values[pos][~Y.contains(sm.x[pos])], initial=0.0))

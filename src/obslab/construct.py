@@ -104,8 +104,10 @@ class BallSystem:
         The measure is piecewise linear in t, so the minimum sits at a
         critical offset where a window edge meets a ball edge. Only offsets
         ranked (_ranked_measures) within twice its bound of the least are
-        measured by clipped-interval sums, 64 at a time, each row summed
-        like a 1-D array: the pair is that of measuring all, bit for bit.
+        measured by clipped-interval sums, 64 at a time in ascending t, each
+        row summed like a 1-D array. No clipped sum is below 0, so the
+        first block that holds a 0 ends the search: the pair is that of
+        measuring all, bit for bit.
         """
         _positive("L", L)
         if not len(self.centers):
@@ -125,7 +127,9 @@ class BallSystem:
             b = np.minimum(np.maximum(iv[:, 1], lo), hi)
             b -= np.minimum(np.maximum(iv[:, 0], lo), hi)
             vals[r0:r0 + 64] = np.sum(b, axis=1)
-        i = int(np.argmin(vals))
+            if not vals[r0:r0 + 64].all():
+                break
+        i = int(np.argmin(vals[:r0 + 64]))
         return float(vals[i] + turns * self.measure), float(keep[i])
 
 
@@ -169,33 +173,35 @@ class AlmostPeriodicPartition:
         return float(self.gaps.max())
 
 
-def _first_exterior(Y: BallSystem, y: float) -> float:
-    """inf{z >= y : z outside the open ball union}."""
-    z = y
-    for _ in range(len(Y.centers) + 2):
-        iv = Y.intervals(z - Y.period, z + Y.period)
-        inside = iv[(iv[:, 0] < z) & (z < iv[:, 1])]
-        if not len(inside):
-            return z
-        z = float(inside[0, 1])
-    return z
-
-
 def build_partition(Y: BallSystem, M: float) -> AlmostPeriodicPartition:
     """Breakpoint recursion s_k = inf{y >= s_{k-1} + M : y not in Y}.
 
     Starts at the first exterior point s0 >= 0 and runs until it passes
     s0 + period, so the breakpoints span at least one turn of the circle
-    and every gap lies in [M, M + 2*delta].
+    and every gap lies in [M, M + 2*delta]. Each step y finds by
+    bisection the first unrolled ball that ends past y and, while it holds
+    y, moves y to its end (balls may overlap by 1e-12, so that end may lie
+    in the next). A walk stops within a turn of its start, so a table of
+    the balls centred in [y0 - period, y0 + 4 period) serves every start
+    up to y0 + 2 period. Starts stay below 3 periods when M < period, and
+    there are two when M >= period, so the table is built at most twice.
     """
     if 2.0 * Y.delta > M:
         raise ValueError("need 2*delta <= M")
-    if Y.measure >= Y.period:
+    W = Y.period
+    if Y.measure >= W:
         raise ValueError("ball system covers the whole circle; no exterior point")
-    pts = [_first_exterior(Y, 0.0)]
-    end = pts[0] + Y.period
-    while pts[-1] < end:
-        pts.append(_first_exterior(Y, pts[-1] + M))
+    pts, y, reach = [], 0.0, -math.inf
+    while not pts or pts[-1] < pts[0] + W:
+        if y > reach:
+            lo, hi = Y.intervals(y - W, y + 4.0 * W).T
+            reach = y + 2.0 * W
+        k = np.searchsorted(hi, y, side="right")
+        while k < lo.size and lo[k] < y:
+            y = hi[k]
+            k = np.searchsorted(hi, y, side="right")
+        pts.append(y)
+        y = y + M
     return AlmostPeriodicPartition(np.asarray(pts))
 
 

@@ -25,8 +25,6 @@ import numpy as np
 
 _GRID_MAGIC = b"OGRD"
 _GRID_VERSION = 1
-# points per evaluate block, so that a block's temporaries stay in cache
-_EVAL_BLOCK = 8192
 # samples a field may hold, grid ** dim, checked before any is built
 MAX_FIELD_SAMPLES = 2 ** 24
 # families that sample a non-periodic set on a finite box centered at 0
@@ -287,61 +285,36 @@ def make_field(
     return ObservationField(dim, float(period), int(grid), vals, origin, fam)
 
 
-def evaluate(field: ObservationField, points) -> np.ndarray:
-    """Bilinear interpolation of the samples, periodic in every axis.
+def evaluate(field: ObservationField, axes: tuple) -> np.ndarray:
+    """Bilinear interpolation of the samples, periodic in every axis, at
+    the points whose coordinate along axis k is axes[k].
 
-    points is either an array of shape (..., dim) for dim = 2, or (...)
-    for dim = 1; or a tuple of dim per-axis coordinate arrays that
-    broadcast together, such as (x[:, None], y[None, :]) for the product
-    of x and y. The result has the batch shape (the broadcast shape for a
-    tuple), a NumPy scalar for a single point. Both forms run one kernel
-    (_bilinear) and give the same bits for the same points; the tuple form
-    works each axis's cell and weights out on that axis's own array, so a
-    product lattice costs per-axis work once per coordinate, not once per
-    point. Exact at grid nodes. Points are wrapped onto the box in
+    axes is a tuple of dim coordinate arrays that broadcast together, such
+    as (x[:, None], y[None, :]) for the product of x and y, or (x,) on a
+    1d field. The result has their broadcast shape, a NumPy scalar for
+    scalar axes. Exact at grid nodes. Points are wrapped onto the box in
     float64, which is exact while they lie within 2**52 / grid cells of it.
-    """
-    dim = field.dim
-    if isinstance(points, tuple):
-        if len(points) != dim:
-            raise ValueError(f"{dim}d field expects a tuple of {dim} coordinate arrays")
-        # 0-d axes become (1,), so that the body works on arrays only
-        axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in points]
-        out = np.empty(np.broadcast_shapes(*(a.shape for a in axes)))
-        _bilinear(field, axes, out)
-        out = out.reshape(np.broadcast_shapes(*(np.shape(a) for a in points)))
-    else:
-        pts = np.asarray(points, dtype=np.float64)
-        if dim == 2 and (pts.ndim == 0 or pts.shape[-1] != 2):
-            raise ValueError("2d field expects points of shape (..., 2)")
-        batch = pts.shape if dim == 1 else pts.shape[:-1]
-        flat = pts.reshape(-1, dim)
-        out = np.empty(len(flat))
-        # blocks of points, so that a block's temporaries stay in cache
-        for start in range(0, len(flat), _EVAL_BLOCK):
-            _bilinear(field, list(flat[start:start + _EVAL_BLOCK].T), out[start:start + _EVAL_BLOCK])
-        out = out.reshape(batch)
-    return out[()] if out.ndim == 0 else out
-
-
-def _bilinear(field: ObservationField, axes, out: np.ndarray) -> None:
-    """Write into out the interpolant at the points whose coordinate along
-    axis k is axes[k]; the axes arrays (at least 1d) broadcast to out.shape.
 
     Per axis, on that axis's own array: the offset (p - origin) / h, its
     floor (the cell), the fraction frac, the cell wrapped onto the grid and
-    1 - frac. Only the flat index, the corner reads and the weighted sum
-    run on the broadcast shape. Each cell corner is read from the wrapped
-    table shifted by the corner's flat offset and weighted per axis by frac
-    (bit 1) or 1 - frac (bit 0). Terms are multiplied and summed left to
-    right in the order of (1 - f) v[i] + f v[i+1] (1d) and
+    1 - frac, so a product lattice costs per-axis work once per
+    coordinate, not once per point. Only the flat index, the corner reads
+    and the weighted sum run on the broadcast shape. Each cell corner is
+    read from the wrapped table shifted by the corner's flat offset and
+    weighted per axis by frac (bit 1) or 1 - frac (bit 0). Terms are
+    multiplied and summed left to right in the order of
+    (1 - f) v[i] + f v[i+1] (1d) and
     v[i,j] (1-fu)(1-fw) + v[i+1,j] fu (1-fw) + v[i,j+1] (1-fu) fw + v[i+1,j+1] fu fw
     (2d), which fixes every rounding.
     """
-    n, h, origin = field.grid, field.h, field.origin
+    dim, n, h, origin = field.dim, field.grid, field.h, field.origin
+    if not isinstance(axes, tuple) or len(axes) != dim:
+        raise ValueError(f"{dim}d field expects a tuple of {dim} coordinate arrays")
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
     frac, cell, comp = [], [], []
-    for p in axes:
-        f = np.subtract(p, origin)
+    for a in axes:
+        # 0-d axes become (1,), so that the body works on arrays only
+        f = np.subtract(np.atleast_1d(np.asarray(a, dtype=np.float64)), origin)
         f /= h
         c = np.floor(f)
         f -= c
@@ -353,8 +326,9 @@ def _bilinear(field: ObservationField, axes, out: np.ndarray) -> None:
         cell.append(c)
         comp.append(np.subtract(1.0, f))
     table = field._wrapped
+    out = np.empty(np.broadcast_shapes(*(c.shape for c in cell)))
     v = np.empty(out.shape)
-    if field.dim == 1:
+    if dim == 1:
         corners = [(table, (0,)), (table[1:], (1,))]
         flat = cell[0]
     else:
@@ -371,6 +345,8 @@ def _bilinear(field: ObservationField, axes, out: np.ndarray) -> None:
             vt *= frac[axis] if bit else comp[axis]
         if k:
             out += vt
+    out = out.reshape(shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def lattice_symmetries(field: ObservationField) -> list[dict]:

@@ -545,7 +545,8 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
     no restarts. It stops when the top Ritz residual |beta_j y_j| is at
     most tol * max(1, |theta|), or after cap steps (the order of the
     operator's range, where the Krylov space is exhausted and theta is
-    exact)."""
+    exact). A step whose image of the unit vector v, or its norm, is past
+    the float64 range raises RuntimeError."""
     import scipy.linalg
     # np.empty commits only the rows that are written
     basis = np.empty((cap, start.size), dtype=start.dtype)
@@ -553,10 +554,14 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
     v = start / np.linalg.norm(start)
     for j in range(cap):
         basis[j] = v
-        w = matvec(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = matvec(v)
+            size = np.linalg.norm(w)
+        if not math.isfinite(size):
+            raise RuntimeError(f"Lanczos step {j + 1} maps a unit vector to norm {size},"
+                               f" past the float64 range")
         alpha.append(float(np.vdot(v, w).real))
         seen = basis[:j + 1]
-        size = np.linalg.norm(w)
         w -= seen.T @ (seen.conj() @ w)
         # classical Gram-Schmidt twice is enough, unless the first pass left
         # only roundoff: the Krylov space is exhausted, what is left of w is

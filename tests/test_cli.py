@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,21 @@ def test_linalg_error_exit_code(tmp_path, monkeypatch, capsys):
         assert f"numerical failure: {solver} failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["1e160", "1e200"])
+def test_resolvent_overflow_is_a_numerical_failure(tmp_path, m):
+    """An m whose Lanczos step overflows float64 exits 3 as a numerical
+    failure, in a fresh process so that stderr holds every warning: no
+    warning or traceback, and no report. It used to exit 2 on SciPy's
+    refusal of an inf, after an overflow warning from numpy."""
+    argv = ["resolvent", "--m", m, "--out", str(tmp_path)]
+    done = _fresh_python(f"import sys, obslab.cli\nsys.exit(obslab.cli.main({argv!r}))",
+                         tmp_path)
+    assert done.returncode == 3
+    assert done.stderr.startswith("numerical failure: Lanczos step 1 maps a unit vector to norm")
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "resolvent_report.json").exists()
+
+
 @pytest.mark.parametrize("family, key, value", [("periodic-square", "delta", 0.5),
                                                 ("product", "intervals_x", "0:0.6")])
 def test_cover_uses_family_defaults(tmp_path, family, key, value):
@@ -587,6 +603,34 @@ def test_construct_demo_refuses_a_window_longer_than_the_samples(tmp_path, capsy
     err = capsys.readouterr().err
     assert f"the density window 2 x --M = {2 * float(M)} is longer than the range" in err
     assert not (tmp_path / "construct_report.json").exists()
+
+
+def test_construct_demo_walks_no_partition_on_a_long_circle(tmp_path, capsys, monkeypatch):
+    """On a circle of circumference 1e9 the density window of 2 x --M
+    cannot outrun the partition, so the CLI walks none of its 1e9
+    breakpoints, and smooth_minorant refuses the sparse balls first."""
+    def unreachable(*args):
+        raise AssertionError("build_partition called")
+
+    monkeypatch.setattr(construct, "build_partition", unreachable)
+    assert run(["construct-demo", "--W", "1e9", "--rho", "0.1", "--n-balls", "2",
+                "--out", str(tmp_path)]) == 2
+    assert "is not (M, rho) relatively dense" in capsys.readouterr().err
+    assert not (tmp_path / "construct_report.json").exists()
+
+
+def test_construct_demo_refuses_many_empty_windows_quickly(tmp_path, capsys):
+    """20000 balls of radius 0.01 on a circle of 1e5 leave thousands of
+    empty windows of length 1, all tied at the least measure 0: the window
+    search stops at the first, and the run is refused in a fraction of a
+    second (23 s on 2 cores when every tie was measured against every
+    ball; the bound leaves room for a loaded machine)."""
+    start = time.perf_counter()
+    assert run(["construct-demo", "--W", "1e5", "--n-balls", "20000", "--M", "1",
+                "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert re.search(r"the window \[[-+e.0-9]+, [-+e.0-9]+\] of length --M 1.0 holds no ball",
+                     capsys.readouterr().err)
 
 
 def test_construct_demo_refuses_too_many_samples(tmp_path, capsys):

@@ -87,25 +87,38 @@ def _window_measures_loop(Y, L):
                            for t in map(float, crit)]), turns * Y.measure
 
 
+def _layout(layout, n, pitch, delta, seed):
+    """A ball system of n balls: jittered on a lattice of the pitch, on the
+    exact lattice (many equal measures), in one cluster of centre spacing
+    exactly 2 delta (touching) or 2 delta - 0.9e-12 (overlapping, within
+    the 1e-12 that BallSystem admits, 0.1e-12 spare for the rounding of
+    the centres), each cluster leaving a stretch of empty windows, or
+    sparse (one ball a pitch on a circle of 50 n pitches, mostly empty
+    windows)."""
+    if layout == "jittered":
+        return _random_system(np.random.default_rng(seed), n * pitch, delta, n)
+    if layout == "lattice":
+        return construct.BallSystem(pitch * np.arange(n), delta, n * pitch)
+    if layout in ("touching", "overlapping"):
+        spacing = 2.0 * delta - (0.9e-12 if layout == "overlapping" else 0.0)
+        return construct.BallSystem(spacing * np.arange(n), delta, (n + 1) * pitch)
+    return construct.BallSystem(pitch * np.arange(n), delta, 50.0 * n * pitch)
+
+
+_LAYOUTS = st.sampled_from(["jittered", "lattice", "touching", "overlapping", "sparse"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 120), pitch=st.floats(0.05, 3.0), delta_frac=st.floats(0.02, 0.5),
-       l_frac=st.floats(0.1, 40.0), seed=st.integers(0, 2 ** 32 - 1),
-       layout=st.sampled_from(["jittered", "lattice", "touching"]))
+       l_frac=st.floats(0.1, 40.0), seed=st.integers(0, 2 ** 32 - 1), layout=_LAYOUTS)
 def test_window_measures_chunks_match_the_scalar_loop(n, pitch, delta_frac, l_frac, seed, layout):
-    """The ranked search returns, bit for bit, the first least of the
-    clipped sums of one window at a time, on ball systems with more and
-    fewer critical offsets than one chunk: jittered, on an exact lattice
-    (many equal measures), and touching (gaps within 1e-12 of 2 delta) in
-    one cluster, which leaves a stretch of zero-measure windows."""
-    delta = delta_frac * pitch
-    if layout == "jittered":
-        Y = _random_system(np.random.default_rng(seed), n * pitch, delta, n)
-    elif layout == "lattice":
-        Y = construct.BallSystem(pitch * np.arange(n), delta, n * pitch)
-    else:
-        # 0.1e-12 spare for the rounding of the centers
-        Y = construct.BallSystem((2.0 * delta - 0.9e-12) * np.arange(n), delta, (n + 1) * pitch)
-    L = l_frac * delta
+    """The ranked search, which stops at the first chunk that holds an
+    empty window, returns bit for bit the first least of the clipped sums
+    of every critical offset, one window at a time, on the layouts of
+    _layout, with more and fewer critical offsets than one chunk, and
+    windows longer than the circle when n is small."""
+    Y = _layout(layout, n, pitch, delta_frac * pitch, seed)
+    L = l_frac * Y.delta
     crit, vals, turns = _window_measures_loop(Y, L)
     i = int(np.argmin(vals))
     assert Y.window_min_measure(L) == (float(vals[i] + turns), float(crit[i]))
@@ -167,6 +180,44 @@ def test_build_partition_gap_bounds(n, pitch, delta_frac, m_frac, seed):
     d = np.abs(np.mod(bp[:, None], Y.period) - Y.centers[None, :])
     assert np.all(np.minimum(d, Y.period - d) >= delta - 1e-9)
     assert bp[-2] < bp[0] + Y.period <= bp[-1]
+
+
+def _first_exterior(Y, y):
+    """inf{z >= y : z outside the open ball union}, with the balls within a
+    turn of z unrolled anew at each step, as build_partition once did."""
+    z = y
+    for _ in range(len(Y.centers) + 2):
+        iv = Y.intervals(z - Y.period, z + Y.period)
+        inside = iv[(iv[:, 0] < z) & (z < iv[:, 1])]
+        if not len(inside):
+            return z
+        z = float(inside[0, 1])
+    return z
+
+
+def _first_exterior_partition(Y, M):
+    pts = [_first_exterior(Y, 0.0)]
+    end = pts[0] + Y.period
+    while pts[-1] < end:
+        pts.append(_first_exterior(Y, pts[-1] + M))
+    return np.asarray(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), pitch=st.floats(0.05, 3.0), delta_frac=st.floats(0.02, 0.49),
+       m_turns=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1), layout=_LAYOUTS)
+def test_build_partition_matches_the_first_exterior_walk(n, pitch, delta_frac, m_turns, seed,
+                                                         layout):
+    """The bisection walk gives the breakpoints of stepping each from a
+    table unrolled anew, bit for bit: M from 2 delta (at
+    least 1/500 of the circle, which bounds the cost of the old walk) to
+    six times it, so that the second walk may start past the first
+    table, on the layouts of _layout."""
+    delta = delta_frac * pitch
+    Y = _layout(layout, n, pitch, delta, seed)
+    M = max(2.0 * delta, Y.period / 500.0, m_turns * Y.period)
+    want = _first_exterior_partition(Y, M)
+    assert np.array_equal(construct.build_partition(Y, M).breakpoints, want)
 
 
 def test_build_partition_validation():

@@ -104,7 +104,7 @@ def test_evaluate_bilinear_midpoints():
     vals = np.array([0.0, 1.0, 0.5, 0.25])
     f = fields.make_field("custom-grid", dim=1, period=4.0, grid=4, values=vals)
     mids = np.array([0.5, 1.5, 2.5, 3.5])
-    got = fields.evaluate(f, mids)
+    got = fields.evaluate(f, (mids,))
     expected = np.array([0.5, 0.75, 0.375, 0.125])
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -128,8 +128,8 @@ def test_evaluate_exact_at_nodes_and_periodic(data):
                           origin=origin, values=vals)
     shift = f.period * data.draw(st.integers(-2, 2), label="periods")
     ax = origin + h * np.arange(grid) + shift
-    pts = ax if dim == 1 else np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-    assert np.array_equal(fields.evaluate(f, pts), f.values)
+    axes = (ax,) if dim == 1 else (ax[:, None], ax[None, :])
+    assert np.array_equal(fields.evaluate(f, axes), f.values)
 
 
 def _reference_evaluate(field, points):
@@ -168,9 +168,9 @@ def _reference_evaluate(field, points):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_evaluate_matches_the_integer_index_reference(data):
-    """Float wrapping, the wrapped table and blocking change no bit: random
-    grids (odd ones too), boxes, far points, nodes and nodes +- 1 ulp, in
-    batches that cross several block boundaries."""
+    """Float wrapping and the wrapped table change no bit: random grids
+    (odd ones too), boxes, far points, nodes and nodes +- 1 ulp, in batches
+    up to three times the 8192 points of the blocks evaluate once had."""
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
     grid = data.draw(st.integers(2, 600), label="grid")
     period = data.draw(st.floats(0.01, 100.0), label="period")
@@ -178,7 +178,7 @@ def test_evaluate_matches_the_integer_index_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
                           values=rng.random((grid,) * dim))
-    count = data.draw(st.integers(0, 3 * fields._EVAL_BLOCK + 100), label="points")
+    count = data.draw(st.integers(0, 3 * 8192 + 100), label="points")
     periods = 10.0 ** data.draw(st.floats(0.0, 5.0), label="log10 periods out")
     shape = (count,) if dim == 1 else (count, 2)
     kind = data.draw(st.sampled_from(["uniform", "nodes", "nodes+-ulp"]), label="kind")
@@ -191,16 +191,17 @@ def test_evaluate_matches_the_integer_index_reference(data):
         pts = origin + f.h * cells
         if kind == "nodes+-ulp":
             pts = np.nextafter(pts, rng.choice([-np.inf, np.inf], shape))
-    assert np.array_equal(fields.evaluate(f, pts), _reference_evaluate(f, pts))
+    axes = (pts,) if dim == 1 else tuple(np.moveaxis(pts, -1, 0))
+    assert np.array_equal(fields.evaluate(f, axes), _reference_evaluate(f, pts))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_per_axis_form_matches_the_point_array(data):
-    """A tuple of per-axis coordinate arrays gives the bits of the same
-    points stacked into one (..., dim) array: random grids, periodic and
-    truncated-style origins, far points, nodes and nodes +- 1 ulp,
-    single-element axes and broadcast batches above one block."""
+def test_per_axis_form_matches_the_integer_index_reference(data):
+    """Coordinate arrays of random shapes that broadcast together give the
+    bits of the reference at their broadcast points: random grids,
+    periodic and truncated-style origins, far points, nodes and nodes +- 1
+    ulp, 0-d and empty axes, and batches above 8192 points."""
     dim = data.draw(st.sampled_from([1, 2]), label="dim")
     grid = data.draw(st.integers(2, 600), label="grid")
     period = data.draw(st.floats(0.01, 100.0), label="period")
@@ -209,10 +210,13 @@ def test_per_axis_form_matches_the_point_array(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f = fields.make_field("custom-grid", dim=dim, period=period, grid=grid, origin=origin,
                           values=rng.random((grid,) * dim))
-    # anchors along each axis times a shared body axis: (n_0, ..., k)
-    big = data.draw(st.booleans(), label="above one block")
-    k = data.draw(st.integers(1, 2 * fields._EVAL_BLOCK if big else 64), label="k")
-    lead = [data.draw(st.integers(1, 3 if big else 12), label=f"n_{i}") for i in range(dim)]
+    # a batch shape of up to 3 axes, each axis array keeping a random subset
+    # of its trailing axes (sizes 1, the 0-d array when it keeps none)
+    big = data.draw(st.booleans(), label="above 8192 points")
+    batch = data.draw(st.lists(st.integers(0 if not big else 1, 3 if big else 12),
+                               min_size=0, max_size=3), label="batch")
+    if big:
+        batch.append(data.draw(st.integers(8193, 2 * 8192), label="k"))
     periods = 10.0 ** data.draw(st.floats(0.0, 5.0), label="log10 periods out")
     kind = data.draw(st.sampled_from(["uniform", "nodes", "nodes+-ulp"]), label="kind")
 
@@ -220,41 +224,54 @@ def test_per_axis_form_matches_the_point_array(data):
         if kind == "uniform":
             return origin + period * rng.uniform(-periods, periods, shape)
         cells = rng.integers(-int(periods * grid), int(periods * grid) + 1, shape)
-        cells[..., ::2] = grid * (cells[..., ::2] // grid)
+        if cells.ndim:
+            cells[..., ::2] = grid * (cells[..., ::2] // grid)
         c = origin + f.h * cells
         return np.nextafter(c, rng.choice([-np.inf, np.inf], shape)) if kind == "nodes+-ulp" else c
 
-    axes = tuple(coords([n if j == i else 1 for j, n in enumerate(lead)] + [1]) + coords(k)
-                 for i in range(dim))
+    axes = []
+    for i in range(dim):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch)),
+                         label=f"axes kept by axis {i}")
+        if big:
+            keep[-1] = True  # the long axis, so that the batch stays above 8192 points
+        shape = [n if kept else 1 for n, kept in zip(batch, keep)]
+        # leading size-1 axes may be dropped, which broadcasting restores
+        drop = data.draw(st.integers(0, len(shape)), label=f"leading axes dropped by axis {i}")
+        while drop and shape and shape[0] == 1:
+            shape.pop(0)
+            drop -= 1
+        axes.append(coords(tuple(shape)))
+    axes = tuple(axes)
     got = fields.evaluate(f, axes)
     pts = np.stack(np.broadcast_arrays(*axes), axis=-1)
-    want = fields.evaluate(f, pts if dim == 2 else pts[..., 0])
-    assert got.shape == tuple(lead) + (k,)
+    want = _reference_evaluate(f, pts if dim == 2 else pts[..., 0])
+    assert np.shape(got) == np.broadcast_shapes(*(a.shape for a in axes))
     assert np.array_equal(got, want)
+    if np.ndim(got) == 0:
+        assert type(got) is np.float64
 
 
 def test_evaluate_output_contract():
     f1 = fields.make_field("custom-grid", dim=1, period=1.0, grid=4,
                            values=[0.0, 1.0, 0.5, 0.25])
     f2 = fields.make_field("periodic-square", dim=2, period=1.0, grid=8, delta=0.5)
-    assert fields.evaluate(f1, []).shape == (0,)
-    assert fields.evaluate(f2, np.zeros((0, 3, 2))).shape == (0, 3)
-    single = fields.evaluate(f1, 0.125)
+    # broadcast shape, a scalar for scalar axes
+    assert fields.evaluate(f1, ([],)).shape == (0,)
+    single = fields.evaluate(f1, (0.125,))
     assert type(single) is np.float64 and single == 0.5
-    assert type(fields.evaluate(f2, [0.1, 0.2])) is np.float64
-    assert fields.evaluate(f1, [[0.125, 0.25], [0.375, 0.5]]).shape == (2, 2)
-    assert np.array_equal(fields.evaluate(f2, [[0.125, 0.25], [0.625, 0.25]]), [1.0, 0.0])
-    for bad in (np.zeros((4, 3)), 0.5):
-        with pytest.raises(ValueError, match="points of shape"):
-            fields.evaluate(f2, bad)
-    # the per-axis form: broadcast shape, a scalar for scalar axes
     assert type(fields.evaluate(f2, (0.1, 0.2))) is np.float64
-    assert fields.evaluate(f2, (0.1, 0.2)) == fields.evaluate(f2, [0.1, 0.2])
+    assert fields.evaluate(f1, ([[0.125, 0.25], [0.375, 0.5]],)).shape == (2, 2)
+    assert np.array_equal(fields.evaluate(f2, ([0.125, 0.625], 0.25)), [1.0, 0.0])
     assert fields.evaluate(f2, (np.zeros((3, 1)), np.zeros(4))).shape == (3, 4)
     assert fields.evaluate(f1, (np.zeros((0, 2)),)).shape == (0, 2)
-    for bad in ((0.1,), (0.1, 0.2, 0.3)):
-        with pytest.raises(ValueError, match="tuple of 2 coordinate arrays"):
-            fields.evaluate(f2, bad)
+    # anything but a tuple of dim coordinate arrays: too few or too many
+    # axes, and a bare array, scalar or list of points
+    for field, bad in ((f2, (0.1,)), (f2, (0.1, 0.2, 0.3)), (f2, np.zeros((4, 2))), (f2, 0.5),
+                       (f2, [0.1, 0.2]), (f2, [[0.125, 0.25]]), (f1, np.zeros(3)), (f1, 0.125),
+                       (f1, [0.125])):
+        with pytest.raises(ValueError, match=f"tuple of {field.dim} coordinate arrays"):
+            fields.evaluate(field, bad)
 
 
 def test_evaluate_reads_each_fields_own_samples(tmp_path):
@@ -264,7 +281,7 @@ def test_evaluate_reads_each_fields_own_samples(tmp_path):
     rng = np.random.default_rng(5)
     f = fields.make_field("custom-grid", dim=2, period=1.0, grid=16, values=rng.random((16, 16)))
     ax = np.arange(16) / 16
-    nodes = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    nodes = (ax[:, None], ax[None, :])
     assert np.array_equal(fields.evaluate(f, nodes), f.values)
     g = fields.mollify(f, 2 / 16)
     fields.save_grid(g, tmp_path / "g.ogrd")

@@ -224,7 +224,8 @@ def _point_array_comb_values(field, theta, M, x_extent, t_extent, n_x, samples_p
     ts = (np.arange(n_t) + 0.5) * h_t
     pts = (xs[:, None, None] * theta.perp[None, None, :]
            + ts[None, :, None] * theta.vector[None, None, :])
-    return _zeros_column_window_min(fields.evaluate(field, pts), n_w, periodic_t)
+    return _zeros_column_window_min(fields.evaluate(field, tuple(np.moveaxis(pts, -1, 0))),
+                                    n_w, periodic_t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,9 +320,7 @@ def _point_array_window_means(field, anchor_axes, body):
     grid = np.meshgrid(*[np.asarray(a, dtype=np.float64) for a in anchor_axes], indexing="ij")
     anchors = np.stack([c.ravel() for c in grid], axis=-1)
     pts = anchors[:, None, :] + body[None, :, :]
-    if field.dim == 1:
-        pts = pts[..., 0]
-    return fields.evaluate(field, pts).mean(axis=1)
+    return fields.evaluate(field, tuple(np.moveaxis(pts, -1, 0))).mean(axis=1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -107,6 +107,11 @@ CLI_RUNS = {
     # few wide balls (the README example): the window search off the bench seeds
     "construct-demo README": ["construct-demo", "--W", "24", "--M", "2", "--delta", "0.1",
                               "--n-balls", "24", "--seed", "11", "--out", "."],
+    # a given rho: the minorant without the default's window search
+    "construct-demo --rho": ["construct-demo", "--rho", "0.15", "--out", "."],
+    # 1000 balls on a circle of 100: a partition of about 100 cells
+    "construct-demo 1000 balls": ["construct-demo", "--W", "100", "--n-balls", "1000",
+                                  "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
 }
