@@ -107,15 +107,24 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     in closed form, so a field identically 1 gives lam_min = T exactly.
     Every argument is checked, and masks of rank above DENSE_RANK_LIMIT
     are rejected, before any form is assembled; a node count past the
-    float64 range raises SizeError naming cutoff or T_list. The real
-    form of C_a on each block (spectral._real_form) is built once for the
-    sweep; at each T it is multiplied by the time kernel and solved by
-    spectral._lowest_pair at sigma = -SHIFT_EPS T max(a) (module
-    docstring). Memory peaks in that solve of a block of order n: the
-    block's real form of C_a, its Gramian and the Gramian's Cholesky
-    copy, 3 n^2 float64. lam_min is the least block minimum and the
-    residual that block's, ||G v - lam v||. An eigenpair whose residual
-    exceeds 1e-8 * max(1, T) raises RuntimeError (||G|| <= T max a).
+    float64 range raises SizeError naming cutoff or T_list, and so does a
+    T so small that the kernel's half-step angle h d/2 (h = T/(n - 1), d
+    the least gap between distinct omega) underflows to 0, where every
+    off-diagonal kernel entry would be 0/0. The real form of C_a on each
+    block (spectral._real_form) is built once for the sweep, and so is
+    the block's kernel index: the kernel depends on omega alone, so it is
+    built at each T on the distinct omega of the block's positions (on
+    the 2d ball of radius 24 and period 2 pi, 200 values for 465
+    positions) and gathered once through the inverse index, with the
+    bits of a kernel built on every position. The product of kernel and
+    real form is solved by spectral._lowest_pair at sigma = -SHIFT_EPS T
+    max(a) (module docstring). Memory peaks in that solve of a block of
+    order n: the block's real form of C_a, its Gramian and the Gramian's
+    Cholesky copy, 3 n^2 float64. lam_min is the least block minimum and
+    the residual that block's, ||G v - lam v||, with G v a SciPy gemv
+    (one OpenBLAS pool, spectral module docstring). An eigenpair whose
+    residual exceeds 1e-8 * max(1, T) raises RuntimeError
+    (||G|| <= T max a).
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta = {beta} outside the valid range [0, 1]")
@@ -139,21 +148,36 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
             f" copy, float64); the limit is rank {DENSE_RANK_LIMIT}")
     idx = mask.indices()
     omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
+    nodes = [max(nyquist_nodes(beta, T, cutoff_K), 33) for T in T_list]
+    # the kernel divides by tan(d h/2), d > 0 a gap between distinct omega
+    gaps = np.diff(np.unique(omega))
+    for T, n in zip(T_list, nodes):
+        if gaps.size and 0.5 * (T / (n - 1)) * gaps.min() == 0.0:
+            raise SizeError("T_list", (
+                f"at T = {T:g} the time kernel's half-step angle h d/2 underflows to 0 (trapezoid"
+                f" step h = T/(n - 1) = {T / (n - 1):g} on n = {n} nodes, least frequency gap"
+                f" d = {gaps.min():g}), so the kernel is 0/0; take a larger T"))
+    from scipy.linalg.blas import dgemv
     # a ball is closed under k -> -k
     neg, _ = _negated_positions(mask)
     table = _coefficient_table(field.values)
-    forms = [_real_form(table, idx, neg, *b) for b in _mask_blocks(field, mask)]
+    forms = []
+    for b in _mask_blocks(field, mask):
+        R, pos, expand = _real_form(table, idx, neg, *b)
+        # the kernel depends on omega alone: built on its distinct values
+        distinct, at = np.unique(omega[pos], return_inverse=True)
+        forms.append((R, distinct, at[expand]))
     a_max = float(np.max(field.values))
 
-    def report(T):
-        n = max(nyquist_nodes(beta, T, cutoff_K), 33)
+    def report(T, n):
         sigma = -SHIFT_EPS * T * a_max
 
-        def block_smallest(R, pos, expand):
-            G = _time_kernel(omega[pos], T, n)[np.ix_(expand, expand)]
+        def block_smallest(R, distinct, at):
+            G = _time_kernel(distinct, T, n)[np.ix_(at, at)]
             G *= R
             lam, v = _lowest_pair(G, sigma, LANCZOS_TOL / max(1.0, T))
-            residual = float(np.linalg.norm(G @ v - lam * v))
+            # G.T is F-contiguous, so gemv reads G in place
+            residual = float(np.linalg.norm(dgemv(1.0, G.T, v, trans=1) - lam * v))
             if residual > 1e-8 * max(1.0, T):
                 raise RuntimeError(f"smallest Gramian eigenpair did not converge; residual"
                                    f" {residual} at T = {T}")
@@ -167,7 +191,7 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
             lam_min=lam_min, kappa=kappa, residual=residual, field=field.describe(),
         )
 
-    return [report(T) for T in T_list]
+    return [report(T, n) for T, n in zip(T_list, nodes)]
 
 
 def _time_kernel(omega, T, n):

@@ -62,9 +62,24 @@ order at the latest, where the Krylov space is exhausted and the top
 Ritz value is exact: a bottom cluster as narrow as roundoff cannot
 stall it.
 
-SciPy is imported inside the three functions that call it, at the first
-eigensolve, so importing obslab loads numpy alone and the commands that
-solve no eigenproblem (certify, cover, construct-demo) never load SciPy.
+One OpenBLAS pool per eigensolve. numpy and SciPy each load their own
+OpenBLAS (numpy.libs' libscipy_openblas64_, scipy.libs'
+libscipy_openblas), each with its own worker threads. After a threaded
+numpy matrix-vector product, numpy's idle worker keeps spinning on the
+other core, and SciPy's threaded factor waits for that core. On 2 cores,
+in the 2d observe of the cost benchmark, cho_factor of the order-913 and
+order-880 Gramian blocks took a median 11-12 ms a call (up to 127 ms)
+with numpy's Lanczos and residual GEMVs between the calls, and 6-7 ms
+with SciPy's. So every matrix-vector product inside a solve runs in
+SciPy's BLAS, the library that factors: _top_lanczos's Gram-Schmidt
+passes and Ritz vector through get_blas_funcs("gemv") on its basis in
+place, and the residual of evolution.cost_curve. Level-1 calls
+(np.vdot, np.linalg.norm) may stay on numpy.
+
+SciPy is imported inside the functions that call it (here and in
+evolution.cost_curve), at the first eigensolve, so importing obslab
+loads numpy alone and the commands that solve no eigenproblem (certify,
+cover, construct-demo) never load SciPy.
 """
 
 from __future__ import annotations
@@ -550,6 +565,20 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
     import scipy.linalg
     # np.empty commits only the rows that are written
     basis = np.empty((cap, start.size), dtype=start.dtype)
+    # basis[:j + 1].T, the basis as columns, is F-contiguous, so gemv reads
+    # it in place: trans = 2 (1 if real) gives cols^H w, trans = 0 cols y
+    gemv = scipy.linalg.get_blas_funcs("gemv", (basis,))
+    adjoint = 2 if basis.dtype.kind == "c" else 1
+
+    def orthogonalize(cols, w):
+        """w -= cols cols^H w in place, one classical Gram-Schmidt pass. A
+        single column's cols^H w is a dot product, summed by np.vdot in the
+        order numpy's @ sums it (gemv's order differs in the last bits)."""
+        if cols.shape[1] == 1:
+            w -= gemv(1.0, cols, np.array([np.vdot(cols[:, 0], w)]))
+        else:
+            w -= gemv(1.0, cols, gemv(1.0, cols, w, trans=adjoint))
+
     alpha, beta = [], []
     v = start / np.linalg.norm(start)
     for j in range(cap):
@@ -561,13 +590,13 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
             raise RuntimeError(f"Lanczos step {j + 1} maps a unit vector to norm {size},"
                                f" past the float64 range")
         alpha.append(float(np.vdot(v, w).real))
-        seen = basis[:j + 1]
-        w -= seen.T @ (seen.conj() @ w)
+        cols = basis[:j + 1].T
+        orthogonalize(cols, w)
         # classical Gram-Schmidt twice is enough, unless the first pass left
         # only roundoff: the Krylov space is exhausted, what is left of w is
         # a new direction, mostly inside the basis, and it takes a third
         for _ in range(2 if np.linalg.norm(w) < 1e-8 * size else 1):
-            w -= seen.T @ (seen.conj() @ w)
+            orthogonalize(cols, w)
         b = float(np.linalg.norm(w))
         theta, y = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta),
                                                  select="i", select_range=(j, j))
@@ -575,7 +604,7 @@ def _top_lanczos(matvec, start: np.ndarray, cap: int, tol: float):
             break
         beta.append(b)
         v = w / b
-    return float(theta[0]), seen.T @ y[:, 0]
+    return float(theta[0]), gemv(1.0, cols, y[:, 0])
 
 
 def _resolvent_weight(field: ObservationField, m: float) -> np.ndarray:

@@ -550,6 +550,28 @@ def test_overflowing_input_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("dim, grid, cutoff", [(1, 256, 24), (2, 64, 12)])
+def test_observe_at_a_subnormal_T_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys, dim,
+                                                          grid, cutoff):
+    """At T = 5e-324 the trapezoid step T/(n - 1) underflows to 0 and
+    every off-diagonal time-kernel entry would be 0/0: observe exits 2
+    naming --T-list and the step, with no traceback and no report, before
+    a Gramian form is assembled."""
+    def never(*args):
+        raise AssertionError("_real_form called")
+
+    monkeypatch.setattr(evolution, "_real_form", never)
+    argv = ["observe", "--field-family", "periodic-square", "--field-dim", str(dim),
+            "--field-grid", str(grid), "--field-period", "6.283185307179586",
+            "--field-delta", "0.3", "--beta", "0.5", "--cutoff", str(cutoff),
+            "--T-list", "5e-324", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --T-list: ") and "T/(n - 1) = 0 on n = 33" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--rho", "0"],
     ["cover", "--rho", "-1"],

@@ -1,6 +1,9 @@
+import ast
 import contextlib
+import inspect
 import math
 import re
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -82,6 +85,105 @@ def test_time_kernel_is_the_trapezoid_node_sum(beta, m, scale, log_T):
     assert np.all(np.abs(kernel - _node_table_kernel(omega, T, n)) <= 1e-13 * T)
     ties = np.subtract.outer(omega, omega) == 0.0
     assert np.count_nonzero(ties) == 4 * m + 1 and np.all(kernel[ties] == T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 800), min_size=1, max_size=12), st.floats(0.1, 2.0),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 3.0),
+       st.integers(33, 100_000))
+def test_distinct_omega_kernel_gathers_to_the_full_kernel(norms, scale, beta, seed, log_T, n):
+    """cost_curve builds each block's time kernel on the distinct omega of
+    its mask positions and gathers it through the inverse index. With
+    omega = |xi|^(beta + 1) drawn with repeats from a few lattice norms
+    |xi| = scale sqrt(k1^2 + k2^2), a block's positions pos and a row
+    index expand that repeats positions as _real_form's does, the gather
+    equals the kernel built on every omega[pos], bit for bit."""
+    rng = np.random.default_rng(seed)
+    omega = (scale * np.sqrt(rng.choice(np.array(norms), size=40))) ** (beta + 1.0)
+    pos = rng.choice(omega.size, size=int(rng.integers(1, omega.size + 1)), replace=False)
+    expand = np.concatenate([np.arange(int(rng.integers(0, pos.size + 1))), np.arange(pos.size)])
+    T = 10.0 ** log_T
+    distinct, at = np.unique(omega[pos], return_inverse=True)
+    gathered = evolution._time_kernel(distinct, T, n)[np.ix_(at[expand], at[expand])]
+    full = evolution._time_kernel(omega[pos], T, n)[np.ix_(expand, expand)]
+    assert np.array_equal(gathered, full)
+
+
+def _per_T_cost_curve(field, beta, T_list, K):
+    """(lam_min, kappa, residual) per T by the reference path: each
+    block's kernel built at each T on every omega of its positions, and
+    the residual G @ v taken by numpy."""
+    mask = spectral.build_mask(field.grid, field.dim, field.period, "ball", radius=K)
+    idx = mask.indices()
+    omega = np.linalg.norm(mask.xi(), axis=1) ** (beta + 1.0)
+    neg, _ = spectral._negated_positions(mask)
+    table = spectral._coefficient_table(field.values)
+    forms = [spectral._real_form(table, idx, neg, *b) for b in spectral._mask_blocks(field, mask)]
+    a_max = float(np.max(field.values))
+    out = []
+    for T in T_list:
+        n = max(evolution.nyquist_nodes(beta, T, K), 33)
+        pairs = []
+        for R, pos, expand in forms:
+            G = evolution._time_kernel(omega[pos], T, n)[np.ix_(expand, expand)]
+            G *= R
+            lam, v = spectral._lowest_pair(G, -spectral.SHIFT_EPS * T * a_max,
+                                           spectral.LANCZOS_TOL / max(1.0, T))
+            pairs.append((lam, float(np.linalg.norm(G @ v - lam * v))))
+        lam_min, residual = min(pairs, key=lambda pair: pair[0])
+        lam_min = max(lam_min, 0.0)
+        out.append((lam_min, math.inf if lam_min <= evolution.KAPPA_FLOOR else 1.0 / lam_min,
+                    residual))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_curve_keeps_the_per_T_values(dim):
+    """cost_curve's lam_min and kappa are those of the reference per-T
+    path, bit for bit, on a 1d field (one block) and a transpose-
+    invariant 2d field (two blocks), each of an order that goes to
+    Cholesky Lanczos; its residual, now a SciPy gemv, agrees to roundoff."""
+    if dim == 1:
+        field, K = fields.mollify(fields.make_field("periodic-square", dim=1, grid=512,
+                                                    period=2.0 * math.pi, delta=0.3), 0.05), 100.0
+    else:
+        field, K = _random_2d(32, 5, mollify=0.2), 11.0
+    mask = spectral.build_mask(field.grid, dim, field.period, "ball", radius=K)
+    orders = [spectral._real_form(spectral._coefficient_table(field.values), mask.indices(),
+                                  spectral._negated_positions(mask)[0], *b)[0].shape[0]
+              for b in spectral._mask_blocks(field, mask)]
+    assert len(orders) == dim and min(orders) > spectral.DENSE_EIGH_LIMIT
+    T_list = [0.05, 0.5, 1.0, 2.0]
+    want = _per_T_cost_curve(field, 0.5, T_list, K)
+    reports = evolution.cost_curve(field, 0.5, T_list, K)
+    assert [(r.lam_min, r.kappa) for r in reports] == [(lam, kappa) for lam, kappa, _ in want]
+    for r, (*_, residual) in zip(reports, want):
+        assert abs(r.residual - residual) <= 1e-13 * max(1.0, r.T)
+
+
+def test_cost_curve_refuses_a_T_whose_kernel_step_underflows():
+    """At T = 5e-324 the step T/(n - 1) is 0 and the kernel would be 0/0:
+    SizeError naming T_list. At T = 1e-320 the
+    step is subnormal but not 0, and the sweep runs."""
+    f = _const(0.5)
+    with pytest.raises(fields.SizeError, match=r"T = 4\.94066e-324 .* = 0 on n = 33") as exc:
+        evolution.cost_curve(f, 0.5, [1.0, 5e-324], 8.0)
+    assert exc.value.argument == "T_list"
+    assert evolution.cost_curve(f, 0.5, [1e-320], 8.0)[0].lam_min == 0.5 * 1e-320
+
+
+def test_solves_hold_no_numpy_matrix_product():
+    """One OpenBLAS pool per eigensolve. numpy and SciPy each load their
+    own OpenBLAS, each with its own threads; right after a threaded numpy
+    matrix-vector product, numpy's idle worker still spins on the second
+    core, and SciPy's cho_factor and cho_solve wait for that core. So the
+    Lanczos loop, the block solver and the Gramian sweep multiply through
+    SciPy's BLAS (get_blas_funcs gemv) and hold no @ (ast.MatMult)."""
+    for fn in (spectral._top_lanczos, spectral._lowest_pair, evolution.cost_curve):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        products = [node for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)]
+        assert not products, f"{fn.__name__} line {products[0].lineno}: @"
 
 
 def test_gramian_zero_field_infinite_cost():

@@ -14,7 +14,10 @@ two each run in a fresh working directory. Each line is
 
 with one line per file the operation wrote and one for what it printed
 ("stdout"). A workload operation or CLI run that writes no file is also
-digested by the repr of its return value ("return"). Run the script on
+digested by the repr of its return value ("return"). One leading line,
+starting with #, names the numpy and SciPy versions and the thread count
+of each loaded OpenBLAS, so that a digest difference can be traced to a
+BLAS difference. Run the script on
 two checkouts and diff the outputs to see which report bytes a change
 moved; a seed not used while writing a change holds it to the same
 numbers on fields it was not tuned on. With --keep DIR each operation's
@@ -53,7 +56,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402  (loads SciPy's OpenBLAS for _blas_threads)
+
 import workloads  # noqa: E402
+from child import _blas_threads  # noqa: E402
 from obslab import cli  # noqa: E402
 
 SQUARE_1D = ["--field-family", "periodic-square", "--field-dim", "1",
@@ -270,6 +277,8 @@ def main(argv=None) -> int:
     keep = args.keep.resolve() if args.keep else None
     if keep is not None and keep.exists():
         p.error(f"--keep {keep} exists")
+    threads = " ".join(f"{lib}={n}" for lib, n in _blas_threads().items())
+    print(f"# numpy {np.__version__} scipy {scipy.__version__} OpenBLAS threads {threads}")
     with tempfile.TemporaryDirectory(prefix="report_digest_") as tmp:
         failed = digest_workloads(Path(tmp), keep, args.seed)
         failed += digest_cli(Path(tmp), keep)
