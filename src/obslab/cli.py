@@ -14,6 +14,8 @@ Every subcommand option is declared once, as a (dest, type, default,
 help) entry of its command's table. The entry registers the flag
 --<dest with hyphens> and reads the key <dest> of the config file's
 [<command>] section through the same type; other keys there are errors.
+The field's keys are declared once too, in FIELD_FLAGS, and the [field]
+section is read by the same rule.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ def _one_of(*names):
     return choice
 
 
+def _origin(text: str) -> float | str:
+    """'centered', or a finite number."""
+    return text if text == "centered" else _real(text)
+
+
 def _flag_type(type_):
     """type_ as an argparse type: its ValueError text becomes the usage
     error, where argparse would print only the type's name."""
@@ -85,7 +92,7 @@ FIELD_FLAGS = (
     ("--field-dim", "dim", int, "1 or 2"),
     ("--field-grid", "grid", int, "samples per axis"),
     ("--field-period", "period", _real, "box side (default 1.0)"),
-    ("--field-origin", "origin", str, "box corner, or 'centered'"),
+    ("--field-origin", "origin", _origin, "box corner, or 'centered'"),
     ("--field-mollify", "mollify", _real, "box-average radius"),
     ("--field-value", "value", _real, "constant family value"),
     ("--field-delta", "delta", _real, "periodic-square side"),
@@ -96,53 +103,61 @@ FIELD_FLAGS = (
 )
 
 
-def _load_sections(args, options) -> tuple[dict, dict]:
-    """[field] and [<command>] sections of the --config file, the latter
-    keyed by option dest; a relative grid_file is taken from the config's
+def _field_options(dim: int, grid: int) -> tuple:
+    """FIELD_FLAGS as an option table keyed by [field] key, with the
+    defaults of a command whose field box is (dim, grid); a key with no
+    default is left out of the field, so make_field or the family's
+    catalog sets it."""
+    defaults = {"family": "constant", "dim": dim, "grid": grid, "period": 1.0}
+    return tuple((key, type_, defaults.get(key), help_) for _, key, type_, help_ in FIELD_FLAGS)
+
+
+def _load_sections(args, tables: dict) -> dict:
+    """Section [name] of the --config file for each name: option table of
+    tables, keyed by option dest; a key no option declares is an error,
+    and a relative [field] grid_file is taken from the config's
     directory."""
     if not args.config:
-        return {}, {}
+        return {name: {} for name in tables}
     path = Path(args.config)
     if not path.exists():
         raise ValueError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
         cp.read(path)
-        field = dict(cp["field"]) if cp.has_section("field") else {}
-        section = dict(cp[args.command]) if cp.has_section(args.command) else {}
+        raw = {name: dict(cp[name]) if cp.has_section(name) else {} for name in tables}
     except configparser.Error as exc:
         raise ValueError(f"malformed config file: {exc}") from None
-    if field.get("grid_file"):
-        field["grid_file"] = str(path.parent / field["grid_file"])
-    dests = {cp.optionxform(dest): dest for dest, *_ in options}
-    unknown = sorted(set(section) - set(dests))
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(unknown)} in [{args.command}]; "
-                         f"known: {', '.join(dests.values())}")
-    return field, {dests[key]: raw for key, raw in section.items()}
+    sections = {}
+    for name, options in tables.items():
+        dests = {cp.optionxform(dest): dest for dest, *_ in options}
+        unknown = sorted(set(raw[name]) - set(dests))
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(unknown)} in [{name}]; "
+                             f"known: {', '.join(dests.values())}")
+        sections[name] = {dests[key]: value for key, value in raw[name].items()}
+    if sections.get("field", {}).get("grid_file"):
+        sections["field"]["grid_file"] = str(path.parent / sections["field"]["grid_file"])
+    return sections
 
 
-def _resolve(args, options, section: dict) -> None:
-    """Set each option on args: flag if given, else config value, else default."""
+def _resolve(name: str, options, flags: dict, section: dict) -> dict:
+    """Each option's value: its flag if given, else the config value of
+    [name] through the option's type, else its default."""
+    values = {}
     for dest, type_, default, _ in options:
-        if getattr(args, dest) is None:
-            try:
-                setattr(args, dest, type_(section[dest]) if dest in section else default)
-            except ValueError as exc:
-                raise ValueError(f"[{args.command}] {dest}: {exc}") from None
+        try:
+            values[dest] = (flags[dest] if flags[dest] is not None
+                            else type_(section[dest]) if dest in section else default)
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {dest}: {exc}") from None
+    return values
 
 
-def _build_field(args, section: dict, dim: int, grid: int):
-    """Field from the config [field] section with flag overrides on top."""
-    opts = {"family": "constant", "dim": str(dim), "grid": str(grid), "period": "1.0", **section}
-    for _, key, _, _ in FIELD_FLAGS:
-        flag = getattr(args, f"field_{key}")
-        if flag is not None:
-            opts[key] = str(flag)
-    radius = float(opts.pop("mollify", 0.0))
-    merged = configparser.ConfigParser(interpolation=None)  # values are final, '%' included
-    merged["field"] = opts
-    field = fields.field_from_config(merged)
+def _build_field(spec: dict):
+    """Field of the resolved [field] keys, box-averaged by their mollify radius."""
+    radius = spec.pop("mollify")
+    field = fields.field_from_config(spec)
     try:
         return fields.mollify(field, radius) if radius else field
     except ValueError as exc:
@@ -453,14 +468,18 @@ def main(argv=None) -> int:
     try:
         field = out = None
         if options is not None:
-            field_section, section = _load_sections(args, options)
-            _resolve(args, options, section)
+            tables = {args.command: options}
+            if box is not None:
+                tables["field"] = _field_options(*box)
+            sections = _load_sections(args, tables)
+            vars(args).update(_resolve(args.command, options, vars(args), sections[args.command]))
             # uncertainty's ball and rectangle masks need one more option
             needed = {"ball": "radius", "rectangle": "sigma"}.get(getattr(args, "mask", None))
             if needed and getattr(args, needed) is None:
                 raise ValueError(f"{args.mask} masks need --{needed}")
             if box is not None:
-                field = _build_field(args, field_section, *box)
+                flags = {key: getattr(args, f"field_{key}") for _, key, *_ in FIELD_FLAGS}
+                field = _build_field(_resolve("field", tables["field"], flags, sections["field"]))
             out = _out_dir(args)
         status, payload, table = func(args, field)
         if payload is not None:

@@ -373,7 +373,7 @@ def sliding_window_min(values: np.ndarray, spacing: float, L: float) -> float:
 _FD_BLOCK = 1 << 15
 
 
-def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
+def derivative_bounds(sm: SmoothMinorant) -> dict:
     """Central finite-difference derivative maxima of a and of A/M against
     the template bounds c2^m * ((rho/2) * delta)^(-m).
 
@@ -388,15 +388,11 @@ def derivative_bounds(sm: SmoothMinorant, orders=(1, 2, 3)) -> dict:
     a = sm.values
     A = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) - sm.eta) * h]) / sm.M
     out = {}
-    for m in orders:
-        if m == 1:
-            reach, fd = 2, lambda f: (f[2:] - f[:-2]) / (2.0 * h)
-        elif m == 2:
-            reach, fd = 2, lambda f: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-        elif m == 3:
-            reach, fd = 4, lambda f: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:]) / (2.0 * h ** 3)
-        else:
-            raise ValueError("orders up to 3 only")
+    # (order m, samples a difference reads past its first, the difference)
+    for m, reach, fd in ((1, 2, lambda f: (f[2:] - f[:-2]) / (2.0 * h)),
+                         (2, 2, lambda f: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)),
+                         (3, 4, lambda f: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:])
+                          / (2.0 * h ** 3))):
         max_a, max_A = (float(np.max([np.max(np.abs(fd(f[i:i + _FD_BLOCK + reach])))
                                       for i in range(0, f.size - reach, _FD_BLOCK)])) for f in (a, A))
         allowed = BUMP_C2 ** m / scale ** m

@@ -15,7 +15,6 @@ index runs along the x axis.
 
 from __future__ import annotations
 
-import configparser
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -120,16 +119,17 @@ def _member_periodic_square(pts, delta):
     return inside.astype(np.float64)
 
 
-def _parse_intervals(spec):
-    """Accept [(lo, hi), ...] or a string 'lo:hi, lo:hi' with 0<=lo<hi<=1."""
-    if isinstance(spec, str):
-        parts = [p for p in spec.split(",") if p.strip()]
-        spec = [tuple(float(v) for v in p.split(":")) for p in parts]
+def _parse_intervals(spec: str) -> list:
+    """The intervals of a string 'lo:hi, lo:hi, ...' with 0 <= lo < hi <= 1."""
     out = []
-    for lo, hi in spec:
+    for piece in filter(None, map(str.strip, spec.split(","))):
+        try:
+            lo, hi = map(float, piece.split(":"))
+        except ValueError:
+            raise ValueError(f"interval {piece!r} is not of the form lo:hi") from None
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"interval ({lo}, {hi}) must satisfy 0 <= lo < hi <= 1")
-        out.append((float(lo), float(hi)))
+        out.append((lo, hi))
     if not out:
         raise ValueError("need at least one interval")
     return out
@@ -144,10 +144,13 @@ def _member_intervals_1d(coord, intervals):
 
 
 def _member_product(pts, intervals_x, intervals_y):
-    ex = _parse_intervals(intervals_x)
-    fy = _parse_intervals(intervals_y)
-    inside = _member_intervals_1d(pts[0], ex) & _member_intervals_1d(pts[1], fy)
-    return inside.astype(np.float64)
+    inside = []
+    for coord, name, spec in zip(pts, ("intervals_x", "intervals_y"), (intervals_x, intervals_y)):
+        try:
+            inside.append(_member_intervals_1d(coord, _parse_intervals(spec)))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return (inside[0] & inside[1]).astype(np.float64)
 
 
 def _member_e_beta(pts, beta):
@@ -480,70 +483,22 @@ def load_grid(path) -> ObservationField:
     return ObservationField(dim, period, grid, _check_shape(dim, grid, values), origin, fam)
 
 
-def field_from_config(source) -> ObservationField:
-    """Build a field from an INI file or a prepared ConfigParser.
-
-    The [field] section must name the family and the sampling box::
-
-        [field]
-        family = periodic-square
-        dim = 2
-        period = 1.0
-        grid = 256
-        delta = 0.3
-        mollify = 0.05
-
-    Family parameters are the same keywords make_field accepts. For
-    custom-grid, grid_file points at a raw grid file and the box keys are
-    taken from the file. origin accepts a number or "centered".
-    """
-    cfg, where = source, "<config>"
-    try:
-        if not isinstance(source, configparser.ConfigParser):
-            cfg, where = configparser.ConfigParser(), str(source)
-            if not cfg.read(where):
-                raise ValueError(f"cannot read config file {source}")
-        sec = dict(cfg["field"]) if cfg.has_section("field") else None
-    except configparser.Error as exc:
-        raise ValueError(f"malformed config file {where}: {exc}") from None
-    if sec is None:
-        raise ValueError(f"{where}: missing [field] section")
-    family = sec.get("family")
-    if not family:
-        raise ValueError(f"{where}: [field] needs a family key")
-
-    if family == "custom-grid":
-        grid_file = sec.get("grid_file")
-        if not grid_file:
-            raise ValueError(f"{where}: custom-grid needs grid_file")
-        base = Path(where).parent if where != "<config>" else Path(".")
-        fpath = Path(grid_file)
-        if not fpath.is_absolute():
-            fpath = base / fpath
-        fld = load_grid(fpath)
-    else:
-        known = {"family", "dim", "period", "grid", "origin", "mollify"}
-        params = {}
-        for key in sec:
-            if key in known:
-                continue
-            raw = sec.get(key)
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                params[key] = raw
-        origin = sec.get("origin", None)
-        if origin is not None and origin != "centered":
-            origin = float(origin)
-        fld = make_field(
-            family,
-            dim=int(sec.get("dim", 2)),
-            period=float(sec.get("period", 1.0)),
-            grid=int(sec.get("grid", 256)),
-            origin=origin,
-            **params,
-        )
-    r = float(sec.get("mollify", 0.0))
-    if r != 0:
-        fld = mollify(fld, r)
-    return fld
+def field_from_config(spec) -> ObservationField:
+    """Field of resolved [field] keys: spec maps each key of
+    obslab.cli.FIELD_FLAGS but mollify to its parsed value, None where not
+    given. make_field builds it from family, dim, period, grid, origin and
+    the family's parameters; a custom-grid field is load_grid of
+    grid_file, whose file sets the box and the samples, so it takes no
+    family parameter or origin."""
+    params = {key: value for key, value in spec.items() if value is not None}
+    family = params.pop("family")
+    box = {key: params.pop(key, None) for key in ("dim", "period", "grid")}
+    if family != "custom-grid":
+        return make_field(family, **box, **params)
+    grid_file = params.pop("grid_file", None)
+    if params:
+        raise ValueError(f"custom-grid takes no {', '.join(sorted(params))}: its grid file "
+                         f"sets the box and the samples")
+    if grid_file is None:
+        raise ValueError("custom-grid needs grid_file")
+    return load_grid(grid_file)

@@ -649,9 +649,7 @@ def _resolvent_at(field: ObservationField, q: np.ndarray, gamma: float, lam: flo
     dvec = np.abs(_abs_xi(field.grid, field.dim, field.period) ** gamma - lam)
     ker = dvec <= KERNEL_TOL * max(1.0, abs(lam))
     n, kdim = q.size, int(np.count_nonzero(ker))
-    # the full lattice, as FrequencyMask.describe() writes a ball of radius inf
-    full = {"grid": field.grid, "dim": field.dim, "period": field.period, "kind": "ball",
-            "params": {"radius": float("inf")}, "rank": n}
+    full = build_mask(field.grid, field.dim, field.period, "ball", radius=math.inf).describe()
 
     def report(value, c, residual=0.0):
         return SpectralReport(

@@ -160,7 +160,7 @@ def test_criterion_06_smooth_minorant_batch():
             assert sm.eta >= rho / 4.0
             density = construct.sliding_window_min(sm.values, sm.step, 2.0 * M)
             assert density >= 0.99 * rho / 8.0
-            fd = construct.derivative_bounds(sm, orders=(1, 2, 3))
+            fd = construct.derivative_bounds(sm)
             assert all(rec["ok"] for rec in fd.values())
     _finish(6, "smooth minorants over random ball systems", t0, 60.0)
 

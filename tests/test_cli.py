@@ -321,6 +321,78 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["family = constant\n",
+                                  "[field]\nfamily = constant\ndim = 1\ngrid = 16\nvalue = 50%\n"],
+                         ids=["no-section-header", "percent-sign"])
+def test_malformed_field_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run(["cover", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed config file")
+    assert not (tmp_path / "cover_report.json").exists()
+
+
+def test_config_without_a_field_section_takes_the_field_defaults(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[other]\nx = 1\n\n[uncertainty]\nmask = ball\nradius = 3\n")
+    assert run(["uncertainty", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    field = json.loads((tmp_path / "uncertainty_report.json").read_text())["config"]["field"]
+    want = fields.make_field("constant", dim=1, period=1.0, grid=512).describe()
+    assert field == want
+
+
+def test_field_keys_read_like_their_flags(tmp_path):
+    """[field] values go through their flags' types: a config and the
+    same flags write the same report bytes."""
+    flags = {"family": "product", "dim": "2", "grid": "32", "period": "2", "origin": "0.25",
+             "mollify": "0.05", "intervals_x": "0:0.5, 0.7:0.9", "intervals_y": "0.1:0.6"}
+    argv = []
+    for flag, key, *_ in cli.FIELD_FLAGS:
+        if key in flags:
+            argv += [flag, flags[key]]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[field]\n" + "".join(f"{key} = {value}\n" for key, value in flags.items()))
+    for out, extra in ((tmp_path / "flags", argv), (tmp_path / "config", ["--config", str(cfg)])):
+        assert run(["uncertainty", "--mask", "ball", "--radius", "4", "--out", str(out),
+                    *extra]) == 0
+    assert ((tmp_path / "flags" / "uncertainty_report.json").read_bytes()
+            == (tmp_path / "config" / "uncertainty_report.json").read_bytes())
+
+
+PRODUCT_32 = ["--field-family", "product", "--field-grid", "32"]  # cover defaults to dim 2
+
+
+@pytest.mark.parametrize("extra, field_lines, message", [
+    (["--intervals-x", "0.5"], [], "intervals_x: interval '0.5' is not of the form lo:hi"),
+    (["--intervals-x", "0.2:0.5:0.7"], [],
+     "intervals_x: interval '0.2:0.5:0.7' is not of the form lo:hi"),
+    ([], ["intervals_x = 0.5"], "intervals_x: interval '0.5' is not of the form lo:hi"),
+    ([], ["delta = abc"], "[field] delta: could not convert string to float: 'abc'"),
+    ([], ["dim = 1.5"], "[field] dim: invalid literal for int() with base 10: '1.5'"),
+    ([], ["seed = 1"], "unknown key(s) seed in [field]; known: family, dim, grid, period"),
+    (["--field-family", "custom-grid", "--grid-file", "data.ogrd", "--field-delta", "0.9"], [],
+     "custom-grid takes no delta: its grid file sets the box"),
+    (["--field-family", "custom-grid", "--grid-file", "data.ogrd", "--field-origin", "7"], [],
+     "custom-grid takes no origin: its grid file sets the box"),
+    (["--field-family", "custom-grid"], [], "custom-grid needs grid_file"),
+], ids=["intervals-x-flag", "intervals-x-three-numbers", "intervals-x-config", "delta-config",
+        "dim-config", "unknown-key", "custom-grid-delta", "custom-grid-origin",
+        "custom-grid-no-file"])
+def test_bad_field_input_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, extra,
+                                                field_lines, message):
+    """Each field key is parsed by its flag's type and checked by name:
+    a bad one exits 2 with a usage error, where a non-numeric key once
+    raised a TypeError from the float-or-string guess."""
+    monkeypatch.chdir(tmp_path)
+    fields.save_grid(fields.make_field("constant", dim=2, period=1.0, grid=32), "data.ogrd")
+    (tmp_path / "run.ini").write_text("\n".join(["[field]", *field_lines, ""]))
+    argv = ["cover", *PRODUCT_32, "--config", "run.ini", "--out", "out", *extra]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err and not (tmp_path / "out" / "cover_report.json").exists()
+
+
 def test_linalg_error_exit_code(tmp_path, monkeypatch, capsys):
     """A LinAlgError from the solver that the answer rests on is a
     numerical failure, exit code 3: the Cholesky factor of an observe

@@ -373,37 +373,26 @@ def test_load_grid_rejects_bad_magic(tmp_path):
         fields.load_grid(path)
 
 
-def test_field_from_config_matches_make_field(tmp_path):
-    cfg = tmp_path / "field.ini"
-    cfg.write_text(
-        "[field]\n"
-        "family = periodic-square\n"
-        "dim = 1\n"
-        "period = 1.0\n"
-        "grid = 200\n"
-        "delta = 0.3\n"
-    )
-    f = fields.field_from_config(cfg)
+def test_field_from_config_matches_make_field():
+    spec = {"family": "periodic-square", "dim": 1, "period": 1.0, "grid": 200,
+            "origin": None, "delta": 0.3, "beta": None, "grid_file": None}
+    f = fields.field_from_config(spec)
     g = fields.make_field("periodic-square", dim=1, period=1.0, grid=200, delta=0.3)
     assert np.array_equal(f.values, g.values)
-    assert f.family["name"] == "periodic-square"
+    assert f.describe() == g.describe()
 
 
-def test_field_from_config_requires_field_section(tmp_path):
-    cfg = tmp_path / "empty.ini"
-    cfg.write_text("[other]\nx = 1\n")
-    with pytest.raises(ValueError):
-        fields.field_from_config(cfg)
-
-
-def test_field_from_config_custom_grid_relative_path(tmp_path):
+def test_field_from_config_custom_grid_relative_path(tmp_path, monkeypatch):
+    """A relative grid_file is read from the working directory, and the
+    file sets the box whatever dim, period and grid say."""
     vals = np.linspace(0.0, 1.0, 8)
-    f = fields.make_field("custom-grid", dim=1, period=1.0, grid=8, values=vals)
+    f = fields.make_field("custom-grid", dim=1, period=3.0, grid=8, values=vals)
     fields.save_grid(f, tmp_path / "data.ogrd")
-    cfg = tmp_path / "field.ini"
-    cfg.write_text("[field]\nfamily = custom-grid\ngrid_file = data.ogrd\n")
-    g = fields.field_from_config(cfg)
+    monkeypatch.chdir(tmp_path)
+    g = fields.field_from_config({"family": "custom-grid", "dim": 2, "period": 1.0, "grid": 256,
+                                  "origin": None, "delta": None, "grid_file": "data.ogrd"})
     assert np.array_equal(g.values, vals)
+    assert (g.dim, g.period, g.grid, g.family["source"]) == (1, 3.0, 8, "data.ogrd")
 
 
 def test_describe_is_json_friendly():
@@ -470,20 +459,6 @@ def test_load_grid_reads_exact_files(tmp_path):
     path = tmp_path / "field.ogrd"
     path.write_bytes(_grid_bytes(1, 8, 8))
     assert np.array_equal(fields.load_grid(path).values, np.full(8, 0.5))
-
-
-def test_field_from_config_rejects_malformed_ini(tmp_path):
-    cfg = tmp_path / "field.ini"
-    cfg.write_text("family = constant\n")
-    with pytest.raises(ValueError, match="config"):
-        fields.field_from_config(cfg)
-
-
-def test_field_from_config_rejects_bad_interpolation(tmp_path):
-    cfg = tmp_path / "field.ini"
-    cfg.write_text("[field]\nfamily = constant\ndim = 1\ngrid = 16\nvalue = 50%\n")
-    with pytest.raises(ValueError, match="config"):
-        fields.field_from_config(cfg)
 
 
 def _index_maps(dim, grid, transpose, flips):

@@ -121,6 +121,17 @@ CLI_RUNS = {
                                   "--out", "."],
     "resolvent without --fit": ["resolvent", *SQUARE_1D, "--field-grid", "2048",
                                 "--gamma", "1.5", "--lambdas", "64 125 253 512", "--out", "."],
+    # a truncated family on a box with a numeric origin, not the centered default
+    "uncertainty e-beta --field-origin": ["uncertainty", "--field-family", "e-beta",
+                                          "--field-dim", "2", "--field-grid", "64",
+                                          "--field-period", "8", "--field-origin", "-3.5",
+                                          "--field-beta", "0.4", "--mask", "ball",
+                                          "--radius", "5", "--out", "."],
+    "observe constant --field-value": ["observe", "--field-family", "constant",
+                                       "--field-dim", "1", "--field-grid", "64",
+                                       "--field-period", "6.283185307179586",
+                                       "--field-value", "0.5", "--beta", "1", "--cutoff", "8",
+                                       "--T-list", "0.5 1.0", "--out", "."],
 }
 
 
