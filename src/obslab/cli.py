@@ -103,13 +103,12 @@ FIELD_FLAGS = (
 )
 
 
-def _field_options(dim: int, grid: int) -> tuple:
-    """FIELD_FLAGS as an option table keyed by [field] key, with the
-    defaults of a command whose field box is (dim, grid); a key with no
-    default is left out of the field, so make_field or the family's
-    catalog sets it."""
-    defaults = {"family": "constant", "dim": dim, "grid": grid, "period": 1.0}
-    return tuple((key, type_, defaults.get(key), help_) for _, key, type_, help_ in FIELD_FLAGS)
+# FIELD_FLAGS as an option table keyed by [field] key. Only family has a
+# default: _build_field sets the box (dim, grid, period) once it knows the
+# family, and a key left None is left out of the field, so make_field or
+# the family's catalog sets it
+FIELD_OPTIONS = tuple((key, type_, "constant" if key == "family" else None, help_)
+                      for _, key, type_, help_ in FIELD_FLAGS)
 
 
 def _load_sections(args, tables: dict) -> dict:
@@ -154,10 +153,19 @@ def _resolve(name: str, options, flags: dict, section: dict) -> dict:
     return values
 
 
-def _build_field(spec: dict):
-    """Field of the resolved [field] keys, box-averaged by their mollify radius."""
+def _build_field(spec: dict, dim: int, grid: int):
+    """Field of the resolved [field] keys, box-averaged by their mollify
+    radius. A dim, grid or period not given takes the command's box (dim,
+    grid) and period 1.0; a custom-grid file sets its own box, so one
+    given is refused by name, after field_from_config's own checks."""
     radius = spec.pop("mollify")
-    field = fields.field_from_config(spec)
+    box = {"dim": dim, "grid": grid, "period": 1.0}
+    given = [key for key in box if spec[key] is not None]
+    field = fields.field_from_config({**spec, **{key: value for key, value in box.items()
+                                                 if key not in given}})
+    if spec["family"] == "custom-grid" and given:
+        raise ValueError(f"custom-grid takes no {', '.join(given)}: its grid file sets the box"
+                         f" and the samples")
     try:
         return fields.mollify(field, radius) if radius else field
     except ValueError as exc:
@@ -379,8 +387,7 @@ def cmd_construct_demo(args, field):
             raise ValueError(f"the density window 2 x --M = {2.0 * M} is longer than the range"
                              f" [{bp[0]}, {bp[-1]}] the minorant samples; --M up to --W / 2 fits")
     sm = construct.smooth_minorant(Y, M, rho)
-    pos = sm.values > 0.0  # zero samples cannot raise the maximum
-    outside = float(np.max(sm.values[pos][~Y.contains(sm.x[pos])], initial=0.0))
+    outside = construct.max_outside_support(sm)
     density = construct.sliding_window_min(sm.values, sm.step, 2.0 * M)
     fd = construct.derivative_bounds(sm)
     checks = {
@@ -470,7 +477,7 @@ def main(argv=None) -> int:
         if options is not None:
             tables = {args.command: options}
             if box is not None:
-                tables["field"] = _field_options(*box)
+                tables["field"] = FIELD_OPTIONS
             sections = _load_sections(args, tables)
             vars(args).update(_resolve(args.command, options, vars(args), sections[args.command]))
             # uncertainty's ball and rectangle masks need one more option
@@ -479,7 +486,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"{args.mask} masks need --{needed}")
             if box is not None:
                 flags = {key: getattr(args, f"field_{key}") for _, key, *_ in FIELD_FLAGS}
-                field = _build_field(_resolve("field", tables["field"], flags, sections["field"]))
+                field = _build_field(_resolve("field", FIELD_OPTIONS, flags, sections["field"]), *box)
             out = _out_dir(args)
         status, payload, table = func(args, field)
         if payload is not None:

@@ -19,7 +19,7 @@ the window only at offsets ranked within a rounding bound of the least.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .geometry import _positive, _window_min
 # room for finite-difference error.
 BUMP_C1 = 0.75
 BUMP_C2 = 8.0
-# samples a minorant may take: construct-demo peaks at about 55 bytes a
-# sample, so 0.55 GB
+# samples a minorant may take: construct-demo peaks at about 20 bytes a
+# sample traced (the samples x and a, and the bump sum's indices; its
+# scans run in blocks), so about 0.2 GB
 MAX_MINORANT_SAMPLES = 10_000_000
 
 
@@ -58,6 +59,9 @@ class BallSystem:
     centers: np.ndarray
     delta: float
     period: float
+    # window_min_measure's pair at each L it was asked, so that a caller
+    # and smooth_minorant share one search
+    _least: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _positive("delta", self.delta)
@@ -107,9 +111,12 @@ class BallSystem:
         measured by clipped-interval sums, 64 at a time in ascending t, each
         row summed like a 1-D array. No clipped sum is below 0, so the
         first block that holds a 0 ends the search: the pair is that of
-        measuring all, bit for bit.
+        measuring all, bit for bit. The pair is kept for the next call at
+        the same L.
         """
         _positive("L", L)
+        if L in self._least:
+            return self._least[L]
         if not len(self.centers):
             return 0.0, 0.0
         W = self.period
@@ -130,7 +137,8 @@ class BallSystem:
             if not vals[r0:r0 + 64].all():
                 break
         i = int(np.argmin(vals[:r0 + 64]))
-        return float(vals[i] + turns * self.measure), float(keep[i])
+        self._least[L] = float(vals[i] + turns * self.measure), float(keep[i])
+        return self._least[L]
 
 
 def _ranked_measures(iv: np.ndarray, t: np.ndarray, L: float) -> tuple[np.ndarray, float]:
@@ -381,20 +389,33 @@ def derivative_bounds(sm: SmoothMinorant) -> dict:
     sample grid; its bound is checked with the same right-hand side, which
     dominates comfortably since dA/dy = a - eta is bounded by 1. Blocks of
     _FD_BLOCK differences, each the whole-array arithmetic on an
-    overlapping slice, give the whole array's maxima bit for bit.
+    overlapping slice, give the whole array's maxima bit for bit. A is
+    built one block at a time, its running sum seeded with the sum carried
+    from the block before: np.cumsum adds in sequence, so each block has
+    the bits of the whole-array A, and no array of A's length is held.
     """
     h = sm.step
     scale = (sm.rho / 2.0) * sm.Y.delta
     a = sm.values
-    A = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) - sm.eta) * h]) / sm.M
-    out = {}
     # (order m, samples a difference reads past its first, the difference)
-    for m, reach, fd in ((1, 2, lambda f: (f[2:] - f[:-2]) / (2.0 * h)),
-                         (2, 2, lambda f: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)),
-                         (3, 4, lambda f: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:])
-                          / (2.0 * h ** 3))):
-        max_a, max_A = (float(np.max([np.max(np.abs(fd(f[i:i + _FD_BLOCK + reach])))
-                                      for i in range(0, f.size - reach, _FD_BLOCK)])) for f in (a, A))
+    orders = ((1, 2, lambda f: (f[2:] - f[:-2]) / (2.0 * h)),
+              (2, 2, lambda f: (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)),
+              (3, 4, lambda f: (-f[:-4] + 2.0 * f[1:-3] - 2.0 * f[3:-1] + f[4:]) / (2.0 * h ** 3)))
+    peaks = {m: ([], []) for m, _, _ in orders}
+    carry = np.zeros(1)
+    for i in range(0, a.size - 2, _FD_BLOCK):
+        j = min(i + _FD_BLOCK + 4, a.size)
+        # the trapezoid sums e[i:j] from e[i] (e[0] = 0), and A = e h / M
+        e = np.cumsum(np.concatenate([carry, 0.5 * (a[i + 1:j] + a[i:j - 1]) - sm.eta]))
+        carry = e[_FD_BLOCK:_FD_BLOCK + 1]
+        A = e * h / sm.M
+        for m, reach, fd in orders:
+            if i < a.size - reach:
+                for f, peak in zip((a[i:j], A), peaks[m]):
+                    peak.append(np.max(np.abs(fd(f[:_FD_BLOCK + reach]))))
+    out = {}
+    for m, (max_a, max_A) in peaks.items():
+        max_a, max_A = float(np.max(max_a)), float(np.max(max_A))
         allowed = BUMP_C2 ** m / scale ** m
         out[m] = {
             "max_a": max_a,
@@ -403,3 +424,15 @@ def derivative_bounds(sm: SmoothMinorant) -> dict:
             "ok": max_a <= allowed and max_A <= allowed,
         }
     return out
+
+
+def max_outside_support(sm: SmoothMinorant) -> float:
+    """The largest sample of a outside the balls of Y, 0.0 when a <= 1_Y
+    on every sample, located _FD_BLOCK samples at a time; zero samples
+    cannot raise it, so only the positive ones are located."""
+    tops = []
+    for i in range(0, sm.values.size, _FD_BLOCK):
+        v, x = sm.values[i:i + _FD_BLOCK], sm.x[i:i + _FD_BLOCK]
+        pos = v > 0.0
+        tops.append(np.max(v[pos][~sm.Y.contains(x[pos])], initial=0.0))
+    return float(np.max(tops, initial=0.0))

@@ -120,7 +120,11 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     real form is solved by spectral._lowest_pair at sigma = -SHIFT_EPS T
     max(a) (module docstring). Memory peaks in that solve of a block of
     order n: the block's real form of C_a, its Gramian and the Gramian's
-    Cholesky copy, 3 n^2 float64. lam_min is the least block minimum and
+    Cholesky copy, 3 n^2 float64. The form is kept for the sweep's next
+    T, and the Gramian for its residual after the factor, so unlike an
+    uncertainty block the Gramian is not factored in place; rebuilding G
+    after the factor instead saved one n^2 (cost's peak 96 to 83.5 MB)
+    but ran the sweep 13% slower. lam_min is the least block minimum and
     the residual that block's, ||G v - lam v||, with G v a SciPy gemv
     (one OpenBLAS pool, spectral module docstring). An eigenpair whose
     residual exceeds 1e-8 * max(1, T) raises RuntimeError
@@ -175,8 +179,10 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
         def block_smallest(R, distinct, at):
             G = _time_kernel(distinct, T, n)[np.ix_(at, at)]
             G *= R
-            lam, v = _lowest_pair(G, sigma, LANCZOS_TOL / max(1.0, T))
-            # G.T is F-contiguous, so gemv reads G in place
+            # _lowest_pair factors its F-ordered copy of G in place; the
+            # residual reads G, whose G.T is F-contiguous, so gemv reads it
+            # in place
+            lam, v = _lowest_pair(G.copy(order="F"), sigma, LANCZOS_TOL / max(1.0, T))
             residual = float(np.linalg.norm(dgemv(1.0, G.T, v, trans=1) - lam * v))
             if residual > 1e-8 * max(1.0, T):
                 raise RuntimeError(f"smallest Gramian eigenpair did not converge; residual"

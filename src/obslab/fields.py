@@ -106,6 +106,8 @@ def _grid_points(dim: int, period: float, grid: int, origin: float):
 
 
 def _member_constant(pts, value):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"value must lie in [0, 1], got {value}")
     base = pts[0]
     return np.full(np.shape(base), float(value))
 

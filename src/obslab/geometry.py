@@ -441,7 +441,9 @@ def rectangle_density_inf(
     return float(value), RectangleSpec(Direction(ang), tuple(z), L, lambda_list[j], beta)
 
 
-_PROFILE_BLOCK = 32768  # points per evaluate call of comb_profile (fits in cache)
+# samples per evaluate call of comb_profile, and running sums per row of a
+# _window_min block (fits in cache)
+_PROFILE_BLOCK = 32768
 
 
 def comb_profile(
@@ -534,17 +536,41 @@ def relative_density_1d(profile: CombProfile, L: float) -> float:
 def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
     """Minimum over the last axis of the length-n_w running means.
 
-    Periodic samples wrap: they are tiled so that every start in one period
-    has n_w samples ahead of it, even when n_w exceeds the extent. Other
-    samples admit only windows that fit inside them. The least window sum
-    is divided once: s / n_w rounds monotonically in s, so the bits agree.
+    Periodic samples wrap: every start in one period has n_w samples
+    ahead of it, even when n_w exceeds the extent. Other samples admit
+    only windows that fit inside them. A window sum is e[k + n_w] - e[k],
+    e the running sums of the samples read in turn (e[0] = 0). They are
+    built in blocks of step = max(_PROFILE_BLOCK, n_w) sums per row, each
+    np.cumsum seeded with the last sum of the block before: cumsum adds in
+    sequence, so every sum has the bits of one whole-array cumsum, and no
+    periodic tiling or running sum of all the samples is held. A window
+    that ends in a block starts in it or in the one before, which is the
+    one other block kept. The least
+    window sum is divided once: s / n_w rounds monotonically in s, so the
+    bits agree.
     """
     values = np.asarray(values, dtype=np.float64)
-    if periodic:
-        reps, tail = divmod(n_w - 1, values.shape[-1])
-        values = np.concatenate([values] * (1 + reps) + [values[..., :tail]], axis=-1)
-    elif n_w > values.shape[-1]:
+    n = values.shape[-1]
+    end = n + n_w - 1 if periodic else n  # samples the windows read
+    if n_w > end:
         raise ValueError("window longer than the sampled range")
-    c = np.cumsum(values, axis=-1)
-    rest = (c[..., n_w:] - c[..., :-n_w]).min(axis=-1, initial=np.inf)
-    return np.minimum(c[..., n_w - 1], rest) / n_w
+    step = max(_PROFILE_BLOCK, n_w)
+    least = np.full(values.shape[:-1], np.inf)
+    e = np.zeros(values.shape[:-1] + (1,))
+    for s0 in range(0, end, step):
+        # e[s0 : s1 + 1] from e[s0] and the samples s0 .. s1 - 1, wrapped
+        s1, prev = min(s0 + step, end), e
+        pieces = [prev[..., -1:]]
+        for p in range(s0 - s0 % n, s1, n):
+            pieces.append(values[..., max(s0 - p, 0):min(s1 - p, n)])
+        e = np.cumsum(np.concatenate(pieces, axis=-1), axis=-1)
+        # windows ending at s0 + n_w .. s1 start in this block; those ending
+        # at s0 .. s0 + n_w - 1 (s0 > 0) in the one before, at e[s0 - n_w]
+        # = prev[step - n_w]
+        sums = [e[..., n_w:] - e[..., :-n_w]]
+        if s0:
+            h = min(e.shape[-1], n_w)
+            sums.append(e[..., :h] - prev[..., step - n_w:step - n_w + h])
+        for d in sums:
+            np.minimum(least, d.min(axis=-1, initial=np.inf), out=least)
+    return least / n_w

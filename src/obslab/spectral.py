@@ -307,13 +307,16 @@ def _sandwich_matvec(field: ObservationField, mask: FrequencyMask, weight: str):
 def _lowest_pair(G, sigma, tol):
     """Smallest eigenpair of the dense Hermitian (or real symmetric) G >= 0
     by eigh, or by Lanczos at tolerance tol on (G - sigma I)^-1, sigma < 0
-    (module docstring), in G's own arithmetic."""
+    (module docstring), in G's own arithmetic. An F-ordered G, as
+    _real_form and _pair_form write it, is shifted and factored in place,
+    so a solve holds one form; G of any other layout is left as it was,
+    and its F-ordered copy is factored."""
     import scipy.linalg
     n = G.shape[0]
     if n <= DENSE_EIGH_LIMIT or sigma == 0.0:
-        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0])
+        vals, vecs = scipy.linalg.eigh(G, subset_by_index=[0, 0], overwrite_a=True)
         return float(vals[0]), vecs[:, 0]
-    F = G.copy(order="F")
+    F = np.asfortranarray(G)
     F[np.diag_indices(n)] -= sigma
     factor = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
     mu, v = _top_lanczos(lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False),
@@ -374,13 +377,15 @@ def _smallest_eig(field, mask, weight):
     neg, closed = _negated_positions(mask)
     order = max(len(b[0]) for b in blocks)
     if order > DENSE_RANK_LIMIT:
-        # the traced peak of a dense solve, real or complex, measured at
-        # orders 2121 to 5041
+        # the traced peak of a dense solve: its form and the Lanczos basis
+        # reserved beside it (at order 2541, 104.8 MB against 2 x 8 x 2541^2
+        # = 103.3 MB)
         dtype, size = ("float64", 8) if closed else ("complex128", 16)
         raise ValueError(
             f"the uncertainty block of order {order} needs about"
-            f" {3 * size * order * order / 1e9:.1f} GB (three {order} x {order} {dtype} arrays,"
-            f" the measured peak of its dense solve); the limit is order {DENSE_RANK_LIMIT}")
+            f" {2 * size * order * order / 1e9:.1f} GB (two {order} x {order} {dtype} arrays,"
+            f" the form and its Lanczos basis, the measured peak of its dense solve); the limit"
+            f" is order {DENSE_RANK_LIMIT}")
     w = _weight_values(field, weight)
     table = _coefficient_table(w)
     idx = mask.indices()
@@ -427,33 +432,39 @@ def uncertainty_constant(field: ObservationField, mask: FrequencyMask, weight: s
 
 
 def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
-               beta: np.ndarray, n_rows: int | None = None) -> np.ndarray:
+               beta: np.ndarray) -> np.ndarray:
     """Pi M_w Pi between two-point vectors alpha_r e_k + beta_r e_k',
     k = pts[r], k' = pts2[r], orthonormal within a block; table is
-    _coefficient_table(w). Rows are the first n_rows vectors (all of
-    them by default), columns all of them.
+    _coefficient_table(w).
 
     Entry (r, s) is 2 conj(alpha_r) [alpha_s w^(k_r - k_s) + beta_s
     w^(k_r - k'_s)]. These two terms stand for all four of the exact entry
     when beta = +-alpha real with one sign for every vector, and k' = k or
     the transpose of k with w transpose-invariant (a block of _mask_blocks,
     or the conjugates of its vectors): the other two terms equal these.
-    Rows are filled in blocks, so no rows x columns index temporary is
-    allocated.
+    The form is written once, column-major as _lowest_pair factors it in
+    place, from the row blocks of _pair_rows.
     """
+    n = len(pts)
+    out = np.empty((n, n), dtype=complex, order="F")
+    for blk, rows in _pair_rows(table, pts, alpha, pts2, beta, n):
+        out[blk] = rows
+    return out
+
+
+def _pair_rows(table, pts, alpha, pts2, beta, n_rows: int):
+    """The first n_rows rows of _pair_form, columns all of its vectors, as
+    (slice, rows) in blocks of about 2^16 entries, so no rows x columns
+    index temporary is allocated."""
     table, radix, shift = table
     powers = radix ** np.arange(pts.shape[1] - 1, -1, -1)
     key, key2 = pts @ powers - shift, pts2 @ powers - shift
-    n = key.size
-    rows = n if n_rows is None else n_rows
-    out = np.empty((rows, n), dtype=complex)
-    step = max(1, (1 << 16) // n)
-    for r0 in range(0, rows, step):
-        blk = slice(r0, min(r0 + step, rows))
+    step = max(1, (1 << 16) // key.size)
+    for r0 in range(0, n_rows, step):
+        blk = slice(r0, min(r0 + step, n_rows))
         a = np.conj(alpha[blk])[:, None]
         row = key[blk, None] + shift
-        out[blk] = 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
-    return out
+        yield blk, 2.0 * (a * alpha * table[row - key] + a * beta * table[row - key2])
 
 
 def _negated_positions(mask: FrequencyMask) -> tuple[np.ndarray, bool]:
@@ -503,22 +514,37 @@ def _real_form(table, idx, neg, i, alpha, j, beta):
     [Im(X + Y), Re(X - Y)]]. Both vectors of a pair have f_a's omega, so
     a kernel on the rep and own points multiplies all of R through
     expand. _real_lift maps R's eigenvectors back to the mask.
+
+    R is written once, column-major as _lowest_pair factors it in place,
+    from the row blocks (_pair_rows) of the rep and own vectors against
+    f_rep, f_own and J f_rep, so no complex form of the block is held.
     """
     rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
     rows = np.concatenate([rep, own])
     na, m = rep.size, rows.size
+    R = np.empty((na + m, na + m), order="F")
+    top, mid, low = slice(None, na), slice(na, 2 * na), slice(2 * na, None)
     # columns: f_rep, f_own, then J f_rep, with f_rep's coefficients
-    W = _pair_form(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
-                   np.concatenate([alpha[rows], alpha[rep]]),
-                   idx[np.concatenate([j[rows], neg[j[rep]]])],
-                   np.concatenate([beta[rows], beta[rep]]), n_rows=m)
-    Z = math.sqrt(2.0) * W[:na, na:m] * phase
-    S = (np.conj(phase)[:, None] * W[na:, na:m] * phase).real
-    X, Y = W[:na, :na], W[:na, m:]
-    P, M = X + Y, X - Y
-    # freed before R is built, so no more than two R-sized arrays are held
-    del W, X, Y
-    R = np.block([[P.real, -M.imag, Z.real], [P.imag, M.real, Z.imag], [Z.real.T, Z.imag.T, S]])
+    for blk, W in _pair_rows(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
+                             np.concatenate([alpha[rows], alpha[rep]]),
+                             idx[np.concatenate([j[rows], neg[j[rep]]])],
+                             np.concatenate([beta[rows], beta[rep]]), m):
+        r0, r1 = blk.start, min(blk.stop, na)  # the rep rows of the block
+        if r0 < r1:
+            X, Y = W[:r1 - r0, :na], W[:r1 - r0, m:]
+            Z = math.sqrt(2.0) * W[:r1 - r0, na:m] * phase
+            a, b = slice(r0, r1), slice(na + r0, na + r1)
+            np.add(X.real, Y.real, out=R[a, top])
+            np.add(X.imag, Y.imag, out=R[b, top])
+            np.subtract(X.imag, Y.imag, out=R[a, mid])
+            np.negative(R[a, mid], out=R[a, mid])
+            np.subtract(X.real, Y.real, out=R[b, mid])
+            R[a, low], R[low, a] = Z.real, Z.real.T
+            R[b, low], R[low, b] = Z.imag, Z.imag.T
+        c0 = max(blk.start, na)  # the own rows
+        if c0 < blk.stop:
+            R[na + c0:na + blk.stop, low] = (np.conj(phase[c0 - na:blk.stop - na])[:, None]
+                                             * W[c0 - blk.start:, na:m] * phase).real
     return R, i[rows], np.concatenate([np.arange(na), np.arange(m)])
 
 

@@ -1015,3 +1015,40 @@ def test_resolvent_loads_scipy_when_it_solves(tmp_path):
     assert "scipy.sparse" not in loaded
     for name in ("resolvent", "uncertainty", "observe"):
         assert (tmp_path / f"{name}_report.json").exists()
+
+
+@pytest.mark.parametrize("extra, field_lines, message", [
+    (["--field-dim", "1", "--field-grid", "999", "--field-period", "5"], [],
+     "custom-grid takes no dim, grid, period: its grid file sets the box"),
+    (["--field-grid", "16"], [], "custom-grid takes no grid: its grid file sets the box"),
+    ([], ["period = 2"], "custom-grid takes no period: its grid file sets the box"),
+], ids=["box-flags", "grid-flag", "period-config"])
+def test_custom_grid_refuses_a_given_box(tmp_path, monkeypatch, capsys, extra, field_lines,
+                                         message):
+    """A custom-grid file sets its own box, so a --field-dim, --field-grid
+    or --field-period, or the same [field] key, exits 2 naming the key,
+    where it was once dropped for the file's box; the command's default
+    box alone still runs."""
+    monkeypatch.chdir(tmp_path)
+    fields.save_grid(fields.make_field("constant", dim=2, period=1.0, grid=16), "g2.ogrd")
+    (tmp_path / "run.ini").write_text("\n".join(["[field]", *field_lines, ""]))
+    argv = ["uncertainty", "--field-family", "custom-grid", "--grid-file", "g2.ogrd",
+            "--mask", "ball", "--radius", "3", "--config", "run.ini", "--out", "out"]
+    assert run(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out" / "uncertainty_report.json").exists()
+    (tmp_path / "run.ini").write_text("[field]\n")
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("extra, field_lines", [(["--field-value", "2"], []),
+                                                ([], ["value = 2"])], ids=["flag", "config"])
+def test_constant_value_out_of_range_names_value(tmp_path, capsys, extra, field_lines):
+    """--field-value and [field] value are checked by the constant family
+    before sampling, so the error names value."""
+    (tmp_path / "run.ini").write_text("\n".join(["[field]", *field_lines, ""]))
+    code = run(["uncertainty", "--mask", "ball", "--radius", "3", "--config",
+                str(tmp_path / "run.ini"), "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: value must lie in [0, 1], got 2.0")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from obslab import construct
@@ -370,3 +371,72 @@ def test_blocked_derivative_bounds_match_the_whole_array(extra):
             for m, want in _derivative_bounds_full(part).items():
                 assert (got[m]["max_a"], got[m]["max_A_over_M"]) == (want["max_a"], want["max_A_over_M"])
             part.values[i] -= 0.25
+
+
+def _window_min_whole(values, n_w, periodic):
+    """The whole-array sliding-window minimum: one cumsum of the tiled
+    samples and every window difference."""
+    if periodic:
+        reps, tail = divmod(n_w - 1, values.shape[-1])
+        values = np.concatenate([values] * (1 + reps) + [values[..., :tail]], axis=-1)
+    c = np.cumsum(values, axis=-1)
+    rest = (c[..., n_w:] - c[..., :-n_w]).min(axis=-1, initial=np.inf)
+    return np.minimum(c[..., n_w - 1], rest) / n_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["one", "all", "long", "any"]), st.sampled_from([3, 16, 1 << 15]))
+def test_streamed_window_min_is_the_whole_array_one(n, seed, periodic, window, block):
+    """The streamed _window_min (and sliding_window_min on it) equals the
+    whole-array formula bit for bit, for n_w = 1, n_w = n, windows longer
+    than one block, and periodic and non-periodic samples."""
+    from obslab import geometry
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-0.5, 1.0, size=(int(rng.integers(1, 4)), n))
+    n_w = {"one": 1, "all": n, "long": block + int(rng.integers(1, 40)),
+           "any": int(rng.integers(1, n + 1))}[window]
+    if not periodic and n_w > n:
+        n_w = n
+    with mock.patch.object(geometry, "_PROFILE_BLOCK", block):
+        got = geometry._window_min(values, n_w, periodic)
+        assert np.array_equal(got, _window_min_whole(values, n_w, periodic))
+        if n_w <= n:
+            assert construct.sliding_window_min(values[0], 0.5, 0.5 * n_w) == float(
+                _window_min_whole(values[0], n_w, False))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([5, 64, 1 << 15]))
+def test_streamed_derivative_bounds_are_the_whole_array_ones(seed, block):
+    """derivative_bounds, with A built one block at a time, equals the
+    whole-array A and differences bit for bit, at blocks far shorter than
+    the minorant and at the default block."""
+    rng = np.random.default_rng(seed)
+    Y = _random_system(rng, 10.0, 0.05, 12)
+    wmin, _ = Y.window_min_measure(2.0)
+    sm = construct.smooth_minorant(Y, 2.0, 0.8 * wmin / 2.0)
+    with mock.patch.object(construct, "_FD_BLOCK", block):
+        got = construct.derivative_bounds(sm)
+    for m, want in _derivative_bounds_full(sm).items():
+        assert (got[m]["max_a"], got[m]["max_A_over_M"]) == (want["max_a"], want["max_A_over_M"])
+    whole = float(np.max(sm.values[(sm.values > 0.0) & ~Y.contains(sm.x)], initial=0.0))
+    with mock.patch.object(construct, "_FD_BLOCK", block):
+        assert construct.max_outside_support(sm) == whole
+
+
+def test_construct_demo_searches_the_least_window_once(tmp_path, monkeypatch):
+    """construct-demo measures the least window once: smooth_minorant
+    reads the pair the CLI's default rho was taken from."""
+    from obslab import cli
+    calls = []
+    search = construct._ranked_measures
+
+    def counted(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(construct, "_ranked_measures", counted)
+    assert cli.main(["construct-demo", "--seed", "1", "--n-balls", "100", "--out",
+                     str(tmp_path)]) == 0
+    assert len(calls) == 1

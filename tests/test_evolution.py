@@ -440,8 +440,10 @@ def test_real_blocks_match_dense_complex_gramian(dim, grid, seed, symmetric, bet
     lowest_pair = evolution._lowest_pair
 
     def capture(A, *args):
+        # _lowest_pair factors an F-ordered A in place, so keep a copy
+        form = A.copy()
         lam, x = lowest_pair(A, *args)
-        solved.append((A, lam, x))
+        solved.append((form, lam, x))
         return lam, x
 
     with mock.patch.object(evolution, "_lowest_pair", capture), \

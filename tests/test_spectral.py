@@ -671,3 +671,23 @@ def test_top_lanczos_matches_eigvalsh(n, seed, is_complex, spectrum, tol):
         # that A maps into itself
         Q = np.array(steps).T
         assert len(steps) == n or np.linalg.norm(A @ Q - Q @ (Q.conj().T @ A @ Q)) <= 1e-12 * norm
+
+
+def test_dense_block_solve_holds_one_form():
+    """An uncertainty solve of one real block (order 2 x 341 - 1 = 681)
+    peaks, under tracemalloc, at its form plus the Lanczos basis reserved
+    beside it, about 2 x 8 x order^2 bytes: _real_form writes the form once,
+    F-ordered, and _lowest_pair factors it in place."""
+    import tracemalloc
+    field = _ps_mollified(1024)
+    mask = spectral.build_mask(1024, 1, field.period, "ball", radius=340.0)
+    (block,) = spectral._mask_blocks(field, mask)
+    order = block[0].size
+    assert order > spectral.DENSE_EIGH_LIMIT
+    tracemalloc.start()
+    try:
+        spectral.uncertainty_constant(field, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * 8 * order * order
