@@ -156,16 +156,13 @@ def _resolve(name: str, options, flags: dict, section: dict) -> dict:
 def _build_field(spec: dict, dim: int, grid: int):
     """Field of the resolved [field] keys, box-averaged by their mollify
     radius. A dim, grid or period not given takes the command's box (dim,
-    grid) and period 1.0; a custom-grid file sets its own box, so one
-    given is refused by name, after field_from_config's own checks."""
+    grid) and period 1.0, except for custom-grid, whose file sets its own
+    box: field_from_config refuses one given to it by name."""
     radius = spec.pop("mollify")
-    box = {"dim": dim, "grid": grid, "period": 1.0}
-    given = [key for key in box if spec[key] is not None]
-    field = fields.field_from_config({**spec, **{key: value for key, value in box.items()
-                                                 if key not in given}})
-    if spec["family"] == "custom-grid" and given:
-        raise ValueError(f"custom-grid takes no {', '.join(given)}: its grid file sets the box"
-                         f" and the samples")
+    if spec["family"] != "custom-grid":
+        box = {"dim": dim, "grid": grid, "period": 1.0}
+        spec.update((key, value) for key, value in box.items() if spec[key] is None)
+    field = fields.field_from_config(spec)
     try:
         return fields.mollify(field, radius) if radius else field
     except ValueError as exc:

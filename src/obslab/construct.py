@@ -120,15 +120,15 @@ class BallSystem:
         if not len(self.centers):
             return 0.0, 0.0
         W = self.period
-        turns, L = divmod(L, W)  # each whole turn adds the whole measure
+        turns, rem = divmod(L, W)  # each whole turn adds the whole measure
         iv = self.intervals(-W, 2.0 * W)  # a remainder below W never needs balls past 2W
-        crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - L]), W))
-        ranked, bound = _ranked_measures(iv, crit, L)
+        crit = np.unique(np.mod(np.concatenate([iv.ravel(), iv.ravel() - rem]), W))
+        ranked, bound = _ranked_measures(iv, crit, rem)
         keep = crit[ranked <= ranked.min() + 2.0 * bound]
         vals = np.empty(keep.size)
         for r0 in range(0, keep.size, 64):
             lo = keep[r0:r0 + 64, None]
-            hi = lo + L
+            hi = lo + rem
             # the clip of each interval to [lo, hi]; np.clip is twice as slow
             # with broadcast bounds
             b = np.minimum(np.maximum(iv[:, 1], lo), hi)

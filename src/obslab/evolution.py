@@ -167,7 +167,8 @@ def cost_curve(field: ObservationField, beta: float, T_list, cutoff_K: float) ->
     table = _coefficient_table(field.values)
     forms = []
     for b in _mask_blocks(field, mask):
-        R, pos, expand = _real_form(table, idx, neg, *b)
+        # row-major, as the kernel it multiplies
+        R, pos, expand = _real_form(table, idx, neg, *b, order="C")
         # the kernel depends on omega alone: built on its distinct values
         distinct, at = np.unique(omega[pos], return_inverse=True)
         forms.append((R, distinct, at[expand]))

@@ -491,16 +491,16 @@ def field_from_config(spec) -> ObservationField:
     given. make_field builds it from family, dim, period, grid, origin and
     the family's parameters; a custom-grid field is load_grid of
     grid_file, whose file sets the box and the samples, so it takes no
-    family parameter or origin."""
+    dim, period, grid, family parameter or origin."""
     params = {key: value for key, value in spec.items() if value is not None}
     family = params.pop("family")
-    box = {key: params.pop(key, None) for key in ("dim", "period", "grid")}
     if family != "custom-grid":
+        box = {key: params.pop(key, None) for key in ("dim", "period", "grid")}
         return make_field(family, **box, **params)
     grid_file = params.pop("grid_file", None)
+    if grid_file is None:
+        raise ValueError("custom-grid needs grid_file")
     if params:
         raise ValueError(f"custom-grid takes no {', '.join(sorted(params))}: its grid file "
                          f"sets the box and the samples")
-    if grid_file is None:
-        raise ValueError("custom-grid needs grid_file")
     return load_grid(grid_file)

@@ -545,9 +545,8 @@ def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
     sequence, so every sum has the bits of one whole-array cumsum, and no
     periodic tiling or running sum of all the samples is held. A window
     that ends in a block starts in it or in the one before, which is the
-    one other block kept. The least
-    window sum is divided once: s / n_w rounds monotonically in s, so the
-    bits agree.
+    one other block kept. The least window sum is divided once: s / n_w
+    rounds monotonically in s, so the bits agree.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
@@ -555,22 +554,18 @@ def _window_min(values, n_w: int, periodic: bool) -> np.ndarray:
     if n_w > end:
         raise ValueError("window longer than the sampled range")
     step = max(_PROFILE_BLOCK, n_w)
-    least = np.full(values.shape[:-1], np.inf)
-    e = np.zeros(values.shape[:-1] + (1,))
+    least, e = np.inf, np.zeros(values.shape[:-1] + (1,))
     for s0 in range(0, end, step):
         # e[s0 : s1 + 1] from e[s0] and the samples s0 .. s1 - 1, wrapped
         s1, prev = min(s0 + step, end), e
         pieces = [prev[..., -1:]]
-        for p in range(s0 - s0 % n, s1, n):
-            pieces.append(values[..., max(s0 - p, 0):min(s1 - p, n)])
+        pieces += [values[..., max(s0 - p, 0):min(s1 - p, n)] for p in range(s0 - s0 % n, s1, n)]
         e = np.cumsum(np.concatenate(pieces, axis=-1), axis=-1)
         # windows ending at s0 + n_w .. s1 start in this block; those ending
         # at s0 .. s0 + n_w - 1 (s0 > 0) in the one before, at e[s0 - n_w]
         # = prev[step - n_w]
-        sums = [e[..., n_w:] - e[..., :-n_w]]
+        least = np.minimum(least, (e[..., n_w:] - e[..., :-n_w]).min(axis=-1, initial=np.inf))
         if s0:
             h = min(e.shape[-1], n_w)
-            sums.append(e[..., :h] - prev[..., step - n_w:step - n_w + h])
-        for d in sums:
-            np.minimum(least, d.min(axis=-1, initial=np.inf), out=least)
+            least = np.minimum(least, (e[..., :h] - prev[..., step - n_w:step - n_w + h]).min(axis=-1))
     return least / n_w

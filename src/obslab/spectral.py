@@ -454,12 +454,12 @@ def _pair_form(table, pts: np.ndarray, alpha: np.ndarray, pts2: np.ndarray,
 
 def _pair_rows(table, pts, alpha, pts2, beta, n_rows: int):
     """The first n_rows rows of _pair_form, columns all of its vectors, as
-    (slice, rows) in blocks of about 2^16 entries, so no rows x columns
+    (slice, rows) in blocks of about 2^15 entries, so no rows x columns
     index temporary is allocated."""
     table, radix, shift = table
     powers = radix ** np.arange(pts.shape[1] - 1, -1, -1)
     key, key2 = pts @ powers - shift, pts2 @ powers - shift
-    step = max(1, (1 << 16) // key.size)
+    step = max(1, (1 << 15) // key.size)
     for r0 in range(0, n_rows, step):
         blk = slice(r0, min(r0 + step, n_rows))
         a = np.conj(alpha[blk])[:, None]
@@ -500,7 +500,7 @@ def _conjugate_pairs(neg, i, alpha, j, beta):
     return np.flatnonzero(pos < partner), own, np.where(odd, 1j, 1.0)
 
 
-def _real_form(table, idx, neg, i, alpha, j, beta):
+def _real_form(table, idx, neg, i, alpha, j, beta, order="F"):
     """One block of Pi M_w Pi, w real (table is _coefficient_table(w)), as
     a real symmetric matrix R, with the mask positions pos whose omega the
     Gramian's time kernel reads and the index expand that spreads a
@@ -515,14 +515,17 @@ def _real_form(table, idx, neg, i, alpha, j, beta):
     a kernel on the rep and own points multiplies all of R through
     expand. _real_lift maps R's eigenvectors back to the mask.
 
-    R is written once, column-major as _lowest_pair factors it in place,
-    from the row blocks (_pair_rows) of the rep and own vectors against
-    f_rep, f_own and J f_rep, so no complex form of the block is held.
+    R is written once, in the order asked: column-major (the default) as
+    _lowest_pair factors it in place, row-major for a Gramian that
+    multiplies it into a row-major kernel. The row blocks (_pair_rows) of
+    the rep and own vectors against f_rep, f_own and J f_rep are each
+    assembled in a row-major tile and copied to R in one assignment, so
+    no complex form of the block is held.
     """
     rep, own, phase = _conjugate_pairs(neg, i, alpha, j, beta)
     rows = np.concatenate([rep, own])
     na, m = rep.size, rows.size
-    R = np.empty((na + m, na + m), order="F")
+    R = np.empty((na + m, na + m), order=order)
     top, mid, low = slice(None, na), slice(na, 2 * na), slice(2 * na, None)
     # columns: f_rep, f_own, then J f_rep, with f_rep's coefficients
     for blk, W in _pair_rows(table, idx[np.concatenate([i[rows], neg[i[rep]]])],
@@ -533,14 +536,16 @@ def _real_form(table, idx, neg, i, alpha, j, beta):
         if r0 < r1:
             X, Y = W[:r1 - r0, :na], W[:r1 - r0, m:]
             Z = math.sqrt(2.0) * W[:r1 - r0, na:m] * phase
-            a, b = slice(r0, r1), slice(na + r0, na + r1)
-            np.add(X.real, Y.real, out=R[a, top])
-            np.add(X.imag, Y.imag, out=R[b, top])
-            np.subtract(X.imag, Y.imag, out=R[a, mid])
-            np.negative(R[a, mid], out=R[a, mid])
-            np.subtract(X.real, Y.real, out=R[b, mid])
-            R[a, low], R[low, a] = Z.real, Z.real.T
-            R[b, low], R[low, b] = Z.imag, Z.imag.T
+            # rows r0:r1 of R's first and second row of blocks
+            t = np.empty((2, r1 - r0, na + m))
+            np.add(X.real, Y.real, out=t[0, :, top])
+            np.add(X.imag, Y.imag, out=t[1, :, top])
+            np.subtract(X.imag, Y.imag, out=t[0, :, mid])
+            np.negative(t[0, :, mid], out=t[0, :, mid])
+            np.subtract(X.real, Y.real, out=t[1, :, mid])
+            t[0, :, low], t[1, :, low] = Z.real, Z.imag
+            R[r0:r1], R[na + r0:na + r1] = t
+            R[low, r0:r1], R[low, na + r0:na + r1] = Z.real.T, Z.imag.T
         c0 = max(blk.start, na)  # the own rows
         if c0 < blk.stop:
             R[na + c0:na + blk.stop, low] = (np.conj(phase[c0 - na:blk.stop - na])[:, None]

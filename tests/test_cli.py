@@ -370,10 +370,11 @@ PRODUCT_32 = ["--field-family", "product", "--field-grid", "32"]  # cover defaul
     ([], ["delta = abc"], "[field] delta: could not convert string to float: 'abc'"),
     ([], ["dim = 1.5"], "[field] dim: invalid literal for int() with base 10: '1.5'"),
     ([], ["seed = 1"], "unknown key(s) seed in [field]; known: family, dim, grid, period"),
+    # custom-grid names every key it refuses, PRODUCT_32's --field-grid too
     (["--field-family", "custom-grid", "--grid-file", "data.ogrd", "--field-delta", "0.9"], [],
-     "custom-grid takes no delta: its grid file sets the box"),
+     "custom-grid takes no delta, grid: its grid file sets the box"),
     (["--field-family", "custom-grid", "--grid-file", "data.ogrd", "--field-origin", "7"], [],
-     "custom-grid takes no origin: its grid file sets the box"),
+     "custom-grid takes no grid, origin: its grid file sets the box"),
     (["--field-family", "custom-grid"], [], "custom-grid needs grid_file"),
 ], ids=["intervals-x-flag", "intervals-x-three-numbers", "intervals-x-config", "delta-config",
         "dim-config", "unknown-key", "custom-grid-delta", "custom-grid-origin",

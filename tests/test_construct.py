@@ -113,12 +113,25 @@ def test_window_measures_chunks_match_the_scalar_loop(n, pitch, delta_frac, l_fr
     empty window, returns bit for bit the first least of the clipped sums
     of every critical offset, one window at a time, on the layouts of
     _layout, with more and fewer critical offsets than one chunk, and
-    windows longer than the circle when n is small."""
+    windows longer than the circle when n is small. A window a whole turn
+    longer is asked first, so each length must get its own pair back."""
     Y = _layout(layout, n, pitch, delta_frac * pitch, seed)
-    L = l_frac * Y.delta
-    crit, vals, turns = _window_measures_loop(Y, L)
-    i = int(np.argmin(vals))
-    assert Y.window_min_measure(L) == (float(vals[i] + turns), float(crit[i]))
+    for L in (l_frac * Y.delta + Y.period, l_frac * Y.delta):
+        crit, vals, turns = _window_measures_loop(Y, L)
+        i = int(np.argmin(vals))
+        assert Y.window_min_measure(L) == (float(vals[i] + turns), float(crit[i]))
+
+
+def test_window_min_measure_keeps_each_pair_under_the_length_asked():
+    """Windows a whole turn apart, asked of one system in either order,
+    each get the pair of the scalar loop at their own length, not a pair
+    kept for the other: 9 = 6 + 3 adds |Y| = 1.5 to the least of 3."""
+    Y = construct.BallSystem([0.0, 1.0, 3.0], 0.25, 6.0)
+    for L in (9.0, 3.0, 15.0, 9.0, 3.0):
+        crit, vals, turns = _window_measures_loop(Y, L)
+        i = int(np.argmin(vals))
+        assert Y.window_min_measure(L) == (float(vals[i] + turns), float(crit[i]))
+    assert Y.window_min_measure(9.0)[0] == Y.window_min_measure(3.0)[0] + 1.5
 
 
 def test_window_min_measure_counts_windows_longer_than_the_circle():

@@ -384,15 +384,18 @@ def test_field_from_config_matches_make_field():
 
 def test_field_from_config_custom_grid_relative_path(tmp_path, monkeypatch):
     """A relative grid_file is read from the working directory, and the
-    file sets the box whatever dim, period and grid say."""
+    file sets the box: a given dim, period or grid is refused by name."""
     vals = np.linspace(0.0, 1.0, 8)
     f = fields.make_field("custom-grid", dim=1, period=3.0, grid=8, values=vals)
     fields.save_grid(f, tmp_path / "data.ogrd")
     monkeypatch.chdir(tmp_path)
-    g = fields.field_from_config({"family": "custom-grid", "dim": 2, "period": 1.0, "grid": 256,
-                                  "origin": None, "delta": None, "grid_file": "data.ogrd"})
+    spec = {"family": "custom-grid", "dim": None, "period": None, "grid": None,
+            "origin": None, "delta": None, "grid_file": "data.ogrd"}
+    g = fields.field_from_config(spec)
     assert np.array_equal(g.values, vals)
     assert (g.dim, g.period, g.grid, g.family["source"]) == (1, 3.0, 8, "data.ogrd")
+    with pytest.raises(ValueError, match="custom-grid takes no dim, grid, period: its grid file"):
+        fields.field_from_config({**spec, "dim": 2, "period": 1.0, "grid": 256})
 
 
 def test_describe_is_json_friendly():
